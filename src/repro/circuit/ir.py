@@ -226,6 +226,9 @@ class NoiseSiteTable:
     _run_cache: tuple | None = field(
         default=None, repr=False, compare=False
     )  # lazily computed (start, stop, channel) runs
+    _threshold_cache: tuple | None = field(
+        default=None, repr=False, compare=False
+    )  # lazily computed per-site (t0, t1, t2) threshold arrays
 
     @property
     def n_sites(self) -> int:
@@ -268,20 +271,47 @@ class NoiseSiteTable:
             codes[start:stop] = channel.sample_block(rng, stop - start, shots)
         return codes
 
+    def _thresholds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every site's :attr:`PauliChannel.thresholds`: three ``(n_sites,)`` arrays.
+
+        Filled once per table from the channel runs, so building them costs
+        one threshold evaluation per run rather than per site.
+        """
+        if self._threshold_cache is None:
+            table = np.empty((3, self.n_sites))
+            for start, stop, channel in self._channel_runs():
+                table[:, start:stop] = np.array(channel.thresholds)[:, None]
+            object.__setattr__(self, "_threshold_cache", tuple(table))
+        return self._threshold_cache
+
+    def codes_from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
+        """Map one uniform per site to its Pauli code: int8, ``uniforms``' shape.
+
+        ``uniforms`` has shape ``(..., n_sites)``.  Site ``i`` of every row
+        gets ``(u >= t0) + (u >= t1) + (u >= t2)`` over its channel's
+        thresholds, which equals :meth:`PauliChannel.sample_thresholded`'s
+        ``searchsorted(thresholds, u, side="right")`` because the thresholds
+        are sorted.  A whole block of shots is thus three vector comparisons,
+        summed in a one-byte code array that callers widen to int64.
+        """
+        t0, t1, t2 = self._thresholds()
+        codes = np.greater_equal(uniforms, t0).view(np.int8)
+        above = np.empty(uniforms.shape, dtype=bool)
+        codes += np.greater_equal(uniforms, t1, out=above)
+        codes += np.greater_equal(uniforms, t2, out=above)
+        return codes
+
     def draw_shot(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one shot's Pauli codes from its own generator: ``(n_sites,)``.
 
         This is the per-shot seeded mode used by deterministic sharding
         (:class:`repro.sim.seeding.ShotSeeds`): the codes for a shot depend
         only on that shot's generator, so any partition of a shot range into
-        shards reproduces the unsharded batch exactly.  Sites are drawn in
-        execution order via the threshold sampler, one ``rng.random`` value
-        per site.
+        shards reproduces the unsharded batch exactly.  One ``rng.random``
+        call yields a uniform per site in execution order, and
+        :meth:`codes_from_uniforms` maps them through the sites' thresholds.
         """
-        codes = np.empty(self.n_sites, dtype=np.int64)
-        for start, stop, channel in self._channel_runs():
-            codes[start:stop] = channel.sample_thresholded(rng, stop - start)
-        return codes
+        return self.codes_from_uniforms(rng.random(self.n_sites)).astype(np.int64)
 
     def draw_sparse(
         self, shots: int, rng: np.random.Generator

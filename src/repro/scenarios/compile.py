@@ -6,7 +6,7 @@ precompute the input state, ideal output and kept qubits, and derive the
 *structure* of the position-dependent noise (teleportation-link site table).
 The cheap, per-sweep-point half -- instantiating the noise model at one
 error-reduction factor -- happens in :meth:`CompiledScenario.noise_model`
-inside the sweep workers.
+inside the sweep workers, once per factor per process.
 
 Mapping strategies
 ------------------
@@ -73,7 +73,7 @@ and a searched initial layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from repro.circuit.circuit import QuantumCircuit
@@ -136,6 +136,11 @@ class CompiledScenario:
     #: ``(cbit, expected_outcome)`` postselection checks (the dual-rail
     #: mapping's parity/flag outcomes); empty means keep every shot.
     postselect: tuple[tuple[int, int], ...] = ()
+    #: Noise models built so far, keyed by error-reduction factor (see
+    #: :meth:`noise_model`); excluded from equality and hashing.
+    _noise_models: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def executed_gates(self) -> int:
@@ -178,14 +183,25 @@ class CompiledScenario:
         return (1.0 - rate) ** len(self.keep_qubits)
 
     def noise_model(self, error_reduction_factor: float) -> NoiseModel:
-        """Instantiate the scenario's noise at one error-reduction factor.
+        """The scenario's noise at one error-reduction factor (memoised).
 
         Layering (and therefore random-stream site order) is fixed: device
         gate noise, then schedule-aware idle noise
         (:func:`~repro.hardware.noise_model.scheduled_device_noise_model`),
         then teleportation-link noise.  Every layer divides its rates by the
         same ``eps_r``.
+
+        The model is built once per factor and kept on this (process-cached)
+        bundle, so every shot shard of a sweep point shares one model object
+        -- and therefore one memoised noise-site table on the circuit's tape.
         """
+        model = self._noise_models.get(error_reduction_factor)
+        if model is None:
+            model = self._build_noise_model(error_reduction_factor)
+            self._noise_models[error_reduction_factor] = model
+        return model
+
+    def _build_noise_model(self, error_reduction_factor: float) -> NoiseModel:
         model: NoiseModel = scheduled_device_noise_model(
             self.device,
             self.circuit,

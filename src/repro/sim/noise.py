@@ -95,32 +95,42 @@ class PauliChannel:
             p=[1.0 - self.p_total, self.p_x, self.p_y, self.p_z],
         )
 
+    @property
+    def thresholds(self) -> tuple[float, float, float]:
+        """Cumulative ``(I, X, Y)`` thresholds of the threshold sampler.
+
+        A uniform variate ``u`` maps to the Pauli code equal to the number of
+        thresholds ``<= u``.  The three doubles are non-decreasing (each adds
+        a non-negative probability), so that count is both
+        ``searchsorted(thresholds, u, side="right")`` and the sum of the
+        three comparisons ``u >= t``; every seeded draw uses these exact
+        values, so they fix the per-shot random-stream contract.
+        """
+        return (
+            1.0 - self.p_total,
+            1.0 - self.p_total + self.p_x,
+            1.0 - self.p_total + self.p_x + self.p_y,
+        )
+
     def sample_thresholded(
         self, rng: np.random.Generator, size: int
     ) -> np.ndarray:
         """Sample ``size`` codes via one uniform draw per site.
 
         Each uniform variate is mapped through the cumulative
-        ``(I, X, Y, Z)`` thresholds with a single ``searchsorted``, so the
-        call consumes exactly ``size`` values of ``rng.random`` regardless of
-        the channel.  This is the sampler behind the per-shot seeded mode
-        (:class:`repro.sim.seeding.ShotSeeds`): it is an order of magnitude
-        cheaper than ``rng.choice`` for the one-shot columns that mode draws,
-        which is what keeps deterministic sharding competitive with the bulk
-        batch draw.  The stream consumption differs from :meth:`sample`, so
-        the two modes produce different (but individually reproducible)
-        trajectories.
+        :attr:`thresholds` with a single ``searchsorted``, so the call
+        consumes exactly ``size`` values of ``rng.random`` regardless of the
+        channel.  This is the one-channel form of the per-shot seeded draw
+        (:class:`repro.sim.seeding.ShotSeeds`), which compares a whole
+        shot's uniforms against every site's thresholds at once
+        (:meth:`repro.circuit.ir.NoiseSiteTable.codes_from_uniforms`) and
+        yields exactly the codes of this sampler applied site by site.  The
+        stream consumption differs from :meth:`sample`, so the two modes
+        produce different (but individually reproducible) trajectories.
         """
-        cumulative = np.array(
-            [
-                1.0 - self.p_total,
-                1.0 - self.p_total + self.p_x,
-                1.0 - self.p_total + self.p_x + self.p_y,
-            ]
-        )
-        return np.searchsorted(cumulative, rng.random(size), side="right").astype(
-            np.int64
-        )
+        return np.searchsorted(
+            np.array(self.thresholds), rng.random(size), side="right"
+        ).astype(np.int64)
 
     # Convenience constructors ------------------------------------------------
     @classmethod

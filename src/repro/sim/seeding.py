@@ -19,9 +19,13 @@ guarantees, and two distinct ``(point, shot)`` coordinates can never collide.
 
 The execution engines (:mod:`repro.sim.engine`) accept a ``ShotSeeds`` in
 place of a ``numpy.random.Generator`` in ``run_noisy_shots``; in that mode
-every shot's Pauli error codes are drawn from the shot's own generator, in
-noise-site order, using the threshold sampler
-(:meth:`repro.sim.noise.PauliChannel.sample_thresholded`).  All Feynman
+every shot's generator yields one uniform per noise site, in noise-site
+order, and each uniform becomes a Pauli code by comparison against its
+site's cumulative thresholds (:attr:`repro.sim.noise.PauliChannel.thresholds`,
+the threshold sampler of
+:meth:`~repro.sim.noise.PauliChannel.sample_thresholded`).
+:func:`draw_shot_randomness` draws a shot's uniforms in one generator call
+and maps a whole window of shots to codes in one vector pass.  All Feynman
 engines share this contract, so their trajectories remain bit-identical to
 each other in seeded mode, and any sharding of the shot range reproduces the
 unsharded run exactly.
@@ -102,23 +106,28 @@ def draw_shot_randomness(
     draws depend only on its own stream, any sharding of the shot range
     reproduces the unsharded draw exactly.
 
+    Each shot makes one ``generator.random`` call for all
+    ``n_measurements + n_sites`` uniforms, which consumes the stream exactly
+    like separate calls for the measurement and site parts (the bit
+    generator spends one 64-bit word per double).  The site uniforms of the
+    whole window then become codes in one vectorised threshold comparison
+    (:meth:`~repro.circuit.ir.NoiseSiteTable.codes_from_uniforms`).
+
     Returns ``codes`` of shape ``(n_sites, shots)`` (``None`` without a site
     table) and ``uniforms`` of shape ``(n_measurements, shots)`` (``None``
     without measurements); both are laid out shot-per-column so downstream
     consumers can vectorise across the shot axis.
     """
-    codes = (
-        np.empty((sites.n_sites, shots), dtype=np.int64)
-        if sites is not None
-        else None
-    )
-    uniforms = (
-        np.empty((n_measurements, shots), dtype=float) if n_measurements else None
-    )
+    n_sites = sites.n_sites if sites is not None else 0
+    block = np.empty((shots, n_measurements + n_sites))
     for shot in range(shots):
-        generator = seeds.generator(shot)
-        if uniforms is not None:
-            uniforms[:, shot] = generator.random(n_measurements)
-        if codes is not None:
-            codes[:, shot] = sites.draw_shot(generator)
+        seeds.generator(shot).random(out=block[shot])
+    codes = None
+    if sites is not None:
+        codes = np.ascontiguousarray(
+            sites.codes_from_uniforms(block[:, n_measurements:]).T, dtype=np.int64
+        )
+    uniforms = (
+        np.ascontiguousarray(block[:, :n_measurements].T) if n_measurements else None
+    )
     return codes, uniforms

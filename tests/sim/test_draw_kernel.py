@@ -1,0 +1,208 @@
+"""Differential tests for the vectorised seeded draw kernel.
+
+:meth:`NoiseSiteTable.codes_from_uniforms` turns a block of uniforms into
+Pauli codes with three comparisons per site; the reference is
+``np.searchsorted(thresholds, u, side="right")``, the threshold sampler's
+own mapping.  The two agree only while every site's thresholds are sorted
+and the comparisons treat ties exactly like ``side="right"``, so the cases
+below sit on the thresholds themselves, on their neighbouring doubles, and
+on degenerate channels whose thresholds coincide.
+
+The hypothesis property then pins the whole per-shot draw
+(:func:`draw_shot_randomness`) against the reference it replaced: two
+generator calls per shot (measurement uniforms, then site uniforms) and one
+``searchsorted`` per run of equal channels.
+"""
+
+from itertools import groupby
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.circuit.ir import NoiseSiteTable
+from repro.sim import ShotSeeds
+from repro.sim.noise import PauliChannel
+from repro.sim.seeding import draw_shot_randomness
+
+#: Degenerate and ordinary channels: ``p_total`` of 0 and 1, repeated
+#: thresholds from ``p_x = 0`` and/or ``p_y = 0``, and generic rates.
+EDGE_CHANNELS = (
+    PauliChannel(),
+    PauliChannel(p_x=0.3, p_y=0.3, p_z=0.4),
+    PauliChannel(p_z=1.0),
+    PauliChannel(p_x=1.0),
+    PauliChannel(p_y=1.0),
+    PauliChannel(p_y=0.1, p_z=0.2),
+    PauliChannel(p_x=0.1, p_z=0.05),
+    PauliChannel(p_z=0.3),
+    PauliChannel(p_x=0.2, p_y=0.3),
+    PauliChannel.depolarizing(0.03),
+    PauliChannel.depolarizing(1e-3 / 7),
+)
+
+
+def site_table(channels) -> NoiseSiteTable:
+    """A table over ``channels``; only the channel sequence matters to draws."""
+    placeholder = np.zeros(len(channels), dtype=np.int32)
+    return NoiseSiteTable(
+        gate_index=placeholder,
+        qubit=placeholder,
+        group_index=placeholder,
+        channels=tuple(channels),
+    )
+
+
+def old_cumulative(channel: PauliChannel) -> np.ndarray:
+    """The thresholds exactly as the per-run sampler used to spell them."""
+    return np.array(
+        [
+            1.0 - channel.p_total,
+            1.0 - channel.p_total + channel.p_x,
+            1.0 - channel.p_total + channel.p_x + channel.p_y,
+        ]
+    )
+
+
+def boundary_uniforms(channel: PauliChannel) -> np.ndarray:
+    """Every threshold, its neighbouring doubles, and the ends of [0, 1)."""
+    values = [0.0, np.nextafter(1.0, 0.0)]
+    for threshold in channel.thresholds:
+        values += [
+            threshold,
+            np.nextafter(threshold, -np.inf),
+            np.nextafter(threshold, np.inf),
+        ]
+    return np.array(values)
+
+
+def reference_draw(sites, seeds: ShotSeeds, shots: int, n_measurements: int):
+    """The per-run, two-call draw the vectorised kernel replaced."""
+    codes = (
+        np.empty((sites.n_sites, shots), dtype=np.int64) if sites is not None else None
+    )
+    uniforms = np.empty((n_measurements, shots)) if n_measurements else None
+    for shot in range(shots):
+        generator = seeds.generator(shot)
+        if uniforms is not None:
+            uniforms[:, shot] = generator.random(n_measurements)
+        if codes is None:
+            continue
+        start = 0
+        for channel, run in groupby(sites.channels):
+            stop = start + len(list(run))
+            codes[start:stop, shot] = np.searchsorted(
+                old_cumulative(channel), generator.random(stop - start), side="right"
+            )
+            start = stop
+    return codes, uniforms
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("channel", EDGE_CHANNELS)
+    def test_thresholds_are_the_old_doubles(self, channel):
+        np.testing.assert_array_equal(channel.thresholds, old_cumulative(channel))
+
+    @pytest.mark.parametrize("channel", EDGE_CHANNELS)
+    def test_thresholds_are_sorted(self, channel):
+        t0, t1, t2 = channel.thresholds
+        assert t0 <= t1 <= t2
+
+    def test_table_caches_per_site_thresholds(self):
+        table = site_table([EDGE_CHANNELS[5]] * 3 + [EDGE_CHANNELS[9]] * 2)
+        rows = table._thresholds()
+        assert table._thresholds() is rows
+        np.testing.assert_array_equal(
+            np.stack(rows).T,
+            [EDGE_CHANNELS[5].thresholds] * 3 + [EDGE_CHANNELS[9].thresholds] * 2,
+        )
+
+
+class TestKernelAgainstSearchsorted:
+    @pytest.mark.parametrize("channel", EDGE_CHANNELS)
+    def test_on_and_next_to_every_threshold(self, channel):
+        uniforms = boundary_uniforms(channel)
+        codes = site_table([channel]).codes_from_uniforms(uniforms[:, None])[:, 0]
+        expected = np.searchsorted(channel.thresholds, uniforms, side="right")
+        np.testing.assert_array_equal(codes, expected)
+
+    def test_mixed_table_on_boundaries(self):
+        """Every site of a many-run table at once, on its own boundaries."""
+        channels = [EDGE_CHANNELS[i % len(EDGE_CHANNELS)] for i in range(40)]
+        columns = [boundary_uniforms(channel) for channel in channels]
+        block = np.stack(columns, axis=1)
+        codes = site_table(channels).codes_from_uniforms(block)
+        for site, channel in enumerate(channels):
+            np.testing.assert_array_equal(
+                codes[:, site],
+                np.searchsorted(channel.thresholds, block[:, site], side="right"),
+            )
+
+    def test_codes_are_one_byte_and_shape_preserving(self):
+        table = site_table(EDGE_CHANNELS)
+        block = np.random.default_rng(4).random((6, len(EDGE_CHANNELS)))
+        codes = table.codes_from_uniforms(block)
+        assert codes.dtype == np.int8 and codes.shape == block.shape
+
+    @pytest.mark.parametrize("channel", EDGE_CHANNELS)
+    def test_draw_shot_matches_sample_thresholded(self, channel):
+        table = site_table([channel] * 25)
+        a = np.random.default_rng(31)
+        b = np.random.default_rng(31)
+        codes = table.draw_shot(a)
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, channel.sample_thresholded(b, 25))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+probabilities = st.sampled_from([0.0, 1e-4, 0.01, 0.1, 1 / 3, 0.5, 1.0]) | st.floats(
+    0.0, 1.0
+)
+
+
+@st.composite
+def channels(draw) -> PauliChannel:
+    """A Pauli channel, often with one or more rates exactly zero."""
+    p_x = draw(probabilities)
+    p_y = min(draw(probabilities), 1.0 - p_x)
+    p_z = min(draw(probabilities), max(0.0, 1.0 - p_x - p_y))
+    return PauliChannel(p_x=p_x, p_y=p_y, p_z=p_z)
+
+
+@st.composite
+def site_tables(draw) -> NoiseSiteTable | None:
+    """``None`` or a table whose channels repeat, forming runs of any length."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return None
+    pool = draw(st.lists(channels(), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    return site_table([pool[pick] for pick in picks])
+
+
+class TestDrawShotRandomnessProperty:
+    @settings(max_examples=80)
+    @given(
+        sites=site_tables(),
+        seed=st.integers(0, 2**64 - 1),
+        point_index=st.integers(0, 2**20),
+        start=st.integers(0, 2**32),
+        shots=st.integers(0, 5),
+        n_measurements=st.integers(0, 3),
+    )
+    def test_matches_two_call_per_run_reference(
+        self, sites, seed, point_index, start, shots, n_measurements
+    ):
+        seeds = ShotSeeds(seed=seed, point_index=point_index, start=start)
+        codes, uniforms = draw_shot_randomness(sites, seeds, shots, n_measurements)
+        ref_codes, ref_uniforms = reference_draw(sites, seeds, shots, n_measurements)
+        if sites is None:
+            assert codes is None
+        else:
+            assert codes.dtype == np.int64 and codes.flags.c_contiguous
+            np.testing.assert_array_equal(codes, ref_codes)
+        if n_measurements == 0:
+            assert uniforms is None
+        else:
+            assert uniforms.flags.c_contiguous
+            np.testing.assert_array_equal(uniforms, ref_uniforms)
