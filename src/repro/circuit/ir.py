@@ -185,10 +185,16 @@ class TapeGroup:
     are fusion barriers) and carry its classical payload in ``params``:
     ``(cbit, basis)`` for a measurement, ``(pauli, cbit, ...)`` for a frame
     correction.  Ordinary gate groups leave ``params`` empty.
+
+    ``operands`` holds the same qubits as Python int tuples, one per gate
+    (the instructions' own operand tuples, so it costs one tuple per
+    group): the bit-sliced executor indexes Python lists with them, where
+    NumPy scalars would cost a conversion per gate.
     """
 
     opcode: int
     qubits: np.ndarray
+    operands: tuple[tuple[int, ...], ...]
     params: tuple = ()
 
     @property
@@ -406,6 +412,16 @@ class GateTape:
     #: Peak of :attr:`branch_levels` (0 for branch-free circuits).
     max_branch_level: int = 0
     _site_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: ``id(noise) -> (noise, table)``: the entry keeps the model alive, so
+    #: its id cannot be recycled while the entry exists.
+    _site_cache_by_id: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # Object ids mean nothing in another process (or a copy): a pickled
+        # tape ships without its identity-keyed site cache.
+        state = self.__dict__.copy()
+        state["_site_cache_by_id"] = {}
+        return state
 
     @property
     def num_gates(self) -> int:
@@ -445,8 +461,15 @@ class GateTape:
         """Memoized :class:`NoiseSiteTable` for ``noise``.
 
         The table only depends on the (hashable, frozen) noise model, so
-        repeated Monte-Carlo calls over a sweep reuse it.
+        repeated Monte-Carlo calls over a sweep reuse it.  The same model
+        object is found by identity first: hashing a large frozen model
+        costs more than the lookup saves, and the shards of a sweep point
+        share one model object.  An equal but distinct model still finds
+        the table through the value-keyed entry.
         """
+        entry = self._site_cache_by_id.get(id(noise))
+        if entry is not None:
+            return entry[1]
         try:
             cached = self._site_cache.get(noise)
         except TypeError:  # unhashable custom model: recompute every call
@@ -454,6 +477,7 @@ class GateTape:
         if cached is None:
             cached = self._build_noise_sites(noise)
             self._site_cache[noise] = cached
+        self._site_cache_by_id[id(noise)] = (noise, cached)
         return cached
 
     def _build_noise_sites(self, noise: "NoiseModel") -> NoiseSiteTable:
@@ -635,7 +659,11 @@ def _flush(
     if opcode is None or not rows:
         return
     groups.append(
-        TapeGroup(opcode=opcode, qubits=np.asarray(rows, dtype=np.int32))
+        TapeGroup(
+            opcode=opcode,
+            qubits=np.asarray(rows, dtype=np.int32),
+            operands=tuple(rows),
+        )
     )
 
 
@@ -693,6 +721,7 @@ def compile_circuit(circuit: "QuantumCircuit") -> GateTape:
                 TapeGroup(
                     opcode=opcode,
                     qubits=np.asarray([instr.qubits], dtype=np.int32),
+                    operands=(instr.qubits,),
                     params=instr.params,
                 )
             )

@@ -55,6 +55,14 @@ from repro.server.responses import (
 from repro.sim.engine import available_engines
 
 _FINGERPRINT = re.compile(r"^[0-9a-f]{64}$")
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
+
+#: Largest ``shots`` a ``POST /runs`` submission may ask for.  A run executes
+#: on the server's one job worker, so an unbounded count would tie it up.
+MAX_SUBMIT_SHOTS = 100_000
+
+#: Largest ``POST`` body the transport reads; longer bodies answer 413.
+MAX_BODY_BYTES = 64 * 1024
 
 
 class ScenarioService:
@@ -190,7 +198,9 @@ class ScenarioService:
     def _submit_run(self, body: bytes) -> tuple[int, dict]:
         try:
             request = json.loads(body.decode("utf-8")) if body else {}
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        except (ValueError, RecursionError):
+            # ValueError covers malformed JSON, bad UTF-8 and integers past
+            # the interpreter's digit limit; RecursionError deep nesting.
             return 400, error_envelope(
                 "invalid_request", "request body must be a JSON object"
             )
@@ -209,10 +219,21 @@ class ScenarioService:
                 "invalid_request", "a 'scenario' name is required"
             )
         for key in ("shots", "seed"):
-            if key in request and not isinstance(request[key], int):
+            value = request.get(key, 0)
+            # bool is an int subclass; JSON true/false is not a count.
+            if not isinstance(value, int) or isinstance(value, bool):
                 return 400, error_envelope(
                     "invalid_request", f"{key!r} must be an integer"
                 )
+        if "shots" in request and not 1 <= request["shots"] <= MAX_SUBMIT_SHOTS:
+            return 400, error_envelope(
+                "invalid_request",
+                f"'shots' must be between 1 and {MAX_SUBMIT_SHOTS}",
+            )
+        if request.get("seed", 0) < 0:
+            return 400, error_envelope(
+                "invalid_request", "'seed' must be a non-negative integer"
+            )
         engine = request.get("engine")
         if engine is not None and engine not in available_engines():
             return 400, error_envelope(
@@ -268,12 +289,41 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._respond(*self.service.handle_get(self.path))
 
     def do_POST(self) -> None:
-        """Serve one POST through :meth:`ScenarioService.handle_post`."""
-        length = int(self.headers.get("Content-Length") or 0)
+        """Serve one POST through :meth:`ScenarioService.handle_post`.
+
+        ``Content-Length`` must be a plain decimal no larger than
+        :data:`MAX_BODY_BYTES`; otherwise the body is left unread, the
+        request is refused and the connection closed (the unread bytes
+        would otherwise be parsed as the next request).
+        """
+        header = self.headers.get("Content-Length", "0").strip()
+        if not _CONTENT_LENGTH.fullmatch(header):
+            self._respond(
+                400,
+                error_envelope(
+                    "invalid_request",
+                    "Content-Length must be a non-negative decimal integer",
+                ),
+                close=True,
+            )
+            return
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            self._respond(
+                413,
+                error_envelope(
+                    "payload_too_large",
+                    f"request bodies are limited to {MAX_BODY_BYTES} bytes",
+                ),
+                close=True,
+            )
+            return
         body = self.rfile.read(length) if length else b""
         self._respond(*self.service.handle_post(self.path, body))
 
-    def _respond(self, status: int, payload: "dict | RawResponse") -> None:
+    def _respond(
+        self, status: int, payload: "dict | RawResponse", *, close: bool = False
+    ) -> None:
         if isinstance(payload, RawResponse):
             blob = payload.body
             content_type = payload.content_type
@@ -283,6 +333,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(blob)))
+        if close:
+            # send_header also marks the connection to close after this reply.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(blob)
 

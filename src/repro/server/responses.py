@@ -10,7 +10,8 @@ so clients branch on structure, not on per-endpoint conventions:
 
 ``code`` is a stable machine-readable slug (``unknown_route``,
 ``unknown_scenario``, ``not_found``, ``invalid_request``,
-``method_not_allowed``); ``message`` is human-readable and may change
+``method_not_allowed``, ``payload_too_large``); ``message`` is
+human-readable and may change
 freely.  The envelope's ``api_version`` matches the route prefix
 (``/api/v1/...``), so a future ``v2`` can change either independently.
 

@@ -15,12 +15,20 @@ under Monte-Carlo Pauli noise?" -- so both are captured behind one
     The compiled engine (the default).  Executes the fused
     :class:`~repro.circuit.ir.GateTape` group by group with integer-opcode
     dispatch, draws **all** Pauli codes for a shot batch up front from the
-    tape's noise-site table, and applies the (sparse) error events as
-    per-shot row-slice updates.  Under a fixed seed it consumes the random
-    stream identically to ``"feynman-interp"`` and reproduces its shot
-    fidelities bit for bit on the QRAM gate set (permutation gates plus
-    exact ``+-1`` / ``+-i`` phases); fused ``T``/``TDG`` runs use a phase
-    table whose rounding can differ from sequential multiplication by ~1 ulp.
+    tape's noise-site table, and applies the (sparse) error events per
+    shot.  Noisy shots run stacked and **bit-sliced**: one Python ``int``
+    per qubit holds that qubit's bit in every (shot, path) column, so a
+    ``SWAP`` is a list swap and ``CSWAP``/``CX``/``CCX``/``MCX``/``X`` and
+    ``X`` errors are a few integer XOR/AND operations over all columns at
+    once.  Only what touches amplitudes (phases, ``Z``/``Y`` errors and
+    frames, measurements, branching) unpacks the bits it reads, and it
+    applies the same NumPy update as the group kernels, so the amplitudes
+    are bit-identical to a NumPy-bool execution.  Under a fixed seed it
+    consumes the random stream identically to ``"feynman-interp"`` and
+    reproduces its shot fidelities bit for bit on the QRAM gate set
+    (permutation gates plus exact ``+-1`` / ``+-i`` phases); fused
+    ``T``/``TDG`` runs use a phase table whose rounding can differ from
+    sequential multiplication by ~1 ulp.
 
 ``"feynman-batch"``
     The pattern-grouped batch engine.  All shots' randomness is drawn up
@@ -44,7 +52,7 @@ under Monte-Carlo Pauli noise?" -- so both are captured behind one
     identical to the dense draw but not stream-identical to the other
     engines.  Measurement-bearing circuits consume fresh uniforms per shot,
     so grouping cannot collapse them; the engine then falls back to the
-    plain NumPy shot-axis path (the same stacked execution the tape engine
+    stacked shot-axis path (the same bit-sliced execution the tape engine
     uses on the same pre-drawn randomness, and therefore bit-identical).
 
 ``"statevector"``
@@ -770,96 +778,164 @@ def _execute_stacked_shots(
     codes: np.ndarray | None,
     measure_uniforms: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Execute the fused tape over a full shot-stacked, qubit-major block.
+    """Execute the fused tape over a full shot-stacked block of bit-sliced rows.
 
-    Column ``s * n_paths + p`` of the block is path ``p`` of shot ``s`` (the
-    transpose of the layout the interpreted engine uses).  This is the
-    compiled engine's shot-axis hot path; the batch engine reuses it for
-    measurement-bearing circuits, where per-shot uniforms defeat pattern
-    grouping.  ``codes`` holds the pre-drawn Pauli codes (``(n_sites,
-    shots)``), ``measure_uniforms`` the pre-drawn measurement uniforms.
-    Returns ``(bits, amps, outcomes)`` -- the recorded classical register
-    (``None`` when the tape has no classical bits) rides along for the
-    ``*_recorded`` engine entry points.
+    The block holds one Python ``int`` per qubit: bit ``j`` of ``rows[q]`` is
+    qubit ``q`` in column ``j = s * n_paths + p``, path ``p`` of shot ``s``
+    (the transpose of the layout the interpreted engine uses).  Permutation
+    gates (``SWAP``, ``CSWAP``, ``CX``, ``CCX``, ``MCX``, ``X``) and ``X``
+    errors are then one integer operation over every column at once, where a
+    NumPy row update pays its call overhead per gate; gates in a group act on
+    disjoint qubits, so applying them one by one equals the batched form.
+    Whatever reads bits to touch amplitudes (phase groups, ``Z``/``Y``
+    errors and frames, ``MEASURE``, ``H`` branching and collapse) unpacks
+    only the rows or the shot segment it reads and applies the same NumPy
+    update to the same values in the same order as the group kernels, so the
+    amplitudes are bit-identical to a NumPy-bool execution.
+
+    This is the compiled engine's shot-axis hot path; the batch engine
+    reuses it for measurement-bearing circuits, where per-shot uniforms
+    defeat pattern grouping.  ``codes`` holds the pre-drawn Pauli codes
+    (``(n_sites, shots)``), ``measure_uniforms`` the pre-drawn measurement
+    uniforms.  Returns ``(bits, amps, outcomes)``: ``bits`` is the usual
+    ``(shots * n_paths, n_qubits)`` bool block, and the recorded classical
+    register (``None`` when the tape has no classical bits) rides along for
+    the ``*_recorded`` engine entry points.
     """
     n_paths = state.num_paths
-    bits_q = np.tile(np.ascontiguousarray(state.bits.T), (1, shots))
+    width = shots * n_paths
+    full = (1 << width) - 1
+    segment = (1 << n_paths) - 1
+    # Tiling a path pattern over the shots is one multiplication by the
+    # repunit sum(2 ** (s * n_paths)): the copies never overlap, so no carry.
+    repunit = full // segment
+    rows = [row * repunit for row in _pack_rows(state.bits.T)]
     amps = np.tile(state.amplitudes, shots).astype(complex)
 
     if sites is not None:
-        site_rows, event_shot = np.nonzero(codes)
-        event_code = codes[site_rows, event_shot]
-        event_qubit = sites.qubit[site_rows]
+        # One flat scan in site-major order, split into (site, shot) pairs.
+        flat = np.flatnonzero(codes)
+        site_rows, event_shot = np.divmod(flat, shots)
+        event_code = codes.ravel()[flat].tolist()
+        event_qubit = sites.qubit[site_rows].tolist()
+        event_shot = event_shot.tolist()
         # Group indices are non-decreasing in site order, so the event
         # list is already sorted by group; bucket boundaries via
         # searchsorted.  The extra trailing bucket (group index ==
         # num_groups) holds the model's end-of-circuit sites, applied
         # after every group has executed.
-        event_group = sites.group_index[site_rows]
         bucket_starts = np.searchsorted(
-            event_group, np.arange(len(tape.groups) + 2)
-        )
+            sites.group_index[site_rows], np.arange(len(tape.groups) + 2)
+        ).tolist()
+    else:
+        event_code = event_qubit = event_shot = []
+        bucket_starts = [0] * (len(tape.groups) + 2)
 
     outcomes: np.ndarray | None = None
     if tape.num_clbits:
         outcomes = np.zeros((tape.num_clbits, shots), dtype=np.int8)
+    # Packed row of each recorded bit at the current n_paths (every path of
+    # a shot carries the shot's outcome); a CPAULI's active columns are the
+    # XOR of its condition bits' rows.  Reset whenever n_paths changes.
+    spreads: dict[int, int] = {}
     measure_cursor = 0
 
     for index, group in enumerate(tape.groups):
-        if group.opcode == OP_MEASURE:
+        opcode = group.opcode
+        if opcode == OP_CSWAP:
+            for control, a, b in group.operands:
+                diff = (rows[a] ^ rows[b]) & rows[control]
+                rows[a] ^= diff
+                rows[b] ^= diff
+        elif opcode == OP_SWAP:
+            for a, b in group.operands:
+                rows[a], rows[b] = rows[b], rows[a]
+        elif opcode == OP_CX:
+            for control, target in group.operands:
+                rows[target] ^= rows[control]
+        elif opcode == OP_CCX:
+            for c1, c2, target in group.operands:
+                rows[target] ^= rows[c1] & rows[c2]
+        elif opcode == OP_X:
+            for (qubit,) in group.operands:
+                rows[qubit] ^= full
+        elif opcode == OP_MCX:
+            for *controls, target in group.operands:
+                active = full
+                for control in controls:
+                    active &= rows[control]
+                rows[target] ^= active
+        elif opcode == OP_MEASURE:
             cbit, basis = group.params
+            qubit = group.operands[0][0]
+            column = _unpack_row(rows[qubit], width)
             outcomes[cbit], keep = _apply_measure(
-                bits_q[int(group.qubits[0, 0])],
-                amps,
-                basis,
-                measure_uniforms[measure_cursor],
-                n_paths,
+                column, amps, basis, measure_uniforms[measure_cursor], n_paths
             )
+            rows[qubit] = spreads[cbit] = _pack_row(column)
             measure_cursor += 1
             stride = tape.collapse_strides[index]
             if stride:
                 flat = _collapse_flat_indices(keep, shots, n_paths, stride)
-                bits_q = bits_q[:, flat]
+                rows = _pack_rows(_unpack_rows(rows, width)[:, flat])
                 amps = amps[flat]
                 n_paths //= 2
-        elif group.opcode == OP_CPAULI:
-            _apply_frame(
-                bits_q[int(group.qubits[0, 0])],
-                amps,
-                group.params[0],
-                _frame_active(outcomes, group.params[1:], shots),
-                n_paths,
-            )
-        elif group.opcode == OP_H:
-            bits_q, amps, n_paths = _branch_hadamard_group(
-                bits_q, amps, group.qubits, n_paths
-            )
-        else:
-            _apply_group(bits_q, amps, group.opcode, group.qubits)
-        if sites is not None:
-            for event in range(bucket_starts[index], bucket_starts[index + 1]):
-                _apply_error_event(
-                    bits_q,
-                    amps,
-                    int(event_qubit[event]),
-                    int(event_shot[event]),
-                    int(event_code[event]),
-                    n_paths,
+                width = shots * n_paths
+                full = (1 << width) - 1
+                segment = (1 << n_paths) - 1
+                spreads = {}
+        elif opcode == OP_CPAULI:
+            spread = 0
+            for cbit in group.params[1:]:
+                if cbit not in spreads:
+                    spreads[cbit] = _pack_row(np.repeat(outcomes[cbit] != 0, n_paths))
+                spread ^= spreads[cbit]
+            if spread:
+                _apply_sliced_frame(
+                    rows, amps, group.operands[0][0], group.params[0], spread, width
                 )
-    if sites is not None:
-        final_bucket = len(tape.groups)
-        for event in range(
-            bucket_starts[final_bucket], bucket_starts[final_bucket + 1]
-        ):
-            _apply_error_event(
-                bits_q,
-                amps,
-                int(event_qubit[event]),
-                int(event_shot[event]),
-                int(event_code[event]),
-                n_paths,
+        elif opcode == OP_H:
+            block, amps, n_paths = _branch_hadamard_group(
+                _unpack_rows(rows, width), amps, group.qubits, n_paths
             )
-    return np.ascontiguousarray(bits_q.T), amps, outcomes
+            rows = _pack_rows(block)
+            width = shots * n_paths
+            full = (1 << width) - 1
+            segment = (1 << n_paths) - 1
+            spreads = {}
+        elif opcode != OP_NOP:
+            # Phase groups: every operand is distinct, so the unpacked rows
+            # in operand order, indexed by position, replay the group kernel.
+            block = _unpack_rows(
+                [rows[q] for gate in group.operands for q in gate], width
+            )
+            local = np.arange(group.qubits.size).reshape(group.qubits.shape)
+            _apply_group(block, amps, opcode, local)
+            if opcode == OP_Y:
+                for (qubit,) in group.operands:
+                    rows[qubit] ^= full
+        for event in range(bucket_starts[index], bucket_starts[index + 1]):
+            _apply_sliced_error_event(
+                rows,
+                amps,
+                event_qubit[event],
+                event_shot[event],
+                event_code[event],
+                n_paths,
+                segment,
+            )
+    final_bucket = len(tape.groups)
+    for event in range(bucket_starts[final_bucket], bucket_starts[final_bucket + 1]):
+        _apply_sliced_error_event(
+            rows,
+            amps,
+            event_qubit[event],
+            event_shot[event],
+            event_code[event],
+            n_paths,
+            segment,
+        )
+    return np.ascontiguousarray(_unpack_rows(rows, width).T), amps, outcomes
 
 
 class BatchFeynmanEngine(TapeFeynmanEngine):
@@ -1295,6 +1371,87 @@ def _apply_error_event(
         block = bits_q[qubit, span]
         amps[span] *= np.where(block, -1j, 1j)
         bits_q[qubit, span] = ~block
+
+
+# ============================================================ bit-sliced rows
+def _pack_row(column: np.ndarray) -> int:
+    """Pack a 1-D bool array into one Python ``int``: bit ``j`` is ``column[j]``."""
+    return int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
+
+
+def _unpack_row(row: int, width: int) -> np.ndarray:
+    """Inverse of :func:`_pack_row`: a fresh writable bool array of ``width``."""
+    raw = np.frombuffer(row.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=width, bitorder="little").view(bool)
+
+
+def _pack_rows(block: np.ndarray) -> list[int]:
+    """:func:`_pack_row` over every row of a ``(n_rows, width)`` bool block."""
+    packed = np.packbits(block, axis=1, bitorder="little")
+    n_bytes = packed.shape[1]
+    raw = packed.tobytes()
+    return [
+        int.from_bytes(raw[start : start + n_bytes], "little")
+        for start in range(0, len(raw), n_bytes)
+    ]
+
+
+def _unpack_rows(rows: list[int], width: int) -> np.ndarray:
+    """Inverse of :func:`_pack_rows`: a fresh writable ``(len(rows), width)`` bool block."""
+    n_bytes = (width + 7) // 8
+    raw = b"".join(row.to_bytes(n_bytes, "little") for row in rows)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), n_bytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
+
+
+def _apply_sliced_error_event(
+    rows: list[int],
+    amps: np.ndarray,
+    qubit: int,
+    shot: int,
+    code: int,
+    n_paths: int,
+    segment: int,
+) -> None:
+    """Apply one sampled Pauli error to a single shot's span of bit-sliced rows.
+
+    ``segment`` is the ``n_paths``-bit mask of one shot.  ``Z`` and ``Y``
+    unpack only that shot's bits and update its amplitudes exactly like
+    :func:`_apply_error_event`; an ``X`` flip is one XOR.
+    """
+    offset = shot * n_paths
+    if code == PAULI_X:
+        rows[qubit] ^= segment << offset
+        return
+    bits = (rows[qubit] >> offset) & segment
+    span = slice(offset, offset + n_paths)
+    if code == PAULI_Z:
+        if bits:
+            amps[span][_unpack_row(bits, n_paths)] *= -1.0
+    elif code == PAULI_Y:
+        amps[span] *= np.where(_unpack_row(bits, n_paths), -1j, 1j)
+        rows[qubit] ^= segment << offset
+
+
+def _apply_sliced_frame(
+    rows: list[int],
+    amps: np.ndarray,
+    qubit: int,
+    pauli: str,
+    spread: int,
+    width: int,
+) -> None:
+    """:func:`_apply_frame` on bit-sliced rows, over the columns set in ``spread``."""
+    if pauli == "X":
+        rows[qubit] ^= spread
+    elif pauli == "Z":
+        hit = rows[qubit] & spread
+        if hit:
+            amps[_unpack_row(hit, width)] *= -1.0
+    else:  # Y
+        mask = _unpack_row(spread, width)
+        amps[mask] *= np.where(_unpack_row(rows[qubit], width)[mask], -1j, 1j)
+        rows[qubit] ^= spread
 
 
 # ===================================================================== registry

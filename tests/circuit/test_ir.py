@@ -1,5 +1,8 @@
 """Tests for the compiled gate-tape IR (:mod:`repro.circuit.ir`)."""
 
+import pickle
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.circuit import QuantumCircuit, compile_circuit
@@ -147,6 +150,36 @@ class TestNoiseSites:
         tape = compile_circuit(_example_circuit())
         noise = GateNoiseModel(PauliChannel.bit_flip(1e-3))
         assert tape.noise_sites(noise) is tape.noise_sites(noise)
+
+    def test_site_lookup_hashes_a_shared_model_once(self):
+        """Repeat lookups of one model object skip the value hash."""
+        hashes = []
+
+        @dataclass(frozen=True, eq=True)
+        class CountingModel(GateNoiseModel):
+            def __hash__(self):
+                hashes.append(1)
+                return hash(self.channel)
+
+        tape = compile_circuit(_example_circuit())
+        noise = CountingModel(PauliChannel.bit_flip(1e-3))
+        table = tape.noise_sites(noise)  # builds and stores: hashes here
+        hashes.clear()
+        for _ in range(5):
+            assert tape.noise_sites(noise) is table
+        assert not hashes
+        # A fresh but equal model still finds the table by value.
+        assert tape.noise_sites(CountingModel(PauliChannel.bit_flip(1e-3))) is table
+
+    def test_pickled_tape_drops_the_identity_cache(self):
+        """Object ids do not survive a pickle, so neither does the id cache."""
+        tape = compile_circuit(_example_circuit())
+        noise = GateNoiseModel(PauliChannel.bit_flip(1e-3))
+        table = tape.noise_sites(noise)
+        clone = pickle.loads(pickle.dumps(tape))
+        assert clone._site_cache_by_id == {}
+        assert tape._site_cache_by_id  # the original keeps its entry
+        assert np.array_equal(clone.noise_sites(noise).qubit, table.qubit)
 
     def test_bulk_draw_matches_per_site_sampling(self):
         # Mixed channels (two_qubit_factor != 1) force several bulk runs; the

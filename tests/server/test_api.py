@@ -6,6 +6,7 @@ and service-logic tests drive :class:`~repro.server.ScenarioService`
 directly, without a socket.
 """
 
+import http.client
 import json
 import time
 import urllib.error
@@ -16,6 +17,7 @@ import pytest
 from repro.cache import ResultCache
 from repro.scenarios import available_scenarios, run_scenario
 from repro.server import API_PREFIX, API_VERSION, ScenarioServer, ScenarioService
+from repro.server.app import MAX_BODY_BYTES, MAX_SUBMIT_SHOTS
 from repro.server.jobs import JobTable
 from repro.server.responses import encode, error_envelope, ok_envelope
 
@@ -195,6 +197,50 @@ class TestErrorModel:
             )
             assert (status, body["error"]["code"]) == (400, "invalid_request")
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"shots": True},
+            {"shots": False},
+            {"seed": True},
+            {"seed": False},
+            {"shots": 0},
+            {"shots": -5},
+            {"shots": MAX_SUBMIT_SHOTS + 1},
+            {"shots": 10**15},
+            {"seed": -1},
+            {"shots": None},
+        ],
+    )
+    def test_post_rejects_out_of_range_counts_without_a_job(self, service, fields):
+        """Bools, non-positive or oversized shots and negative seeds answer 400."""
+        payload = {"scenario": "ideal-m3", **fields}
+        status, body = service.handle_post(
+            f"{API_PREFIX}/runs", json.dumps(payload).encode()
+        )
+        assert (status, body["error"]["code"]) == (400, "invalid_request")
+        assert len(service.jobs) == 0
+
+    def test_post_accepts_the_shot_cap_and_seed_zero(self, service):
+        """The bounds themselves are valid submissions."""
+        payload = {"scenario": "ideal-m3", "shots": MAX_SUBMIT_SHOTS, "seed": 0}
+        status, body = service.handle_post(
+            f"{API_PREFIX}/runs", json.dumps(payload).encode()
+        )
+        assert status == 202
+        assert body["data"]["job"]["shots"] == MAX_SUBMIT_SHOTS
+        assert len(service.jobs) == 1
+
+    def test_post_rejects_unparseable_integers_and_nesting(self, service):
+        """Integers past the digit limit and deep nesting are bad JSON, not crashes."""
+        for body_bytes in (
+            b'{"scenario": "ideal-m3", "seed": ' + b"9" * 5000 + b"}",
+            b"[" * 100_000 + b"]" * 100_000,
+        ):
+            status, body = service.handle_post(f"{API_PREFIX}/runs", body_bytes)
+            assert (status, body["error"]["code"]) == (400, "invalid_request")
+        assert len(service.jobs) == 0
+
     def test_post_unknown_scenario_404s(self, service):
         status, body = service.handle_post(
             f"{API_PREFIX}/runs", json.dumps({"scenario": "nope"}).encode()
@@ -229,6 +275,56 @@ class TestErrorModel:
         status, body = service.handle_get(f"{API_PREFIX}/results/{fingerprint}")
         assert status == 200
         assert body["data"]["records"]
+
+
+class TestContentLength:
+    """``do_POST`` validates ``Content-Length`` before reading a byte."""
+
+    @staticmethod
+    def _post(server, length: str, body: bytes = b"{}"):
+        host, port = server.httpd.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.putrequest("POST", f"{API_PREFIX}/runs")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", length)
+            connection.endheaders(body)
+            response = connection.getresponse()
+            return (
+                response.status,
+                json.loads(response.read()),
+                response.getheader("Connection"),
+            )
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1_0", "0x10", "2.5", " "])
+    def test_malformed_or_negative_length_is_invalid_request(self, server, length):
+        jobs_before = len(server.service.jobs)
+        status, body, connection = self._post(server, length)
+        assert (status, body["error"]["code"]) == (400, "invalid_request")
+        assert connection == "close"
+        assert len(server.service.jobs) == jobs_before
+
+    @pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 10**12, 10**30])
+    def test_oversized_length_is_413_without_reading(self, server, length):
+        jobs_before = len(server.service.jobs)
+        status, body, connection = self._post(server, str(length))
+        assert (status, body["error"]["code"]) == (413, "payload_too_large")
+        assert connection == "close"
+        assert len(server.service.jobs) == jobs_before
+
+    def test_server_keeps_serving_after_refusals(self, server):
+        self._post(server, "abc")
+        self._post(server, str(10**12))
+        status, body = _request(server, f"{API_PREFIX}/health")
+        assert (status, body["status"]) == (200, "ok")
+
+    def test_valid_length_within_the_cap_is_served(self, server):
+        payload = json.dumps({"scenario": "ideal-m3", "shots": 0}).encode()
+        status, body, _ = self._post(server, str(len(payload)), payload)
+        assert (status, body["error"]["code"]) == (400, "invalid_request")
+        assert "shots" in body["error"]["message"]
 
 
 class TestBinaryArtefactRoute:
