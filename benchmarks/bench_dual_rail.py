@@ -6,7 +6,7 @@ ablation pair ``bare-bb-m2`` / ``dual-rail-bb-m2`` on the erasure-biased
 dual-rail qubits are built for).  Three properties gate:
 
 * **Zero-noise exactness** (always gates): the encoded bucket-brigade
-  workload reproduces the logical output exactly on all three Feynman
+  workload reproduces the logical output exactly on both Feynman
   engines -- every shot fidelity 1.0 and ``kept_fraction == 1.0`` (every
   parity check passes).
 * **Postselected advantage** (always gates): at ``eps_r = 10`` the
@@ -41,7 +41,7 @@ from repro.sim.seeding import ShotSeeds
 SEED = 7
 SHOTS = 2048
 FACTOR = 10.0
-ENGINES = ("feynman-interp", "feynman-tape", "feynman-batch")
+ENGINES = ("feynman-interp", "feynman-tape")
 
 
 def _gate_variant(base: str, tag: str):

@@ -61,7 +61,12 @@ from repro.hardware.router import (
     get_default_router,
     set_default_router,
 )
-from repro.sim.engine import available_engines, get_default_engine, set_default_engine
+from repro.sim.engine import (
+    UnsupportedEngineError,
+    available_engines,
+    get_default_engine,
+    set_default_engine,
+)
 
 
 # Each wrapper runs its sweep exactly once and renders the report from the
@@ -326,6 +331,9 @@ def run_scenarios(args) -> int:
             )
         except BranchBudgetError as exc:
             print(f"error: branch budget exceeded: {exc}", file=sys.stderr)
+            return 2
+        except UnsupportedEngineError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         print(scenario_report(name, records))
         if args.out:

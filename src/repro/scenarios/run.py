@@ -32,7 +32,12 @@ from repro.hardware.router import get_default_router
 from repro.scenarios.compile import CompiledScenario, compile_scenario
 from repro.scenarios.record import ScenarioRecord
 from repro.scenarios.spec import ScenarioSpec, get_scenario
-from repro.sim.engine import get_default_engine
+from repro.sim.engine import (
+    UnsupportedEngineError,
+    available_engines,
+    get_default_engine,
+    get_engine,
+)
 from repro.sim.feynman import FeynmanPathSimulator
 from repro.sweep import ShotShard, SweepRunner
 
@@ -121,7 +126,10 @@ def resolve_run(
     Returns ``(spec, seed, shots, engine, fingerprint)`` with the spec's
     router resolved to a concrete registered name and the engine resolved to
     a concrete registry entry -- the exact inputs the sweep executes, the
-    records describe and the cache keys on.
+    records describe and the cache keys on.  Raises ``KeyError`` for an
+    unknown scenario or engine and
+    :class:`~repro.sim.engine.UnsupportedEngineError` for an engine that
+    cannot sample the run's Monte-Carlo noise.
     """
     # Imported lazily: repro.cache serializes the spec/record schema defined
     # here, so a module-level import would be circular.
@@ -135,6 +143,12 @@ def resolve_run(
         spec = replace(spec, router=get_default_router())
     seed_value = resolve_seed(seed)
     engine_name = get_default_engine() if engine is None else engine
+    if not get_engine(engine_name).samples_noise:
+        usable = [n for n in available_engines() if get_engine(n).samples_noise]
+        raise UnsupportedEngineError(
+            f"engine {engine_name!r} cannot sample Monte-Carlo noise, which "
+            f"every scenario run needs; use one of {usable}"
+        )
     shot_count = spec.shots if shots is None else shots
     fingerprint = run_fingerprint(
         spec, seed=seed_value, shots=shot_count, engine=engine_name

@@ -52,7 +52,7 @@ from repro.server.responses import (
     error_envelope,
     ok_envelope,
 )
-from repro.sim.engine import available_engines
+from repro.sim.engine import UnsupportedEngineError, available_engines
 
 _FINGERPRINT = re.compile(r"^[0-9a-f]{64}$")
 _CONTENT_LENGTH = re.compile(r"[0-9]+")
@@ -252,6 +252,8 @@ class ScenarioService:
                 "unknown_scenario",
                 f"no scenario {name!r}; GET {API_PREFIX}/scenarios lists them",
             )
+        except UnsupportedEngineError as exc:
+            return 400, error_envelope("invalid_request", str(exc))
         # Pre-flight the compile so a circuit whose path branching exceeds
         # the budget is rejected at submit time with a typed slug instead of
         # queueing a job that can only fail.  compile_scenario is memoised

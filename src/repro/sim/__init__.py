@@ -15,8 +15,7 @@ Contents
   Monte-Carlo-noisy path simulation, vectorised across both paths and shots.
 * :mod:`~repro.sim.engine` -- pluggable execution engines behind the
   simulator facade: the compiled gate-tape engine (``"feynman-tape"``, the
-  default), the pattern-grouped batch engine (``"feynman-batch"``), the
-  interpreted reference (``"feynman-interp"``) and the dense
+  default), the interpreted reference (``"feynman-interp"``) and the dense
   ``"statevector"`` adapter, plus the name registry and session default.
 * :class:`~repro.sim.statevector.StatevectorSimulator` -- dense reference
   simulator (supports ``H``/``S``/``T``) used for cross-validation in tests.
@@ -28,6 +27,7 @@ Contents
 
 from repro.sim.engine import (
     Engine,
+    UnsupportedEngineError,
     available_engines,
     get_default_engine,
     get_engine,
@@ -64,6 +64,7 @@ __all__ = [
     "ScheduledNoiseModel",
     "ShotSeeds",
     "StatevectorSimulator",
+    "UnsupportedEngineError",
     "UnsupportedGateError",
     "available_engines",
     "get_default_engine",

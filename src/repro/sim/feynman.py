@@ -20,10 +20,7 @@ Pauli errors are applied as masked column updates.
 engines of :mod:`repro.sim.engine`.  By default it uses the compiled
 ``"feynman-tape"`` engine, which executes the circuit's fused
 :class:`~repro.circuit.ir.GateTape` with integer-opcode dispatch and draws
-all Monte-Carlo Pauli codes up front; pass ``engine="feynman-batch"`` to
-additionally group shots by distinct sampled error pattern and execute the
-tape once per pattern (bit-identical to the tape engine under
-:class:`~repro.sim.seeding.ShotSeeds`), ``engine="feynman-interp"`` for
+all Monte-Carlo Pauli codes up front; pass ``engine="feynman-interp"`` for
 the original instruction-at-a-time runner (bit-identical trajectories under
 a fixed seed on the QRAM gate set -- fused ``T`` runs can differ by ~1 ulp)
 or ``engine="statevector"`` for the dense reference simulator (noiseless
@@ -108,7 +105,7 @@ class FeynmanPathSimulator:
     ----------
     engine:
         Execution engine: a registered name (``"feynman-tape"``,
-        ``"feynman-batch"``, ``"feynman-interp"``, ``"statevector"``), an
+        ``"feynman-interp"``, ``"statevector"``), an
         :class:`~repro.sim.engine.Engine` instance, or ``None`` for the
         session default (see :func:`repro.sim.engine.set_default_engine`).
     """

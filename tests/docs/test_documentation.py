@@ -78,7 +78,7 @@ def test_architecture_doc_covers_the_contracts():
     text = ARCHITECTURE.read_text(encoding="utf-8")
     for required in (
         "ShotSeeds",
-        "feynman-batch",
+        "feynman-tape",
         "register_engine",
         "register_router",
         "register_scenario",

@@ -5,7 +5,7 @@ so exactness is pinned directly: per-gadget and on random workloads, the
 encoded circuit must reproduce the logical output under
 :meth:`DualRailExpansion.map_state` with every parity check passing.  The
 zero-noise acceptance (kept_fraction == 1.0, postselected mean fidelity
-exactly 1.0) runs on all three Feynman engines.
+exactly 1.0) runs on both Feynman engines.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ from repro.sim import (
 from repro.sim.engine import get_engine
 from repro.sim.fidelity import shot_fidelities
 
-FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape", "feynman-batch")
+FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape")
 
 #: (gate name, arity) of every encodable gate, for strategy/parametrization.
 GATE_ARITIES = (

@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments.__main__ import main
 from repro.mapping import HTreeEmbedding, htree_device
+import repro.scenarios.run as scenario_run
 from repro.scenarios import (
     ScenarioSpec,
     compile_scenario,
@@ -24,6 +25,7 @@ from repro.scenarios import (
     run_scenario,
     scenario_report,
 )
+from repro.sim import UnsupportedEngineError, get_default_engine
 
 SEED = 2023
 SHOTS = 64
@@ -100,6 +102,19 @@ class TestDeterminism:
             shard_size=8,
         )
         assert serial == sharded
+
+    def test_engine_without_noise_sampling_fails_before_any_shard(
+        self, monkeypatch
+    ):
+        executed = []
+        monkeypatch.setattr(
+            scenario_run, "_scenario_shard", lambda *args: executed.append(args)
+        )
+        with pytest.raises(UnsupportedEngineError, match="Monte-Carlo"):
+            run_scenario(
+                "htree-swap-m3", shots=8, workers=1, engine="statevector", cache=False
+            )
+        assert executed == []
 
     def test_engines_agree_bit_for_bit(self):
         tape = run_scenario(
@@ -189,6 +204,14 @@ class TestReportAndCli:
     def test_cli_rejects_unknown_scenario(self, capsys):
         assert main(["scenario", "not-a-scenario"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
+
+    def test_cli_rejects_an_engine_without_noise_sampling(self, capsys):
+        assert main(["scenario", "ideal-m3", "--engine", "statevector"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Monte-Carlo" in captured.err
+        assert captured.out == ""
+        assert get_default_engine() == "feynman-tape"
 
     def test_cli_rejects_names_on_other_experiments(self, capsys):
         with pytest.raises(SystemExit):

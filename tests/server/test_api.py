@@ -221,6 +221,28 @@ class TestErrorModel:
         assert (status, body["error"]["code"]) == (400, "invalid_request")
         assert len(service.jobs) == 0
 
+    @pytest.mark.parametrize(
+        "scenario", ["htree-swap-m3", "ideal-m3", "htree-dual-rail-m3"]
+    )
+    def test_post_rejects_an_engine_without_noise_sampling(self, service, scenario):
+        """A statevector run could only fail in the worker: refuse it up front."""
+        payload = {"scenario": scenario, "engine": "statevector"}
+        status, body = service.handle_post(
+            f"{API_PREFIX}/runs", json.dumps(payload).encode()
+        )
+        assert (status, body["error"]["code"]) == (400, "invalid_request")
+        assert "Monte-Carlo" in body["error"]["message"]
+        assert len(service.jobs) == 0
+
+    def test_post_rejects_the_retired_batch_engine_as_unknown(self, service):
+        payload = {"scenario": "ideal-m3", "engine": "feynman-batch"}
+        status, body = service.handle_post(
+            f"{API_PREFIX}/runs", json.dumps(payload).encode()
+        )
+        assert (status, body["error"]["code"]) == (400, "invalid_request")
+        assert "unknown engine" in body["error"]["message"]
+        assert len(service.jobs) == 0
+
     def test_post_accepts_the_shot_cap_and_seed_zero(self, service):
         """The bounds themselves are valid submissions."""
         payload = {"scenario": "ideal-m3", "shots": MAX_SUBMIT_SHOTS, "seed": 0}

@@ -27,7 +27,6 @@ from repro.circuit.ir import (
 )
 from repro.sim import PathState
 from repro.sim.engine import (
-    _apply_error_event,
     _apply_frame,
     _apply_group,
     _apply_measure,
@@ -40,11 +39,32 @@ from repro.sim.engine import (
     _unpack_row,
     _unpack_rows,
 )
-from repro.sim.noise import PauliChannel
+from repro.sim.noise import PAULI_X, PAULI_Y, PAULI_Z, PauliChannel
 
 #: ``(shots, n_paths)`` pairs whose initial block widths straddle the 64-bit
 #: word boundaries (1, 63, 64, 65) and reach a wide block (2048).
 BLOCK_SHAPES = ((1, 1), (63, 1), (21, 3), (64, 1), (16, 4), (65, 1), (13, 5), (512, 4))
+
+
+def _apply_error_event(
+    bits_q: np.ndarray,
+    amps: np.ndarray,
+    qubit: int,
+    shot: int,
+    code: int,
+    n_paths: int,
+) -> None:
+    """Apply one sampled Pauli error to a single shot's path block."""
+    span = slice(shot * n_paths, (shot + 1) * n_paths)
+    if code == PAULI_Z:
+        segment = amps[span]
+        segment[bits_q[qubit, span]] *= -1.0
+    elif code == PAULI_X:
+        bits_q[qubit, span] ^= True
+    elif code == PAULI_Y:
+        block = bits_q[qubit, span]
+        amps[span] *= np.where(block, -1j, 1j)
+        bits_q[qubit, span] = ~block
 
 
 def _reference_execute(tape, state, shots, sites, codes, measure_uniforms):

@@ -18,7 +18,7 @@ CI deterministic):
   rng, every engine's post-collapse state matches the statevector oracle
   and the path set returns to its pre-branch size.
 * **ShotSeeds bit-identity.**  On random *noisy* branching circuits with
-  measurements in both bases, the three Feynman engines produce identical
+  measurements in both bases, both Feynman engines produce identical
   ``(bits, amps)`` blocks under the same :class:`ShotSeeds` window, and any
   split of the shot range reproduces the unsharded draw bit for bit --
   the invariant that makes sweep results independent of worker counts and
@@ -40,7 +40,7 @@ from repro.sim import FeynmanPathSimulator, PathState, ShotSeeds
 from repro.sim.engine import get_engine
 from tests.conftest import gate_noise_models
 
-FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape", "feynman-batch")
+FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape")
 
 #: Branch points per generated circuit -- comfortably under the default
 #: budget of 10 so the harness never trips the typed error path (that path

@@ -64,7 +64,6 @@ class TestRegistry:
         assert {
             "feynman-interp",
             "feynman-tape",
-            "feynman-batch",
             "statevector",
         } <= set(available_engines())
 
@@ -313,7 +312,7 @@ class TestEngineErrors:
         circuit = QuantumCircuit(1)
         circuit.h(0)
         state = PathState.from_basis_assignments([({}, 1.0)], 1)
-        for name in ("feynman-interp", "feynman-tape", "feynman-batch"):
+        for name in ("feynman-interp", "feynman-tape"):
             out = get_engine(name).run(circuit, state)
             assert out.num_paths == 2
             assert np.allclose(np.abs(out.amplitudes), 1 / np.sqrt(2))
@@ -323,7 +322,7 @@ class TestEngineErrors:
         for qubit in range(circuit.num_qubits):
             circuit.h(qubit)
         state = PathState.from_basis_assignments([({}, 1.0)], circuit.num_qubits)
-        for name in ("feynman-interp", "feynman-tape", "feynman-batch"):
+        for name in ("feynman-interp", "feynman-tape"):
             with pytest.raises(ir.BranchBudgetError, match="branch budget"):
                 get_engine(name).run(circuit, state)
 

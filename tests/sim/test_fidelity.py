@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.sim import PathState, reduced_fidelity, state_fidelity
-from repro.sim.fidelity import shot_fidelities
+from repro.experiments.common import random_memory
+from repro.qram import VirtualQRAM
+from repro.sim import (
+    GateNoiseModel,
+    PathState,
+    PauliChannel,
+    ShotSeeds,
+    get_engine,
+    reduced_fidelity,
+    state_fidelity,
+)
+from repro.sim.fidelity import _ideal_keep_amplitudes, _pack_rows, shot_fidelities
 
 
 def _state(assignments, num_qubits):
@@ -85,3 +95,71 @@ class TestShotFidelities:
         amps = np.array([1.0, 1.0], dtype=complex)
         values = shot_fidelities(ideal, bits, amps, shots=2, n_paths=1)
         assert values.tolist() == [1.0, 0.0]
+
+
+def _reference_shot_fidelities(
+    ideal, bits_block, amps_block, *, shots, n_paths, keep_qubits=None
+):
+    """The historical per-shot dict loop that ``shot_fidelities`` vectorised."""
+    num_qubits = ideal.num_qubits
+    if keep_qubits is None:
+        keep_columns = list(range(num_qubits))
+        rest_columns = []
+    else:
+        keep_columns = list(keep_qubits)
+        rest_columns = [
+            q for q in range(num_qubits) if q not in set(keep_columns)
+        ]
+    ideal_keep = _ideal_keep_amplitudes(ideal, keep_columns)
+    fidelities = np.zeros(shots)
+    for index in range(shots):
+        rows = slice(index * n_paths, (index + 1) * n_paths)
+        keep_keys = _pack_rows(bits_block[rows], keep_columns)
+        rest_keys = _pack_rows(bits_block[rows], rest_columns)
+        overlaps: dict[bytes, complex] = {}
+        for keep_key, rest_key, amp in zip(
+            keep_keys, rest_keys, amps_block[rows]
+        ):
+            ideal_amp = ideal_keep.get(keep_key)
+            if ideal_amp is None:
+                continue
+            overlaps[rest_key] = (
+                overlaps.get(rest_key, 0.0 + 0.0j) + np.conj(ideal_amp) * amp
+            )
+        fidelities[index] = sum(abs(value) ** 2 for value in overlaps.values())
+    return fidelities
+
+
+class TestVectorisedFidelity:
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_matches_reference_loop_bit_for_bit(self, reduced):
+        architecture = VirtualQRAM(memory=random_memory(2, 7), qram_width=2)
+        compiled = architecture.compiled_query()
+        noise = GateNoiseModel(PauliChannel.depolarizing(0.05))
+        shots = 24
+        bits, amps = get_engine("feynman-tape").run_noisy_shots(
+            compiled.circuit,
+            compiled.input_state,
+            noise,
+            shots,
+            rng=ShotSeeds(seed=13),
+        )
+        keep = list(compiled.kept_qubits) if reduced else None
+        n_paths = compiled.input_state.num_paths
+        vectorised = shot_fidelities(
+            compiled.ideal_output,
+            bits,
+            amps,
+            shots=shots,
+            n_paths=n_paths,
+            keep_qubits=keep,
+        )
+        reference = _reference_shot_fidelities(
+            compiled.ideal_output,
+            bits,
+            amps,
+            shots=shots,
+            n_paths=n_paths,
+            keep_qubits=keep,
+        )
+        assert np.array_equal(vectorised, reference)

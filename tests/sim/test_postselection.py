@@ -25,7 +25,7 @@ from repro.sim.engine import get_engine
 from repro.sim.feynman import QueryResult
 from repro.sim.fidelity import shot_fidelities
 
-FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape", "feynman-batch")
+FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape")
 
 
 def measured_circuit() -> QuantumCircuit:
@@ -109,7 +109,7 @@ class TestRecordedRuns:
         circuit.cx(0, 1)
         state = PathState.register_superposition(2, [0])
         with pytest.raises(ValueError, match="no measurement outcomes"):
-            FeynmanPathSimulator(engine="feynman-batch").query_fidelities(
+            FeynmanPathSimulator(engine="feynman-tape").query_fidelities(
                 circuit,
                 state,
                 NoiselessModel(),

@@ -1,0 +1,207 @@
+"""Monte-Carlo shots on the Feynman engines: degenerate corners and windows.
+
+Both Feynman engines must produce the same ``(bits, amps)`` block for the
+same randomness, whether that randomness is a :class:`~repro.sim.ShotSeeds`
+window (the contract every sweep, scenario and served run uses) or a bulk
+``Generator``.  These tests pin that on the corners where a shortcut is most
+tempting -- no noise, one error pattern shared by every shot, pure phase
+noise, measured circuits -- as a hypothesis property over arbitrary sharding
+windows, and pin the bulk sampler (:meth:`NoiseSiteTable.draw`) that the
+tape engine uses in ``Generator`` mode.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.circuit import QuantumCircuit
+from repro.experiments.common import random_memory
+from repro.qram import VirtualQRAM
+from repro.sim import (
+    GateNoiseModel,
+    NoiselessModel,
+    PauliChannel,
+    ShotSeeds,
+    get_engine,
+)
+from repro.sim.paths import PathState
+
+FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape")
+DEPOL = GateNoiseModel(PauliChannel.depolarizing(0.05))
+
+
+def _compiled():
+    architecture = VirtualQRAM(memory=random_memory(2, 7), qram_width=2)
+    return architecture.compiled_query()
+
+
+def _run(engine_name: str, noise, shots: int, rng):
+    compiled = _compiled()
+    return get_engine(engine_name).run_noisy_shots(
+        compiled.circuit, compiled.input_state, noise, shots, rng=rng
+    )
+
+
+def _assert_blocks_equal(left, right):
+    assert np.array_equal(left[0], right[0])
+    assert np.array_equal(left[1], right[1])
+
+
+def _measured_circuit():
+    circuit = QuantumCircuit(num_qubits=2)
+    circuit.cx(0, 1)
+    cbit = circuit.measure(0, basis="X")
+    circuit.cpauli("Z", 1, [cbit])
+    circuit.cpauli("X", 0, [cbit])
+    state = PathState.register_superposition(2, [0], {0: 0.6, 1: 0.8})
+    return circuit, state
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
+    def test_zero_shots_rejected(self, engine_name):
+        with pytest.raises(ValueError, match="shots"):
+            _run(engine_name, DEPOL, 0, ShotSeeds(seed=0))
+
+    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
+    def test_negative_shots_rejected(self, engine_name):
+        with pytest.raises(ValueError, match="shots"):
+            _run(engine_name, DEPOL, -3, ShotSeeds(seed=0))
+
+    @pytest.mark.parametrize(
+        "rng_flavour", ["none", "shot-seeds", "generator"]
+    )
+    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
+    def test_noise_free_circuit_ignores_the_rng_flavour(
+        self, engine_name, rng_flavour
+    ):
+        # Without noise sites or measurements no randomness is consumed, so
+        # every rng flavour must give the seeded tape run exactly.
+        rng = {
+            "none": None,
+            "shot-seeds": ShotSeeds(seed=5),
+            "generator": np.random.default_rng(5),
+        }[rng_flavour]
+        tape = _run("feynman-tape", NoiselessModel(), 6, ShotSeeds(seed=5))
+        _assert_blocks_equal(tape, _run(engine_name, NoiselessModel(), 6, rng))
+
+    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
+    def test_certain_bit_flip_gives_every_shot_one_pattern(self, engine_name):
+        # p_x = 1: every site errs on every shot, so all 8 shots carry the
+        # same error pattern and hence the same block.
+        noise = GateNoiseModel(PauliChannel(p_x=1.0))
+        seeds = ShotSeeds(seed=2)
+        bits, amps = _run(engine_name, noise, 8, seeds)
+        n_paths = _compiled().input_state.num_paths
+        for shot in range(1, 8):
+            rows = slice(shot * n_paths, (shot + 1) * n_paths)
+            assert np.array_equal(bits[rows], bits[:n_paths])
+            assert np.array_equal(amps[rows], amps[:n_paths])
+        _assert_blocks_equal((bits, amps), _run("feynman-tape", noise, 8, seeds))
+
+    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
+    def test_pure_z_noise_only_flips_signs(self, engine_name):
+        # Phase-flip errors never move a path: bits equal the noiseless run,
+        # amplitudes differ from it by signs only, and at least one shot
+        # picked up a sign at p = 0.2.
+        noise = GateNoiseModel(PauliChannel.phase_flip(0.2))
+        seeds = ShotSeeds(seed=9)
+        bits, amps = _run(engine_name, noise, 16, seeds)
+        clean_bits, clean_amps = _run(engine_name, NoiselessModel(), 16, seeds)
+        assert np.array_equal(bits, clean_bits)
+        assert np.array_equal(np.abs(amps), np.abs(clean_amps))
+        assert not np.array_equal(amps, clean_amps)
+        _assert_blocks_equal((bits, amps), _run("feynman-tape", noise, 16, seeds))
+
+    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
+    def test_generator_mode_is_deterministic_per_seed(self, engine_name):
+        first = _run(engine_name, DEPOL, 16, np.random.default_rng(8))
+        second = _run(engine_name, DEPOL, 16, np.random.default_rng(8))
+        _assert_blocks_equal(first, second)
+        n_paths = _compiled().input_state.num_paths
+        assert first[0].shape[0] == 16 * n_paths
+
+    def test_generator_mode_engines_agree(self):
+        # The bulk site draw consumes a Generator like the interpreted
+        # engine's per-site sampling, so equal generators give equal blocks.
+        _assert_blocks_equal(
+            _run("feynman-interp", DEPOL, 16, np.random.default_rng(8)),
+            _run("feynman-tape", DEPOL, 16, np.random.default_rng(8)),
+        )
+
+    @pytest.mark.parametrize(
+        "channel",
+        [PauliChannel.depolarizing(0.05), PauliChannel.phase_flip(0.2)],
+        ids=["depolarizing", "phase-flip"],
+    )
+    def test_measured_circuit_engines_agree(self, channel):
+        # Measurement collapse consumes each shot's own uniforms ahead of its
+        # site codes; both engines must read them in that order.
+        circuit, state = _measured_circuit()
+        noise = GateNoiseModel(channel)
+        seeds = ShotSeeds(seed=4)
+        blocks = [
+            get_engine(name).run_noisy_shots(circuit, state, noise, 12, rng=seeds)
+            for name in FEYNMAN_ENGINES
+        ]
+        _assert_blocks_equal(blocks[0], blocks[1])
+
+
+class TestShardingProperty:
+    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
+    @given(
+        windows=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        seed=st.integers(0, 50),
+        point_index=st.integers(0, 3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_windows_reproduce_the_unsharded_tape_run(
+        self, engine_name, windows, seed, point_index
+    ):
+        # Any partition of the shot range into ShotSeeds windows, executed
+        # window by window, concatenates to the unsharded tape run.
+        shots = sum(windows)
+        seeds = ShotSeeds(seed=seed, point_index=point_index)
+        tape_bits, tape_amps = _run("feynman-tape", DEPOL, shots, seeds)
+        pieces = []
+        start = 0
+        for width in windows:
+            pieces.append(_run(engine_name, DEPOL, width, seeds.shifted(start)))
+            start += width
+        assert np.array_equal(
+            tape_bits, np.concatenate([piece[0] for piece in pieces])
+        )
+        assert np.array_equal(
+            tape_amps, np.concatenate([piece[1] for piece in pieces])
+        )
+
+
+class TestBulkDraw:
+    def _sites(self, channel: PauliChannel):
+        return _compiled().tape.noise_sites(GateNoiseModel(channel))
+
+    def test_deterministic_under_equal_generators(self):
+        sites = self._sites(PauliChannel.depolarizing(0.05))
+        first = sites.draw(32, np.random.default_rng(3))
+        second = sites.draw(32, np.random.default_rng(3))
+        assert np.array_equal(first, second)
+
+    def test_codes_are_paulis_with_one_row_per_site(self):
+        sites = self._sites(PauliChannel.depolarizing(0.2))
+        codes = sites.draw(16, np.random.default_rng(1))
+        assert codes.shape == (sites.n_sites, 16)
+        assert np.isin(codes, [0, 1, 2, 3]).all()
+        # p = 0.2 over hundreds of cells: every error type shows up.
+        assert set(np.unique(codes)) == {0, 1, 2, 3}
+
+    def test_trivial_channel_yields_no_sites_and_no_codes(self):
+        sites = self._sites(PauliChannel.phase_flip(0.0))
+        assert sites.n_sites == 0
+        assert sites.draw(8, np.random.default_rng(0)).shape == (0, 8)
+
+    def test_phase_flip_draws_only_identity_and_z(self):
+        sites = self._sites(PauliChannel.phase_flip(0.3))
+        codes = sites.draw(16, np.random.default_rng(7))
+        assert (codes == 3).any()
+        assert np.isin(codes, [0, 3]).all()

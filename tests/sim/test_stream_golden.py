@@ -27,7 +27,7 @@ from repro.sim import FeynmanPathSimulator, PathState, ShotSeeds
 from repro.sim.noise import GateNoiseModel, PauliChannel
 from repro.sim.seeding import draw_shot_randomness
 
-FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape", "feynman-batch")
+FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape")
 SEED = 20260808
 SHOTS = 3
 # The engines' exact double (one ULP below round(1/sqrt(2))): amplitudes
