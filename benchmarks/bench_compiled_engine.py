@@ -2,8 +2,11 @@
 
 The per-query cost of the paper's evaluation is ``O(n_gates * n_paths)``
 (Sec. 6.2); what the compiled engine removes is the constant in front of it:
-per-gate string dispatch, one ``rng.choice`` per (gate, qubit) error site and
-full-block masked Pauli updates.  The workload below is the noisy
+per-gate string dispatch and a full-block masked Pauli update per (gate,
+qubit) error site.  Both engines draw every shot's randomness the same way,
+from its own :class:`~repro.sim.ShotSeeds` stream -- the mode every sweep,
+scenario and served run uses -- so the timings compare execution on the
+production path.  The workload below is the noisy
 Monte-Carlo setting of Figures 9-11 (capacity-32 virtual QRAM, 256 shots,
 phase-flip noise at ``eps = 1e-3``); the acceptance bar is the tape engine
 beating the interpreted engine by at least 2x on it.
@@ -18,9 +21,9 @@ warning (used in CI, where shared-runner wall-clock timing is unreliable);
 the trajectory bit-identity check always gates.  ``--json PATH`` writes the
 measurements (including the gated speedup) for
 ``benchmarks/check_regression.py`` to compare against the committed baseline.
-The interpreted and tape engines consume a shared ``Generator`` stream
-identically, so the standalone runner cross-checks their trajectories
-bit-for-bit under it.
+The interpreted and tape engines consume a ``ShotSeeds`` window identically,
+so the standalone runner cross-checks their trajectories bit-for-bit under
+it.
 """
 
 import json
@@ -80,7 +83,7 @@ def _run(engine_name: str, compiled, noise, seed: int = 0):
         compiled.input_state,
         noise,
         SHOTS,
-        rng=np.random.default_rng(seed),
+        rng=ShotSeeds(seed),
     )
 
 

@@ -3,8 +3,8 @@
 Interpreting a :class:`~repro.circuit.circuit.QuantumCircuit` instruction by
 instruction costs a Python-level string dispatch, attribute lookups and a
 fresh set of NumPy temporaries per gate, and the Monte-Carlo noise runner on
-top of it used to draw one ``rng.choice`` per (gate, qubit) error site.  For
-the paper's sweeps the same circuit is executed thousands of times, so this
+top of it adds a masked update per (gate, qubit) error site.  For the
+paper's sweeps the same circuit is executed thousands of times, so this
 module compiles a circuit **once** into a :class:`GateTape`:
 
 * every gate becomes an integer opcode plus packed ``int32`` operand arrays;
@@ -216,12 +216,13 @@ class TapeGroup:
 class NoiseSiteTable:
     """Every (gate, qubit) error site of a noise model, in execution order.
 
-    The site order is exactly the order the interpreted runner samples in
-    (gates in instruction order, operand qubits in gate order, trivial
-    channels skipped, then the model's end-of-circuit sites), so drawing all
-    codes up front with :meth:`draw` consumes the random stream identically
-    and reproduces the interpreted engine's trajectories bit for bit under a
-    fixed seed.  End-of-circuit sites carry ``gate_index == -1`` and
+    The site order is exactly the order the interpreted runner applies
+    errors in (gates in instruction order, operand qubits in gate order,
+    trivial channels skipped, then the model's end-of-circuit sites), so a
+    shot's uniforms map to the same sites on every engine
+    (:func:`repro.sim.seeding.draw_shot_randomness`, through
+    :meth:`codes_from_uniforms`) and seeded trajectories agree bit for bit.
+    End-of-circuit sites carry ``gate_index == -1`` and
     ``group_index == num_groups``.
     """
 
@@ -262,20 +263,6 @@ class NoiseSiteTable:
                 start = stop
             object.__setattr__(self, "_run_cache", tuple(runs))
         return self._run_cache
-
-    def draw(self, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw Pauli codes for every site: shape ``(n_sites, shots)``.
-
-        Consecutive sites sharing a channel are drawn in one bulk
-        ``rng.choice`` call, which consumes the generator exactly like the
-        equivalent sequence of per-site :meth:`PauliChannel.sample` calls.
-        """
-        if self.n_sites == 0:
-            return np.empty((0, shots), dtype=np.int64)
-        codes = np.empty((self.n_sites, shots), dtype=np.int64)
-        for start, stop, channel in self._channel_runs():
-            codes[start:stop] = channel.sample_block(rng, stop - start, shots)
-        return codes
 
     def _thresholds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every site's :attr:`PauliChannel.thresholds`: three ``(n_sites,)`` arrays.

@@ -151,6 +151,21 @@ EXPERIMENTS: dict[str, Callable] = {
 }
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type=`` accepting integers ``>= minimum`` (else exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the experiments CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -173,13 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with 'scenario': list registered scenarios and exit",
     )
-    parser.add_argument("--shots", type=int, default=None, help="Monte-Carlo shots override")
+    parser.add_argument(
+        "--shots", type=_int_at_least(1), default=None, help="Monte-Carlo shots override"
+    )
     parser.add_argument("--quick", action="store_true", help="smaller sweeps for a fast run")
     parser.add_argument("--m", type=int, default=4, help="QRAM width for table1")
     parser.add_argument("--k", type=int, default=2, help="SQC width for table1")
     parser.add_argument(
         "--seed",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         help="random seed forwarded to every runner (default: the project-wide "
         "DEFAULT_SEED, so figures are reproducible bit-for-bit)",
@@ -201,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         help="worker processes for sharded sweeps (1 = serial, 0 = all cores; "
         "default: the REPRO_SWEEP_WORKERS environment variable, else 1). "
@@ -210,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shard-size",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help="Monte-Carlo shots per work unit (scheduling granularity only; "
         "results are bit-identical for every shard size)",

@@ -268,15 +268,13 @@ class QRAMArchitecture:
             Compute the reduced fidelity over address + bus (True, the
             operational figure of merit) or the full-state overlap (False).
         rng:
-            Seed or generator for reproducibility, or a
-            :class:`~repro.sim.seeding.ShotSeeds` window for the per-shot
-            seeded streams deterministic sharding relies on.
+            A :class:`~repro.sim.seeding.ShotSeeds` window or an integer seed
+            of one (``rng=7`` runs exactly like ``rng=ShotSeeds(7)``); a
+            ``Generator`` seeds a window and ``None`` uses fresh entropy.
         engine:
             Execution engine name or instance (see :mod:`repro.sim.engine`);
             ``None`` uses the session default (``"feynman-tape"``).
         """
-        if isinstance(rng, (int, np.integer)) or rng is None:
-            rng = np.random.default_rng(rng)
         noise = NoiselessModel() if noise is None else noise
         if input_state is None:
             compiled = self.compiled_query()

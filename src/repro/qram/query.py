@@ -113,7 +113,6 @@ def run_query_experiment(
     *,
     amplitudes: Mapping[int, complex] | None = None,
     reduced: bool = True,
-    rng: np.random.Generator | int | None = None,
     engine: str | None = None,
     runner: SweepRunner | None = None,
     seed: int = 0,
@@ -126,34 +125,20 @@ def run_query_experiment(
     architecture's memoized :meth:`~repro.qram.base.QRAMArchitecture.compiled_query`
     bundle is reused, so repeated sweep points skip circuit construction.
 
-    When ``runner`` is given, the shot loop is decomposed into deterministic
-    seed-keyed shards executed by the :class:`~repro.sweep.SweepRunner`
-    (``rng`` is then ignored): per-shot streams derive from ``(seed,
-    point_index, shot_index)``, so the summary is bit-identical for any
-    worker count or shard size.  Without a runner the legacy single-pass
-    path with a shared ``rng`` stream is used.
+    The shot loop is decomposed into deterministic seed-keyed shards executed
+    by ``runner`` (a serial :class:`~repro.sweep.SweepRunner` by default):
+    per-shot streams derive from ``(seed, point_index, shot_index)``, so the
+    summary is bit-identical for any worker count or shard size.
     """
-    if runner is not None:
-        spec = (architecture, noise, amplitudes, reduced, engine)
-        result = runner.map_shards(
-            _experiment_shard,
-            [spec],
-            shots=shots,
-            seed=seed,
-            point_offset=point_index,
-        )[0]
-    else:
-        input_state = (
-            None if amplitudes is None else architecture.input_state(amplitudes)
-        )
-        result = architecture.run_query(
-            noise,
-            shots,
-            input_state=input_state,
-            reduced=reduced,
-            rng=rng,
-            engine=engine,
-        )
+    runner = SweepRunner(workers=1) if runner is None else runner
+    spec = (architecture, noise, amplitudes, reduced, engine)
+    result = runner.map_shards(
+        _experiment_shard,
+        [spec],
+        shots=shots,
+        seed=seed,
+        point_offset=point_index,
+    )[0]
     return QueryExperimentResult(
         architecture=architecture.name,
         m=architecture.m,

@@ -7,7 +7,7 @@ under Monte-Carlo Pauli noise?" -- so both are captured behind one
 
 ``"feynman-interp"``
     The original instruction-at-a-time Feynman-path runner: string dispatch
-    per gate, one ``rng`` draw per (gate, qubit) error site.  Kept as the
+    per gate, one masked update per (gate, qubit) error site.  Kept as the
     readable reference implementation and the baseline for
     ``benchmarks/bench_compiled_engine.py``.
 
@@ -16,14 +16,15 @@ under Monte-Carlo Pauli noise?" -- so both are captured behind one
     :class:`~repro.circuit.ir.GateTape` group by group with integer-opcode
     dispatch, draws **all** Pauli codes for a shot batch up front from the
     tape's noise-site table, and applies the (sparse) error events per
-    shot.  Noisy shots run stacked and **bit-sliced**: one Python ``int``
-    per qubit holds that qubit's bit in every (shot, path) column, so a
-    ``SWAP`` is a list swap and ``CSWAP``/``CX``/``CCX``/``MCX``/``X`` and
-    ``X`` errors are a few integer XOR/AND operations over all columns at
-    once.  Only what touches amplitudes (phases, ``Z``/``Y`` errors and
-    frames, measurements, branching) unpacks the bits it reads, and it
-    applies the same NumPy update as the group kernels, so the amplitudes
-    are bit-identical to a NumPy-bool execution.  Under a fixed seed it
+    shot.  Shots run stacked and **bit-sliced** (a noiseless :meth:`run` is
+    one shot of the same executor): one Python ``int`` per qubit holds that
+    qubit's bit in every (shot, path) column, so a ``SWAP`` is a list swap
+    and ``CSWAP``/``CX``/``CCX``/``MCX``/``X`` and ``X`` errors are a few
+    integer XOR/AND operations over all columns at once.  Only what touches
+    amplitudes (phases, ``Z``/``Y`` errors and frames, measurements,
+    branching) unpacks the bits it reads, and it applies the same NumPy
+    update as the group kernels, so the amplitudes are bit-identical to a
+    NumPy-bool execution.  Under a fixed seed it
     consumes the random stream identically to ``"feynman-interp"`` and
     reproduces its shot fidelities bit for bit on the QRAM gate set
     (permutation gates plus exact ``+-1`` / ``+-i`` phases); fused
@@ -66,7 +67,10 @@ executed-teleportation primitives):
 * ``CPAULI`` applies its Pauli to the shots whose recorded classical bits
   XOR to 1 -- Pauli-frame feedforward, executed per shot.
 
-**Random-stream contract.**  Per shot, measurement uniforms are drawn
+**Random-stream contract.**  The noisy entry points turn their ``rng``
+argument into a :class:`~repro.sim.seeding.ShotSeeds` window
+(:func:`~repro.sim.seeding.as_shot_seeds`) and draw every shot from its own
+stream.  Per shot, measurement uniforms are drawn
 *first* (one per ``MEASURE`` in program order -- see
 :attr:`~repro.circuit.ir.GateTape.measurements`), then the noise-site codes
 in site order.  All Feynman engines consume streams identically, so seeded
@@ -139,7 +143,7 @@ from repro.sim.noise import (
     PAULI_Z,
 )
 from repro.sim.paths import PathState
-from repro.sim.seeding import ShotSeeds, draw_shot_randomness
+from repro.sim.seeding import ShotSeeds, as_shot_seeds, draw_shot_randomness
 
 
 def _check_state(circuit: QuantumCircuit, state: PathState) -> None:
@@ -323,7 +327,7 @@ class Engine:
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | int | np.random.Generator | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Monte-Carlo trajectories: ``shots`` stacked path blocks.
 
@@ -331,11 +335,11 @@ class Engine:
         ``(shots * n_paths, n_qubits)``; rows ``[s * n_paths, (s+1) * n_paths)``
         belong to shot ``s``.
 
-        ``rng`` is either a shared batch generator (one stream for the whole
-        block, the historical behaviour) or a pre-spawned
-        :class:`~repro.sim.seeding.ShotSeeds` window, in which case every
-        shot draws its errors from its own ``SeedSequence``-derived stream
-        and the result is invariant under any sharding of the shot range.
+        ``rng`` is a :class:`~repro.sim.seeding.ShotSeeds` window or anything
+        :func:`~repro.sim.seeding.as_shot_seeds` turns into one (an integer
+        seed, a ``Generator``, or ``None`` for fresh entropy).  Every shot
+        draws its errors from its own ``SeedSequence``-derived stream, so the
+        result is invariant under any sharding of the shot range.
         """
         raise NotImplementedError
 
@@ -345,7 +349,7 @@ class Engine:
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | int | np.random.Generator | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Like :meth:`run_noisy_shots`, plus the recorded classical register.
 
@@ -432,7 +436,7 @@ class InterpretedFeynmanEngine(Engine):
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | int | np.random.Generator | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised Monte-Carlo shots, instruction at a time (see :class:`Engine`)."""
         bits, amps, _ = self.run_noisy_shots_recorded(
@@ -446,70 +450,60 @@ class InterpretedFeynmanEngine(Engine):
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | int | np.random.Generator | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Monte-Carlo shots plus the recorded register (see :class:`Engine`)."""
         if shots <= 0:
             raise ValueError("shots must be positive")
+        seeds = as_shot_seeds(rng)
         _check_state(circuit, state)
         self._validate(circuit)
         tape = compile_circuit(circuit)
 
         noiseless = isinstance(noise, NoiselessModel)
         n_measurements = tape.num_measurements
-        # Per-shot seeded mode: pre-draw every shot's randomness column by
-        # column from its own stream, in the contract order -- measurement
-        # uniforms first, then the site codes in the exact order the loop
-        # below consumes them (gates in instruction order, trivial channels
-        # skipped, end-of-circuit channels last -- the same filter as the
-        # loop, so a running cursor stays aligned).  The sites are enumerated
-        # here rather than through GateTape.noise_sites so interp keeps
-        # supporting off-operand error placements the fused tape must reject;
-        # for the QRAM noise models both enumerations are identical, which is
-        # what keeps the engines' seeded trajectories bit-for-bit equal.
+        # Pre-draw every shot's randomness column by column from its own
+        # stream, in the contract order -- measurement uniforms first, then
+        # the site codes in the exact order the loop below consumes them
+        # (gates in instruction order, trivial channels skipped,
+        # end-of-circuit channels last -- the same filter as the loop, so a
+        # running cursor stays aligned).  The sites are enumerated here rather
+        # than through GateTape.noise_sites so interp keeps supporting
+        # off-operand error placements the fused tape must reject; for the
+        # QRAM noise models both enumerations are identical, which is what
+        # keeps the engines' seeded trajectories bit-for-bit equal.
         site_codes: np.ndarray | None = None
         measure_uniforms: np.ndarray | None = None
         site_cursor = 0
         measure_cursor = 0
-        if isinstance(rng, ShotSeeds):
-            sites: NoiseSiteTable | None = None
-            if not noiseless:
-                channels = [
-                    channel
-                    for gate_index, instr in enumerate(
-                        instr
-                        for instr in circuit.instructions
-                        if not instr.is_barrier
-                    )
-                    for _, channel in noise.gate_error_channels_indexed(
-                        gate_index, instr
-                    )
-                    if not channel.is_trivial
-                ]
-                channels.extend(
-                    channel
-                    for _, channel in noise.final_error_channels()
-                    if not channel.is_trivial
+        sites: NoiseSiteTable | None = None
+        if not noiseless:
+            channels = [
+                channel
+                for gate_index, instr in enumerate(
+                    instr for instr in circuit.instructions if not instr.is_barrier
                 )
-                # Drawing consumes only the channel sequence; the positional
-                # columns of the table are irrelevant here.
-                placeholder = np.zeros(len(channels), dtype=np.int32)
-                sites = NoiseSiteTable(
-                    gate_index=placeholder,
-                    qubit=placeholder,
-                    group_index=placeholder,
-                    channels=tuple(channels),
-                )
-            if sites is not None or n_measurements:
-                site_codes, measure_uniforms = draw_shot_randomness(
-                    sites, rng, shots, n_measurements
-                )
-        else:
-            rng = np.random.default_rng() if rng is None else rng
-            if n_measurements:
-                # Bulk-generator mode draws the measurement block up front, so the
-                # stream consumption matches the compiled engine exactly.
-                measure_uniforms = rng.random((n_measurements, shots))
+                for _, channel in noise.gate_error_channels_indexed(gate_index, instr)
+                if not channel.is_trivial
+            ]
+            channels.extend(
+                channel
+                for _, channel in noise.final_error_channels()
+                if not channel.is_trivial
+            )
+            # Drawing consumes only the channel sequence; the positional
+            # columns of the table are irrelevant here.
+            placeholder = np.zeros(len(channels), dtype=np.int32)
+            sites = NoiseSiteTable(
+                gate_index=placeholder,
+                qubit=placeholder,
+                group_index=placeholder,
+                channels=tuple(channels),
+            )
+        if sites is not None or n_measurements:
+            site_codes, measure_uniforms = draw_shot_randomness(
+                sites, seeds, shots, n_measurements
+            )
 
         outcomes: np.ndarray | None = None
         if tape.num_clbits:
@@ -519,13 +513,10 @@ class InterpretedFeynmanEngine(Engine):
         bits = np.tile(state.bits, (shots, 1))
         amps = np.tile(state.amplitudes, shots).astype(complex)
 
-        def apply_site(qubit: int, channel) -> None:
+        def apply_site(qubit: int) -> None:
             nonlocal site_cursor
-            if site_codes is not None:
-                shot_codes = site_codes[site_cursor]
-                site_cursor += 1
-            else:
-                shot_codes = channel.sample(rng, shots)
+            shot_codes = site_codes[site_cursor]
+            site_cursor += 1
             if not np.any(shot_codes != PAULI_I):
                 return
             row_codes = np.repeat(shot_codes, n_paths)
@@ -568,15 +559,13 @@ class InterpretedFeynmanEngine(Engine):
                 for qubit, channel in noise.gate_error_channels_indexed(
                     gate_index, instr
                 ):
-                    if channel.is_trivial:
-                        continue
-                    apply_site(qubit, channel)
+                    if not channel.is_trivial:
+                        apply_site(qubit)
             gate_index += 1
         if not noiseless:
             for qubit, channel in noise.final_error_channels():
-                if channel.is_trivial:
-                    continue
-                apply_site(qubit, channel)
+                if not channel.is_trivial:
+                    apply_site(qubit)
         return bits, amps, outcomes
 
 
@@ -602,50 +591,15 @@ class TapeFeynmanEngine(Engine):
         *,
         rng: np.random.Generator | None = None,
     ) -> PathState:
-        """Fused group-by-group noiseless evolution (measurements sampled from ``rng``)."""
+        """One-shot stacked-executor evolution (measurements sampled from ``rng``)."""
         _check_state(circuit, state)
         tape = self._tape(circuit)
-        # Qubit-major layout: bits_q[q] is one contiguous row per qubit, so
-        # every gate update streams over contiguous memory instead of a
-        # num_qubits-strided column of the row-major path matrix.  The copy is
-        # explicit: ascontiguousarray would alias the input for single-path
-        # states, and the group kernels mutate bits_q in place.
-        bits_q = state.bits.T.copy()
-        amps = state.amplitudes.copy()
-        outcomes: np.ndarray | None = None
-        if tape.num_clbits:
-            outcomes = np.zeros((tape.num_clbits, 1), dtype=np.int8)
-            if rng is None:
-                rng = np.random.default_rng(0)
-        n_paths = state.num_paths
-        for index, group in enumerate(tape.groups):
-            if group.opcode == OP_MEASURE:
-                cbit, basis = group.params
-                outcomes[cbit], keep = _apply_measure(
-                    bits_q[int(group.qubits[0, 0])], amps, basis, rng.random(1), n_paths
-                )
-                stride = tape.collapse_strides[index]
-                if stride:
-                    flat = _collapse_flat_indices(keep, 1, n_paths, stride)
-                    bits_q = bits_q[:, flat]
-                    amps = amps[flat]
-                    n_paths //= 2
-            elif group.opcode == OP_CPAULI:
-                pauli = group.params[0]
-                _apply_frame(
-                    bits_q[int(group.qubits[0, 0])],
-                    amps,
-                    pauli,
-                    _frame_active(outcomes, group.params[1:], 1),
-                    n_paths,
-                )
-            elif group.opcode == OP_H:
-                bits_q, amps, n_paths = _branch_hadamard_group(
-                    bits_q, amps, group.qubits, n_paths
-                )
-            else:
-                _apply_group(bits_q, amps, group.opcode, group.qubits)
-        return PathState(bits=np.ascontiguousarray(bits_q.T), amplitudes=amps)
+        uniforms = None
+        if tape.num_measurements:
+            rng = np.random.default_rng(0) if rng is None else rng
+            uniforms = rng.random((tape.num_measurements, 1))
+        bits, amps, _ = _execute_stacked_shots(tape, state, 1, None, None, uniforms)
+        return PathState(bits=bits, amplitudes=amps)
 
     def run_noisy_shots(
         self,
@@ -653,7 +607,7 @@ class TapeFeynmanEngine(Engine):
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | int | np.random.Generator | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised Monte-Carlo shots over the fused tape (see :class:`Engine`)."""
         bits, amps, _ = self.run_noisy_shots_recorded(
@@ -667,34 +621,27 @@ class TapeFeynmanEngine(Engine):
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | int | np.random.Generator | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Monte-Carlo shots plus the recorded register (see :class:`Engine`)."""
         if shots <= 0:
             raise ValueError("shots must be positive")
+        seeds = as_shot_seeds(rng)
         _check_state(circuit, state)
         tape = self._tape(circuit)
         # One up-front draw for every (gate, qubit) error site of the batch,
-        # plus one uniform per (measurement, shot) -- measurement uniforms
-        # first, matching the interpreted engine's consumption order.  A
-        # ShotSeeds window consumes each shot's own stream in that order,
-        # which is what makes sharded sweeps bit-identical to serial ones.
+        # plus one uniform per (measurement, shot): each shot consumes its
+        # own stream, measurement uniforms first, which is what makes
+        # sharded sweeps bit-identical to serial ones.
         sites: NoiseSiteTable | None = (
             None if isinstance(noise, NoiselessModel) else tape.noise_sites(noise)
         )
         n_measurements = tape.num_measurements
         codes = measure_uniforms = None
-        if isinstance(rng, ShotSeeds):
-            if sites is not None or n_measurements:
-                codes, measure_uniforms = draw_shot_randomness(
-                    sites, rng, shots, n_measurements
-                )
-        else:
-            rng = np.random.default_rng() if rng is None else rng
-            if n_measurements:
-                measure_uniforms = rng.random((n_measurements, shots))
-            if sites is not None:
-                codes = sites.draw(shots, rng)
+        if sites is not None or n_measurements:
+            codes, measure_uniforms = draw_shot_randomness(
+                sites, seeds, shots, n_measurements
+            )
         return _execute_stacked_shots(
             tape, state, shots, sites, codes, measure_uniforms
         )
@@ -723,12 +670,13 @@ def _execute_stacked_shots(
     update to the same values in the same order as the group kernels, so the
     amplitudes are bit-identical to a NumPy-bool execution.
 
-    This is the compiled engine's shot-axis hot path.  ``codes`` holds the
-    pre-drawn Pauli codes (``(n_sites, shots)``), ``measure_uniforms`` the
-    pre-drawn measurement uniforms.  Returns ``(bits, amps, outcomes)``:
-    ``bits`` is the usual ``(shots * n_paths, n_qubits)`` bool block, and the
-    recorded classical register (``None`` when the tape has no classical
-    bits) rides along for the ``*_recorded`` engine entry points.
+    This is the compiled engine's only executor: a noiseless run is one
+    shot without sites.  ``codes`` holds the pre-drawn Pauli codes
+    (``(n_sites, shots)``), ``measure_uniforms`` the pre-drawn measurement
+    uniforms.  Returns ``(bits, amps, outcomes)``: ``bits`` is the usual
+    ``(shots * n_paths, n_qubits)`` bool block, and the recorded classical
+    register (``None`` when the tape has no classical bits) rides along for
+    the ``*_recorded`` engine entry points.
     """
     n_paths = state.num_paths
     width = shots * n_paths
@@ -736,7 +684,7 @@ def _execute_stacked_shots(
     segment = (1 << n_paths) - 1
     # Tiling a path pattern over the shots is one multiplication by the
     # repunit sum(2 ** (s * n_paths)): the copies never overlap, so no carry.
-    repunit = full // segment
+    repunit = full // segment if segment else 0
     rows = [row * repunit for row in _pack_rows(state.bits.T)]
     amps = np.tile(state.amplitudes, shots).astype(complex)
 
@@ -896,7 +844,7 @@ class StatevectorEngine(Engine):
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | int | np.random.Generator | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Noiseless-only shot blocks (the dense engine cannot sample Pauli noise)."""
         if shots <= 0:
@@ -937,7 +885,7 @@ class StatevectorEngine(Engine):
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | int | np.random.Generator | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Unsupported: the dense engine replays one trajectory, not per-shot records."""
         raise NotImplementedError(
@@ -1066,8 +1014,8 @@ def _pack_rows(block: np.ndarray) -> list[int]:
     n_bytes = packed.shape[1]
     raw = packed.tobytes()
     return [
-        int.from_bytes(raw[start : start + n_bytes], "little")
-        for start in range(0, len(raw), n_bytes)
+        int.from_bytes(raw[row * n_bytes : (row + 1) * n_bytes], "little")
+        for row in range(block.shape[0])
     ]
 
 

@@ -149,15 +149,15 @@ class FeynmanPathSimulator:
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | int | np.random.Generator | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Simulate ``shots`` Monte-Carlo noise samples in one vectorised pass.
 
         Returns the final ``bits`` block of shape ``(shots * n_paths, n_qubits)``
         and the matching amplitude vector.  Rows ``[s * n_paths, (s+1) * n_paths)``
-        belong to shot ``s``.  Passing a :class:`~repro.sim.seeding.ShotSeeds`
-        window as ``rng`` selects per-shot seeded error streams (the
-        deterministic-sharding mode of :mod:`repro.sweep`).
+        belong to shot ``s``.  ``rng`` is a :class:`~repro.sim.seeding.ShotSeeds`
+        window or anything :func:`~repro.sim.seeding.as_shot_seeds` accepts;
+        every shot draws from its own stream (see :mod:`repro.sweep`).
         """
         return self._resolve_engine().run_noisy_shots(
             circuit, state, noise, shots, rng=rng
@@ -169,7 +169,7 @@ class FeynmanPathSimulator:
         state: PathState,
         noise: NoiseModel,
         shots: int,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | int | np.random.Generator | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Like :meth:`run_noisy_shots`, plus the recorded measurement outcomes.
 
@@ -191,7 +191,7 @@ class FeynmanPathSimulator:
         *,
         keep_qubits: list[int] | None = None,
         ideal_output: PathState | None = None,
-        rng: np.random.Generator | ShotSeeds | None = None,
+        rng: ShotSeeds | int | np.random.Generator | None = None,
         postselect: tuple[tuple[int, int], ...] | None = None,
     ) -> QueryResult:
         """Monte-Carlo estimate of the query fidelity under ``noise``.
@@ -215,7 +215,7 @@ class FeynmanPathSimulator:
             Pre-computed noiseless output (saves a simulation when sweeping
             noise parameters over the same circuit).
         rng:
-            NumPy random generator for reproducibility.
+            Anything :func:`~repro.sim.seeding.as_shot_seeds` accepts.
         postselect:
             ``(cbit, expected_outcome)`` pairs to postselect on: a shot is
             *kept* only when every listed classical slot recorded its
@@ -224,7 +224,6 @@ class FeynmanPathSimulator:
             aggregate, with :attr:`QueryResult.kept_fraction` accounting for
             them.  ``None`` (or empty) keeps every shot.
         """
-        rng = np.random.default_rng() if rng is None else rng
         if ideal_output is None:
             ideal_output = self.run(circuit, input_state)
         kept: np.ndarray | None = None

@@ -76,22 +76,15 @@ class PauliChannel:
         )
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Sample ``size`` Pauli codes (0=I, 1=X, 2=Y, 3=Z)."""
-        return self.sample_block(rng, 1, size)[0]
+        """Sample ``size`` Pauli codes (0=I, 1=X, 2=Y, 3=Z) in one ``rng.choice``.
 
-    def sample_block(
-        self, rng: np.random.Generator, n_sites: int, shots: int
-    ) -> np.ndarray:
-        """Sample codes for ``n_sites`` error sites at once: ``(n_sites, shots)``.
-
-        Drawn in one ``rng.choice`` call, which consumes the generator exactly
-        like ``n_sites`` successive :meth:`sample` calls of ``shots`` codes
-        each -- the property the compiled engine relies on to reproduce the
-        interpreted engine's trajectories under a fixed seed.
+        The sampler of the explicit-insertion oracles
+        (:func:`sample_noisy_circuit`, :class:`QubitOncePauliNoise`); the
+        engines draw through :meth:`sample_thresholded`'s contract instead.
         """
         return rng.choice(
             np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]),
-            size=(n_sites, shots),
+            size=size,
             p=[1.0 - self.p_total, self.p_x, self.p_y, self.p_z],
         )
 
@@ -125,8 +118,7 @@ class PauliChannel:
         shot's uniforms against every site's thresholds at once
         (:meth:`repro.circuit.ir.NoiseSiteTable.codes_from_uniforms`) and
         yields exactly the codes of this sampler applied site by site.  The
-        stream consumption differs from :meth:`sample`, so the two modes
-        produce different (but individually reproducible) trajectories.
+        stream consumption differs from :meth:`sample`'s.
         """
         return np.searchsorted(
             np.array(self.thresholds), rng.random(size), side="right"

@@ -17,12 +17,13 @@ keyed on ``(seed, point_index, shot_index)``:
 streams are as statistically independent as NumPy's parallel-RNG machinery
 guarantees, and two distinct ``(point, shot)`` coordinates can never collide.
 
-The execution engines (:mod:`repro.sim.engine`) accept a ``ShotSeeds`` in
-place of a ``numpy.random.Generator`` in ``run_noisy_shots``; in that mode
-every shot's generator yields one uniform per noise site, in noise-site
-order, and each uniform becomes a Pauli code by comparison against its
-site's cumulative thresholds (:attr:`repro.sim.noise.PauliChannel.thresholds`,
-the threshold sampler of
+This is the one random-stream contract of the noisy engines
+(:mod:`repro.sim.engine`): ``run_noisy_shots`` passes whatever it is given
+through :func:`as_shot_seeds` and draws from the resulting window.  Every
+shot's generator yields one uniform per noise site, in noise-site order, and
+each uniform becomes a Pauli code by comparison against its site's
+cumulative thresholds (:attr:`repro.sim.noise.PauliChannel.thresholds`, the
+threshold sampler of
 :meth:`~repro.sim.noise.PauliChannel.sample_thresholded`).
 :func:`draw_shot_randomness` draws a shot's uniforms in one generator call
 and maps a whole window of shots to codes in one vector pass.  All Feynman
@@ -37,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["ShotSeeds", "draw_shot_randomness"]
+__all__ = ["ShotSeeds", "as_shot_seeds", "draw_shot_randomness"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,23 @@ class ShotSeeds:
     def shifted(self, offset: int) -> "ShotSeeds":
         """The same stream with the window moved ``offset`` shots forward."""
         return replace(self, start=self.start + offset)
+
+
+def as_shot_seeds(rng: ShotSeeds | int | np.random.Generator | None) -> ShotSeeds:
+    """Normalise an engine's ``rng`` argument to a :class:`ShotSeeds` window.
+
+    A window is returned as is and an integer seeds one (``ShotSeeds(seed)``);
+    a ``Generator`` seeds one from a single ``integers(2**63)`` draw, and
+    ``None`` from fresh OS entropy.  Anything else raises ``TypeError``.
+    """
+    if isinstance(rng, ShotSeeds):
+        return rng
+    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
+        return ShotSeeds(int(rng))
+    if rng is None or isinstance(rng, np.random.Generator):
+        # default_rng returns a Generator unchanged and seeds None from the OS.
+        return ShotSeeds(int(np.random.default_rng(rng).integers(2**63)))
+    raise TypeError(f"rng must be ShotSeeds, int, Generator or None, not {rng!r}")
 
 
 def draw_shot_randomness(

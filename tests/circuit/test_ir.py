@@ -180,21 +180,3 @@ class TestNoiseSites:
         assert clone._site_cache_by_id == {}
         assert tape._site_cache_by_id  # the original keeps its entry
         assert np.array_equal(clone.noise_sites(noise).qubit, table.qubit)
-
-    def test_bulk_draw_matches_per_site_sampling(self):
-        # Mixed channels (two_qubit_factor != 1) force several bulk runs; the
-        # stacked result must equal sequential per-site draws from one
-        # generator -- the property the tape engine's seeded equivalence with
-        # the interpreted engine rests on.
-        tape = compile_circuit(_example_circuit())
-        noise = GateNoiseModel(
-            PauliChannel.depolarizing(0.3), two_qubit_factor=2.0
-        )
-        sites = tape.noise_sites(noise)
-        bulk = sites.draw(shots=64, rng=np.random.default_rng(3))
-        sequential_rng = np.random.default_rng(3)
-        manual = np.stack(
-            [channel.sample(sequential_rng, 64) for channel in sites.channels]
-        )
-        assert bulk.shape == (sites.n_sites, 64)
-        assert np.array_equal(bulk, manual)

@@ -106,6 +106,35 @@ class TestCommandLine:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["not-an-experiment"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "ideal-m3", "--seed", "-1", "--shots", "8"],
+            ["fig9", "--quick", "--seed", "-2"],
+            ["fig9", "--quick", "--shots", "0"],
+            ["fig9", "--quick", "--shots", "-3"],
+            ["fig9", "--quick", "--shard-size", "0"],
+            ["fig9", "--quick", "--workers", "-1"],
+            ["fig9", "--quick", "--shots", "many"],
+        ],
+        ids=[
+            "scenario-seed-negative",
+            "fig9-seed-negative",
+            "shots-zero",
+            "shots-negative",
+            "shard-size-zero",
+            "workers-negative",
+            "shots-not-an-int",
+        ],
+    )
+    def test_invalid_sweep_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --" in err
+        assert "Traceback" not in err
+
     def test_seed_flag_is_forwarded_and_reproducible(self, capsys):
         assert main(["fig9", "--quick", "--shots", "8", "--seed", "7"]) == 0
         first = capsys.readouterr().out

@@ -49,7 +49,7 @@ class TestRunQueryExperiment:
     def test_summary_fields(self, small_memory):
         architecture = make_architecture("virtual", small_memory, 2)
         noise = GateNoiseModel(PauliChannel.phase_flip(1e-3))
-        summary = run_query_experiment(architecture, noise, shots=32, rng=3)
+        summary = run_query_experiment(architecture, noise, shots=32, seed=3)
         data = summary.as_dict()
         assert data["architecture"] == "virtual"
         assert data["m"] == 2 and data["k"] == 1
@@ -58,7 +58,7 @@ class TestRunQueryExperiment:
 
     def test_noiseless_experiment(self, small_memory):
         architecture = make_architecture("fanout", small_memory, 2)
-        summary = run_query_experiment(architecture, None, shots=4, rng=0)
+        summary = run_query_experiment(architecture, None, shots=4, seed=0)
         assert summary.mean_fidelity == pytest.approx(1.0)
 
 

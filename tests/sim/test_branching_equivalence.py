@@ -23,6 +23,10 @@ CI deterministic):
   split of the shot range reproduces the unsharded draw bit for bit --
   the invariant that makes sweep results independent of worker counts and
   shard sizes.
+* **Noiseless bit-identity.**  On the same circuits, the tape engine's
+  noiseless ``run`` (one shot of its stacked executor) returns exactly the
+  interpreted engine's bits, amplitudes and dtypes when both draw their
+  measurement outcomes from equal seeded ``Generator`` streams.
 
 The X-basis measurement convention (fixed 50/50 outcome draw, the PR 5
 teleportation contract) deliberately keeps X measures out of the oracle
@@ -215,6 +219,21 @@ class TestShotSeedsBitIdentity:
             else:
                 assert np.array_equal(reference_bits, bits), name
                 assert np.array_equal(reference_amps, amps), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(instance=noisy_branching_instances())
+    def test_noiseless_run_bit_identical_under_a_generator(self, instance):
+        """Noiseless ``run``: tape equals interp under equal Generator streams."""
+        circuit, _noise, seed, _shots, _split = instance
+        state = _superposition_input(circuit)
+        interp, tape = (
+            get_engine(name).run(circuit, state, rng=np.random.default_rng(seed))
+            for name in FEYNMAN_ENGINES
+        )
+        assert tape.bits.dtype == interp.bits.dtype
+        assert tape.amplitudes.dtype == interp.amplitudes.dtype
+        assert np.array_equal(tape.bits, interp.bits)
+        assert np.array_equal(tape.amplitudes, interp.amplitudes)
 
     @settings(max_examples=30, deadline=None)
     @given(instance=noisy_branching_instances())

@@ -379,6 +379,17 @@ class TestEngineErrors:
             assert np.array_equal(state.bits, before_bits)
             assert np.array_equal(state.amplitudes, before_amps)
 
+    @pytest.mark.parametrize("name", ["feynman-interp", "feynman-tape"])
+    def test_zero_path_state_runs_to_zero_paths(self, name):
+        circuit = QuantumCircuit(2)
+        circuit.cx(0, 1)
+        state = PathState(bits=np.zeros((0, 2), dtype=bool), amplitudes=[])
+        engine = get_engine(name)
+        assert engine.run(circuit, state).bits.shape == (0, 2)
+        noise = GateNoiseModel(PauliChannel.depolarizing(0.5))
+        bits, amps = engine.run_noisy_shots(circuit, state, noise, 3, rng=1)
+        assert bits.shape == (0, 2) and amps.shape == (0,)
+
 
 class TestFacade:
     def test_simulator_accepts_engine_instances(self, memory):

@@ -7,9 +7,9 @@ Pins the tentpole contracts of the executed-teleportation PR:
 * measured qubits can be frame-reset and reused;
 * Pauli-frame corrections commute through ``CCX``/``MCX`` with the textbook
   compensation gates;
-* the two Feynman engines stay bit-identical on measured circuits in both
-  seeded and batch-generator modes, and any sharding of the shot range
-  reproduces the unsharded trajectories.
+* the two Feynman engines stay bit-identical on measured circuits under a
+  ``ShotSeeds`` window, including one a ``Generator`` seeds, and any
+  sharding of the shot range reproduces the unsharded trajectories.
 """
 
 import numpy as np
@@ -307,7 +307,7 @@ class TestEngineBitIdentityWithMeasurements:
         circuit.swap(1, 2)
         return circuit, PathState.register_superposition(4, [0, 1])
 
-    @pytest.mark.parametrize("rng_mode", ["seeded", "batch"])
+    @pytest.mark.parametrize("rng_mode", ["seeded", "generator"])
     def test_tape_and_interp_identical(self, rng_mode):
         circuit, state = self._teleport_workload()
         noise = GateNoiseModel(PauliChannel.depolarizing(0.04))

@@ -1,13 +1,13 @@
 """Monte-Carlo shots on the Feynman engines: degenerate corners and windows.
 
 Both Feynman engines must produce the same ``(bits, amps)`` block for the
-same randomness, whether that randomness is a :class:`~repro.sim.ShotSeeds`
-window (the contract every sweep, scenario and served run uses) or a bulk
-``Generator``.  These tests pin that on the corners where a shortcut is most
-tempting -- no noise, one error pattern shared by every shot, pure phase
-noise, measured circuits -- as a hypothesis property over arbitrary sharding
-windows, and pin the bulk sampler (:meth:`NoiseSiteTable.draw`) that the
-tape engine uses in ``Generator`` mode.
+same :class:`~repro.sim.ShotSeeds` window (the contract every sweep,
+scenario and served run uses), including one a ``Generator`` seeds.  These
+tests pin that on the corners where a shortcut is most tempting -- no noise,
+one error pattern shared by every shot, pure phase noise, measured circuits
+-- as a hypothesis property over arbitrary sharding windows, and pin the
+seeded site draw (:func:`~repro.sim.seeding.draw_shot_randomness`) both
+engines share.
 """
 
 import numpy as np
@@ -26,6 +26,7 @@ from repro.sim import (
     get_engine,
 )
 from repro.sim.paths import PathState
+from repro.sim.seeding import draw_shot_randomness
 
 FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape")
 DEPOL = GateNoiseModel(PauliChannel.depolarizing(0.05))
@@ -70,19 +71,19 @@ class TestEdgeCases:
             _run(engine_name, DEPOL, -3, ShotSeeds(seed=0))
 
     @pytest.mark.parametrize(
-        "rng_flavour", ["none", "shot-seeds", "generator"]
+        "window_source", ["none", "shot-seeds", "generator"]
     )
     @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
-    def test_noise_free_circuit_ignores_the_rng_flavour(
-        self, engine_name, rng_flavour
+    def test_noise_free_circuit_ignores_what_seeds_the_window(
+        self, engine_name, window_source
     ):
-        # Without noise sites or measurements no randomness is consumed, so
-        # every rng flavour must give the seeded tape run exactly.
+        # Without noise sites or measurements no window stream is consumed,
+        # so a window from any source must give the seeded tape run exactly.
         rng = {
             "none": None,
             "shot-seeds": ShotSeeds(seed=5),
             "generator": np.random.default_rng(5),
-        }[rng_flavour]
+        }[window_source]
         tape = _run("feynman-tape", NoiselessModel(), 6, ShotSeeds(seed=5))
         _assert_blocks_equal(tape, _run(engine_name, NoiselessModel(), 6, rng))
 
@@ -115,16 +116,16 @@ class TestEdgeCases:
         _assert_blocks_equal((bits, amps), _run("feynman-tape", noise, 16, seeds))
 
     @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
-    def test_generator_mode_is_deterministic_per_seed(self, engine_name):
+    def test_generator_seeded_window_is_deterministic(self, engine_name):
         first = _run(engine_name, DEPOL, 16, np.random.default_rng(8))
         second = _run(engine_name, DEPOL, 16, np.random.default_rng(8))
         _assert_blocks_equal(first, second)
         n_paths = _compiled().input_state.num_paths
         assert first[0].shape[0] == 16 * n_paths
 
-    def test_generator_mode_engines_agree(self):
-        # The bulk site draw consumes a Generator like the interpreted
-        # engine's per-site sampling, so equal generators give equal blocks.
+    def test_generator_seeded_window_engines_agree(self):
+        # Equal generators seed equal ShotSeeds windows, so both engines
+        # draw the same shot streams and return equal blocks.
         _assert_blocks_equal(
             _run("feynman-interp", DEPOL, 16, np.random.default_rng(8)),
             _run("feynman-tape", DEPOL, 16, np.random.default_rng(8)),
@@ -177,19 +178,23 @@ class TestShardingProperty:
         )
 
 
-class TestBulkDraw:
+class TestSeededDraw:
     def _sites(self, channel: PauliChannel):
         return _compiled().tape.noise_sites(GateNoiseModel(channel))
 
-    def test_deterministic_under_equal_generators(self):
+    def _codes(self, sites, shots: int, seed: int) -> np.ndarray:
+        codes, _ = draw_shot_randomness(sites, ShotSeeds(seed=seed), shots)
+        return codes
+
+    def test_deterministic_under_equal_seeds(self):
         sites = self._sites(PauliChannel.depolarizing(0.05))
-        first = sites.draw(32, np.random.default_rng(3))
-        second = sites.draw(32, np.random.default_rng(3))
+        first = self._codes(sites, 32, 3)
+        second = self._codes(sites, 32, 3)
         assert np.array_equal(first, second)
 
     def test_codes_are_paulis_with_one_row_per_site(self):
         sites = self._sites(PauliChannel.depolarizing(0.2))
-        codes = sites.draw(16, np.random.default_rng(1))
+        codes = self._codes(sites, 16, 1)
         assert codes.shape == (sites.n_sites, 16)
         assert np.isin(codes, [0, 1, 2, 3]).all()
         # p = 0.2 over hundreds of cells: every error type shows up.
@@ -198,10 +203,10 @@ class TestBulkDraw:
     def test_trivial_channel_yields_no_sites_and_no_codes(self):
         sites = self._sites(PauliChannel.phase_flip(0.0))
         assert sites.n_sites == 0
-        assert sites.draw(8, np.random.default_rng(0)).shape == (0, 8)
+        assert self._codes(sites, 8, 0).shape == (0, 8)
 
     def test_phase_flip_draws_only_identity_and_z(self):
         sites = self._sites(PauliChannel.phase_flip(0.3))
-        codes = sites.draw(16, np.random.default_rng(7))
+        codes = self._codes(sites, 16, 7)
         assert (codes == 3).any()
         assert np.isin(codes, [0, 3]).all()

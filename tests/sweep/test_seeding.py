@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.seeding import ShotSeeds
+from repro.qram import ClassicalMemory, VirtualQRAM
+from repro.sim import GateNoiseModel, PauliChannel
+from repro.sim.seeding import ShotSeeds, as_shot_seeds
 from repro.sweep import split_shots
 
 
@@ -45,6 +47,45 @@ class TestShotSeeds:
             ShotSeeds(seed=0, point_index=-1)
         with pytest.raises(ValueError):
             ShotSeeds(seed=0, start=-2)
+
+
+class TestAsShotSeeds:
+    def test_window_passes_through(self):
+        seeds = ShotSeeds(seed=3, point_index=2, start=5)
+        assert as_shot_seeds(seeds) is seeds
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 7, np.int64(7), np.uint8(200)],
+        ids=["int-0", "int-7", "int64", "uint8"],
+    )
+    def test_integer_seeds_a_window(self, seed):
+        assert as_shot_seeds(seed) == ShotSeeds(int(seed))
+
+    def test_generator_seeds_a_window_from_one_draw(self):
+        expected = ShotSeeds(int(np.random.default_rng(4).integers(2**63)))
+        assert as_shot_seeds(np.random.default_rng(4)) == expected
+
+    def test_none_seeds_a_fresh_window(self):
+        seeds = as_shot_seeds(None)
+        assert isinstance(seeds, ShotSeeds)
+        assert (seeds.point_index, seeds.start) == (0, 0)
+        assert seeds.seed >= 0
+
+    @pytest.mark.parametrize("rng", [True, 1.5, "7"], ids=["bool", "float", "str"])
+    def test_other_types_rejected(self, rng):
+        with pytest.raises(TypeError, match="rng"):
+            as_shot_seeds(rng)
+
+    def test_run_query_integer_seed_is_its_window(self):
+        qram = VirtualQRAM(
+            memory=ClassicalMemory.from_values([1, 0, 1, 1]), qram_width=1
+        )
+        noise = GateNoiseModel(PauliChannel.depolarizing(0.05))
+        by_int = qram.run_query(noise, shots=16, rng=7)
+        by_window = qram.run_query(noise, shots=16, rng=ShotSeeds(7))
+        assert np.array_equal(by_int.fidelities, by_window.fidelities)
+        assert by_int.mean_fidelity < 1.0  # the noise did act
 
 
 class TestSplitShots:
