@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
-from typing import Sequence
 
 from repro.cache.fingerprint import CACHE_SCHEMA_VERSION
-from repro.records import RecordFile, RecordFormatError, merge_record_files, write_records
+from repro.records import RecordFile, RecordFormatError, write_records
 from repro.scenarios.record import ScenarioRecord
 
 #: Environment variable naming the cache root.  ``run_scenario(cache=None)``
@@ -51,6 +51,9 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 #: Cache root used by ``cache=True`` / ``--cache`` when the environment
 #: variable is unset.
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "repro-qram"
+
+#: A committed artefact's file name: the fingerprint plus either backend's suffix.
+_ARTEFACT_NAME = re.compile(r"([0-9a-f]{64})\.(?:json|rrec)")
 
 
 def default_cache_dir() -> Path:
@@ -219,44 +222,6 @@ class ResultCache:
             fingerprint, self.path_for(fingerprint), blob.encode("utf-8")
         )
 
-    def put_shards(
-        self, fingerprint: str, shard_paths: Sequence[str | Path]
-    ) -> Path:
-        """Commit a sweep from its on-disk ``.rrec`` worker shards.
-
-        The shards are merged with the memory-mapped k-way merge (no record
-        is ever decoded), the merged artefact lands under ``fingerprint``
-        with the usual temp-file/rename dance, and the compat JSON document
-        is derived from the merged file.  The committed bytes are identical
-        to ``put(fingerprint, concatenated_records)`` by the merge's
-        byte-identity guarantee.  Returns the ``.rrec`` path.
-        """
-        path = self.binary_path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{fingerprint[:8]}-", suffix=".tmp"
-        )
-        os.close(descriptor)
-        try:
-            merge_record_files(shard_paths, temp_name, tag=fingerprint)
-            with RecordFile(temp_name) as record_file:
-                records = record_file.records()
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        document = {
-            "schema_version": CACHE_SCHEMA_VERSION,
-            "fingerprint": fingerprint,
-            "records": [record.json_dict() for record in records],
-        }
-        blob = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        self._replace(fingerprint, self.path_for(fingerprint), blob.encode("utf-8"))
-        return path
-
     # ------------------------------------------------------------- inventory
     def fingerprints(self) -> list[str]:
         """Every fingerprint with a well-formed artefact (either backend), sorted."""
@@ -278,6 +243,31 @@ class ResultCache:
             except RecordFormatError:
                 pass
         return sorted(found)
+
+    def count(self) -> int:
+        """How many fingerprints have an artefact file, by name alone.
+
+        Counts the distinct 64-hex stems of ``<fp[:2]>/<fp>.json`` and
+        ``<fp[:2]>/<fp>.rrec`` from directory entries; no file is opened,
+        so a corrupt artefact counts until a read or a re-run replaces it.
+        On a clean cache this equals ``len(fingerprints())``.  A named
+        method rather than ``__len__``: an empty cache must stay truthy.
+        """
+        found = set()
+        try:
+            shards = [entry for entry in os.scandir(self.root) if entry.is_dir()]
+        except OSError:
+            return 0
+        for shard in shards:
+            try:
+                names = os.listdir(shard.path)
+            except OSError:
+                continue
+            for name in names:
+                match = _ARTEFACT_NAME.fullmatch(name)
+                if match is not None and match[1][:2] == shard.name:
+                    found.add(match[1])
+        return len(found)
 
 
 def resolve_cache(cache: "ResultCache | bool | str | Path | None") -> ResultCache | None:

@@ -22,6 +22,7 @@ import queue
 import threading
 import traceback
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.cache.store import ResultCache
 from repro.circuit.ir import BranchBudgetError
@@ -30,6 +31,10 @@ from repro.scenarios.spec import ScenarioSpec
 
 #: Job lifecycle states, in order.
 JOB_STATES = ("queued", "running", "done", "error")
+
+#: Most jobs a :class:`JobTable` keeps.  Past it, the oldest finished
+#: (``done``/``error``) jobs are evicted; queued and running jobs never are.
+MAX_JOBS = 4096
 
 
 @dataclass
@@ -66,7 +71,11 @@ class Job:
 
 @dataclass
 class JobTable:
-    """Thread-safe registry of every job this server process has seen."""
+    """Thread-safe registry of this server process's recent jobs.
+
+    Bounded at :data:`MAX_JOBS`: each new job past the bound evicts the
+    oldest finished job, whose id then reads as unknown.
+    """
 
     _jobs: dict[str, Job] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
@@ -95,6 +104,17 @@ class JobTable:
                 status=status,
             )
             self._jobs[job.id] = job
+            excess = len(self._jobs) - MAX_JOBS
+            if excess > 0:
+                # Dicts keep insertion order, so this walks oldest first and
+                # stops at the first ``excess`` finished jobs.
+                finished = (
+                    old.id
+                    for old in self._jobs.values()
+                    if old.status in ("done", "error")
+                )
+                for old_id in list(islice(finished, excess)):
+                    del self._jobs[old_id]
             return job
 
     def get(self, job_id: str) -> Job | None:

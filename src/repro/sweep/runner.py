@@ -29,7 +29,6 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -228,26 +227,3 @@ class SweepRunner:
                 )
             results.append(QueryResult(fidelities=fidelities, shots=shots))
         return results
-
-    # --------------------------------------------------------- record merging
-    @staticmethod
-    def merge_record_shards(
-        shard_paths: Sequence[str | Path],
-        output: str | Path,
-        *,
-        tag: str = "",
-    ) -> Path:
-        """Merge per-worker ``.rrec`` record shards into one artefact.
-
-        The memory-mapped k-way merge of :mod:`repro.records` replaces JSON
-        list concatenation: every shard is validated (CRC, schema) on open,
-        no record is ever decoded, and the output bytes equal a serial
-        re-encode of the concatenated records -- so the merged artefact is
-        bit-identical for any worker count and shard decomposition, the same
-        contract :meth:`map_shards` honours for fidelities.  Corrupt shards
-        raise :class:`~repro.records.format.RecordFormatError` and nothing
-        is written.
-        """
-        from repro.records import merge_record_files
-
-        return merge_record_files(shard_paths, output, tag=tag)

@@ -216,23 +216,59 @@ class TestBinaryBackend:
         assert cache.get_binary(FP) == expected
         assert cache.binary_path_for(FP).is_file()
 
-    def test_put_shards_commits_the_merged_artefact(self, tmp_path):
-        from repro.records import write_records
 
+class TestCount:
+    """``count()`` reads directory entries only and opens no file."""
+
+    def test_equals_fingerprints_on_a_clean_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        records = self._records()
-        first = tmp_path / "shard-0.rrec"
-        second = tmp_path / "shard-1.rrec"
-        write_records(first, records[:1])
-        write_records(second, records[1:])
-        path = cache.put_shards(FP, [first, second])
-        assert path == cache.binary_path_for(FP)
-        assert cache.get(FP) == records
-        # Byte-identical to the record-list commit of the same run.
-        direct = ResultCache(tmp_path / "direct")
-        direct.put(FP, records)
-        assert path.read_bytes() == direct.binary_path_for(FP).read_bytes()
-        assert cache.path_for(FP).read_bytes() == direct.path_for(FP).read_bytes()
+        assert cache.count() == len(cache.fingerprints()) == 0
+        for index in range(5):
+            cache.put(f"{index:02x}" + "e" * 62, [_record(shots=index + 1)])
+        cache.put(FP, [_record()])
+        assert cache.count() == len(cache.fingerprints()) == 6
+
+    def test_both_artefacts_count_once_and_either_alone_counts(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(FP, [_record()])
+        assert cache.path_for(FP).is_file() and cache.binary_path_for(FP).is_file()
+        assert cache.count() == 1
+        cache.put(OTHER_FP, [_record()])
+        cache.path_for(OTHER_FP).unlink()
+        assert cache.count() == 2
+        cache.binary_path_for(FP).unlink()
+        assert cache.count() == 2
+
+    def test_ignores_temp_files_and_foreign_names(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(FP, [_record()])
+        shard = tmp_path / FP[:2]
+        (shard / f".{FP[:8]}-k3x9q.tmp").write_bytes(b"partial")
+        (shard / f"{FP}.json.tmp").write_bytes(b"partial")
+        (shard / f"{'g' * 64}.json").write_text("{}")
+        (shard / f"{FP.upper()}.rrec").write_bytes(b"")
+        (shard / f"{FP[:-1]}.json").write_text("{}")
+        (shard / "notes.txt").write_text("hi")
+        (tmp_path / f"{OTHER_FP}.json").write_text("{}")  # not in a shard dir
+        (tmp_path / "ef").mkdir()
+        (tmp_path / "ef" / f"{OTHER_FP}.json").write_text("{}")  # wrong shard
+        assert cache.count() == 1
+
+    def test_counts_a_corrupt_artefact_by_name(self, tmp_path):
+        """Corruption reads as a miss where results are read, not here."""
+        cache = ResultCache(tmp_path)
+        cache.path_for(FP).parent.mkdir(parents=True)
+        cache.path_for(FP).write_text("{not json")
+        assert cache.count() == 1
+        assert cache.fingerprints() == []
+
+    def test_missing_root_counts_zero(self, tmp_path):
+        assert ResultCache(tmp_path / "absent").count() == 0
+        (tmp_path / "a-file").write_text("x")
+        assert ResultCache(tmp_path / "a-file").count() == 0
+
+    def test_empty_cache_stays_truthy(self, tmp_path):
+        assert ResultCache(tmp_path / "absent")
 
 
 class TestResolveCache:

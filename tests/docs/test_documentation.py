@@ -102,7 +102,6 @@ def test_architecture_doc_covers_the_contracts():
         "RecordFormatError",
         "CRC-32",
         "merge_record_files",
-        "put_shards",
         "byte-identical",
     ):
         assert required in text, f"ARCHITECTURE.md no longer mentions {required}"

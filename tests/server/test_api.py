@@ -299,6 +299,113 @@ class TestErrorModel:
         assert body["data"]["records"]
 
 
+class TestWarmPath:
+    """A cached submission answers from the cache alone: no compile runs."""
+
+    @pytest.fixture()
+    def seeded(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        run_scenario("ideal-m3", shots=8, seed=2, workers=1, cache=cache)
+        return ScenarioService(cache=cache)
+
+    @staticmethod
+    def _submit(service, seed):
+        payload = {"scenario": "ideal-m3", "shots": 8, "seed": seed}
+        return service.handle_post(f"{API_PREFIX}/runs", json.dumps(payload).encode())
+
+    def test_warm_submission_never_compiles(self, seeded, monkeypatch):
+        import repro.server.app as app_module
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("the warm path must not compile")
+
+        monkeypatch.setattr(app_module, "compile_scenario", explode)
+        status, body = self._submit(seeded, seed=2)
+        assert status == 200
+        assert body["data"]["cached"] is True
+        assert body["data"]["job"]["status"] == "done"
+        assert len(seeded.jobs) == 1
+
+    def test_cold_over_budget_submission_is_400_without_a_job(
+        self, seeded, monkeypatch
+    ):
+        import repro.server.app as app_module
+        from repro.circuit.ir import BranchBudgetError
+
+        def over_budget(*args, **kwargs):
+            raise BranchBudgetError("branch budget exceeded: synthetic")
+
+        monkeypatch.setattr(app_module, "compile_scenario", over_budget)
+        status, body = self._submit(seeded, seed=3)
+        assert (status, body["error"]["code"]) == (400, "branch_budget_exceeded")
+        assert len(seeded.jobs) == 0
+
+    def test_health_counts_artefacts_by_name(self, seeded):
+        cache = seeded.cache
+        (fingerprint,) = cache.fingerprints()
+        corrupt = "ff" + fingerprint[2:]
+        cache.path_for(corrupt).parent.mkdir(parents=True, exist_ok=True)
+        cache.path_for(corrupt).write_text("{not json")
+        status, body = seeded.handle_get(f"{API_PREFIX}/health")
+        assert status == 200
+        assert body["data"]["cached_results"] == cache.count() == 2
+
+
+class TestKeepAlive:
+    """Replies on one keep-alive connection must not stall on delayed ACKs."""
+
+    REQUESTS = 20
+
+    def test_sequential_requests_on_one_connection_are_fast(self, server):
+        host, port = server.httpd.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            # One untimed request opens the connection.
+            connection.request("GET", f"{API_PREFIX}/health")
+            assert connection.getresponse().read()
+            start = time.perf_counter()
+            for _ in range(self.REQUESTS):
+                connection.request("GET", f"{API_PREFIX}/health")
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                assert response.status == 200
+                assert body["status"] == "ok"
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        # A stalled reply costs ~40 ms; 20 of them would take ~800 ms.
+        assert elapsed < 0.3, f"{self.REQUESTS} keep-alive requests took {elapsed:.3f} s"
+
+    def test_keep_alive_serves_posts_and_errors_in_sequence(self, server):
+        host, port = server.httpd.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            for method, path, body, expected in (
+                ("GET", f"{API_PREFIX}/nope", None, 404),
+                ("POST", f"{API_PREFIX}/runs", b"{}", 400),
+                ("GET", f"{API_PREFIX}/scenarios/ideal-m3", None, 200),
+            ):
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                envelope = json.loads(response.read())
+                assert response.status == expected
+                assert envelope["api_version"] == API_VERSION
+        finally:
+            connection.close()
+
+    def test_http_0_9_request_gets_the_bare_body(self, server):
+        import socket
+
+        host, port = server.httpd.server_address[:2]
+        with socket.create_connection((host, port), timeout=30) as raw:
+            raw.sendall(f"GET {API_PREFIX}/health\r\n\r\n".encode())
+            chunks = []
+            while chunk := raw.recv(65536):
+                chunks.append(chunk)
+        envelope = json.loads(b"".join(chunks))
+        assert envelope["status"] == "ok"
+
+
 class TestContentLength:
     """``do_POST`` validates ``Content-Length`` before reading a byte."""
 
@@ -432,6 +539,100 @@ class TestJobTable:
         assert (first.id, second.id) == ("job-0001", "job-0002")
         assert len(table) == 2
         assert table.get("job-0003") is None
+
+    def test_eviction_drops_the_oldest_finished_jobs_first(self, monkeypatch):
+        import repro.server.jobs as jobs_module
+        from repro.scenarios import get_scenario
+
+        monkeypatch.setattr(jobs_module, "MAX_JOBS", 4)
+        table = JobTable()
+        spec = get_scenario("ideal-m3")
+
+        def create(status):
+            return table.create(
+                spec, "f" * 64, shots=1, seed=1, engine="feynman-tape", status=status
+            ).id
+
+        running = create("queued")
+        table.set_status(running, "running")
+        first_done = create("done")
+        queued = create("queued")
+        failed = create("queued")
+        table.set_status(failed, "error")
+        assert len(table) == 4
+        newest = create("done")
+        assert table.get(first_done) is None
+        assert len(table) == 4
+        create("queued")
+        assert table.get(failed) is None
+        create("done")
+        assert table.get(newest) is None
+        # Live jobs are never evicted, even past the bound.
+        for _ in range(3):
+            create("queued")
+        assert len(table) == 6
+        assert table.get(running).status == "running"
+        assert table.get(queued).status == "queued"
+        table.set_status(running, "done")
+        assert table.get(running).status == "done"
+
+    def test_concurrent_creates_never_evict_a_live_job(self, monkeypatch):
+        """Eviction runs under the table lock: no thread loses its live job."""
+        import sys
+        import threading
+
+        import repro.server.jobs as jobs_module
+        from repro.scenarios import get_scenario
+
+        monkeypatch.setattr(jobs_module, "MAX_JOBS", 4)
+        table = JobTable()
+        spec = get_scenario("ideal-m3")
+        errors = []
+
+        def client():
+            try:
+                for _ in range(300):
+                    job = table.create(
+                        spec, "f" * 64, shots=1, seed=1, engine="feynman-tape"
+                    )
+                    # set_status raises KeyError if the live job was evicted.
+                    table.set_status(job.id, "running")
+                    table.set_status(job.id, "done")
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client) for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(table) <= 4
+
+    def test_evicted_job_answers_not_found(self, tmp_path, monkeypatch):
+        import repro.server.jobs as jobs_module
+
+        monkeypatch.setattr(jobs_module, "MAX_JOBS", 2)
+        cache = ResultCache(tmp_path)
+        run_scenario("ideal-m3", shots=8, seed=2, workers=1, cache=cache)
+        service = ScenarioService(cache=cache)
+        body = json.dumps({"scenario": "ideal-m3", "shots": 8, "seed": 2}).encode()
+        ids = [
+            service.handle_post(f"{API_PREFIX}/runs", body)[1]["data"]["job"]["id"]
+            for _ in range(3)
+        ]
+        assert len(service.jobs) == 2
+        status, envelope = service.handle_get(f"{API_PREFIX}/jobs/{ids[0]}")
+        assert (status, envelope["error"]["code"]) == (404, "not_found")
+        for job_id in ids[1:]:
+            status, envelope = service.handle_get(f"{API_PREFIX}/jobs/{job_id}")
+            assert (status, envelope["data"]["status"]) == (200, "done")
 
     def test_set_status_rejects_unknown_states(self):
         from repro.scenarios import get_scenario
