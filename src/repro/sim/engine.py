@@ -673,10 +673,13 @@ def _execute_stacked_shots(
     This is the compiled engine's only executor: a noiseless run is one
     shot without sites.  ``codes`` holds the pre-drawn Pauli codes
     (``(n_sites, shots)``), ``measure_uniforms`` the pre-drawn measurement
-    uniforms.  Returns ``(bits, amps, outcomes)``: ``bits`` is the usual
-    ``(shots * n_paths, n_qubits)`` bool block, and the recorded classical
-    register (``None`` when the tape has no classical bits) rides along for
-    the ``*_recorded`` engine entry points.
+    uniforms.  Returns ``(bits, amps, outcomes)``: ``bits`` has the usual
+    ``(shots * n_paths, n_qubits)`` shape but is a non-contiguous view (the
+    ``.T``) of the unpacked qubit-major ``(n_qubits, shots * n_paths)``
+    block, so no transpose copy is made and
+    :func:`~repro.sim.fidelity.shot_fidelities` reads whole qubit rows; the
+    recorded classical register (``None`` when the tape has no classical
+    bits) rides along for the ``*_recorded`` engine entry points.
     """
     n_paths = state.num_paths
     width = shots * n_paths
@@ -811,7 +814,7 @@ def _execute_stacked_shots(
             n_paths,
             segment,
         )
-    return np.ascontiguousarray(_unpack_rows(rows, width).T), amps, outcomes
+    return _unpack_rows(rows, width).T, amps, outcomes
 
 
 class StatevectorEngine(Engine):

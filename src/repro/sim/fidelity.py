@@ -41,15 +41,31 @@ def _packed_key_matrix(bits: np.ndarray, columns: list[int]) -> np.ndarray:
 
     Row ``r`` of the result is byte-for-byte the :func:`_pack_rows` key of
     row ``r`` (so lookups against dicts keyed by ``_pack_rows`` agree), but
-    kept as a matrix so whole-block comparisons vectorise.
+    kept as a matrix so whole-block comparisons vectorise.  The bytes are
+    built along the qubit axis: ``bits.T[columns]`` gathers whole qubit
+    rows (contiguous ones for the stacked executor's qubit-major block),
+    zero-padded to a multiple of 8, and each group of 8 rows is weighted
+    ``128 ... 1`` and OR-reduced into one byte per path row: the bytes of
+    ``np.packbits(bits[:, columns], axis=1)`` without a row-major gather.
     """
-    return np.packbits(bits[:, columns], axis=1)
+    n_bytes = (len(columns) + 7) // 8
+    selected = np.zeros((8 * n_bytes, bits.shape[0]), dtype=np.uint8)
+    selected[: len(columns)] = bits.T[columns]
+    grouped = selected.reshape(n_bytes, 8, bits.shape[0])
+    grouped *= np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)[:, None]
+    return np.bitwise_or.reduce(grouped, axis=1).T
 
 
 def _as_void_keys(matrix: np.ndarray) -> np.ndarray:
     """View each row of a uint8 key matrix as one fixed-width void scalar."""
     contiguous = np.ascontiguousarray(matrix)
     return contiguous.view(np.dtype((np.void, matrix.shape[1])))[:, 0]
+
+
+def _rest_columns(num_qubits: int, keep_columns: list[int]) -> list[int]:
+    """The qubits outside ``keep_columns``, in index order."""
+    keep = set(keep_columns)
+    return [q for q in range(num_qubits) if q not in keep]
 
 
 def _ideal_keep_amplitudes(
@@ -62,7 +78,7 @@ def _ideal_keep_amplitudes(
     data ancillae) must return to |0...0>, so this always holds for a correct
     builder.  A non-product ideal output indicates a builder bug and raises.
     """
-    rest_columns = [q for q in range(ideal.num_qubits) if q not in set(keep_columns)]
+    rest_columns = _rest_columns(ideal.num_qubits, keep_columns)
     rest_keys = _pack_rows(ideal.bits, rest_columns)
     if len(set(rest_keys)) > 1:
         raise ValueError(
@@ -87,7 +103,7 @@ def reduced_fidelity(
     """
     keep_columns = list(keep_qubits)
     ideal_keep = _ideal_keep_amplitudes(ideal, keep_columns)
-    rest_columns = [q for q in range(noisy.num_qubits) if q not in set(keep_columns)]
+    rest_columns = _rest_columns(noisy.num_qubits, keep_columns)
 
     noisy_keep_keys = _pack_rows(noisy.bits, keep_columns)
     noisy_rest_keys = _pack_rows(noisy.bits, rest_columns)
@@ -116,6 +132,9 @@ def shot_fidelities(
     ``bits_block``/``amps_block`` are the outputs of
     :meth:`FeynmanPathSimulator.run_noisy_shots`: ``shots`` stacked copies of
     the path set, each evolved under an independently sampled error pattern.
+    Any memory layout of ``bits_block`` gives the same bits; the keys are
+    read along its qubit axis, which is contiguous for the tape engine's
+    ``.T`` view of a qubit-major block.
 
     When ``keep_qubits`` is ``None`` the full-state fidelity is computed;
     otherwise the reduced fidelity over ``keep_qubits``.
@@ -140,7 +159,7 @@ def shot_fidelities(
         rest_columns: list[int] = []
     else:
         keep_columns = list(keep_qubits)
-        rest_columns = [q for q in range(num_qubits) if q not in set(keep_columns)]
+        rest_columns = _rest_columns(num_qubits, keep_columns)
 
     ideal_keep = _ideal_keep_amplitudes(ideal, keep_columns)
 

@@ -30,10 +30,19 @@ and maps a whole window of shots to codes in one vector pass.  All Feynman
 engines share this contract, so their trajectories remain bit-identical to
 each other in seeded mode, and any sharding of the shot range reproduces the
 unsharded run exactly.
+
+The formula above is the definition (:meth:`ShotSeeds.sequence` and
+:meth:`ShotSeeds.generator` build it literally, and the tests compare
+against them), but the draw does not build one ``SeedSequence`` and
+``default_rng`` per shot.  Every entropy word before the shot index is the
+same across a window, so :func:`draw_shot_randomness` hashes that prefix
+once and derives the whole window's PCG64 states in one vector pass
+(:func:`_window_generators`), bit-identical to the per-shot construction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,14 +71,13 @@ class ShotSeeds:
     start: int = 0
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.point_index < 0:
-            raise ValueError(
-                f"point_index must be non-negative, got {self.point_index}"
-            )
-        if self.start < 0:
-            raise ValueError(f"start must be non-negative, got {self.start}")
+        for name in ("seed", "point_index", "start"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+            object.__setattr__(self, name, int(value))
 
     def sequence(self, local_shot: int) -> np.random.SeedSequence:
         """The :class:`~numpy.random.SeedSequence` of shot ``start + local_shot``."""
@@ -123,11 +131,13 @@ def draw_shot_randomness(
     Because a shot's draws depend only on its own stream, any sharding of
     the shot range reproduces the unsharded draw exactly.
 
-    Each shot makes one ``generator.random`` call for all
-    ``n_measurements + n_sites`` uniforms, which consumes the stream exactly
-    like separate calls for the measurement and site parts (the bit
-    generator spends one 64-bit word per double).  The site uniforms of the
-    whole window then become codes in one vectorised threshold comparison
+    The window's generator states come from one pass
+    (:func:`_window_generators`), and each shot makes one
+    ``generator.random`` call for all ``n_measurements + n_sites`` uniforms,
+    which consumes the stream exactly like separate calls for the
+    measurement and site parts (the bit generator spends one 64-bit word per
+    double).  The site uniforms of the whole window then become codes in one
+    vectorised threshold comparison
     (:meth:`~repro.circuit.ir.NoiseSiteTable.codes_from_uniforms`).
 
     Returns ``codes`` of shape ``(n_sites, shots)`` (``None`` without a site
@@ -137,8 +147,9 @@ def draw_shot_randomness(
     """
     n_sites = sites.n_sites if sites is not None else 0
     block = np.empty((shots, n_measurements + n_sites))
-    for shot in range(shots):
-        seeds.generator(shot).random(out=block[shot])
+    if block.size:
+        for shot, generator in enumerate(_window_generators(seeds, shots)):
+            generator.random(out=block[shot])
     codes = None
     if sites is not None:
         codes = np.ascontiguousarray(
@@ -148,3 +159,96 @@ def draw_shot_randomness(
         np.ascontiguousarray(block[:, :n_measurements].T) if n_measurements else None
     )
     return codes, uniforms
+
+
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _window_generators(seeds: ShotSeeds, shots: int) -> Iterator[np.random.Generator]:
+    """``seeds.generator(shot)`` for each shot of the window, derived in one pass.
+
+    One reused generator is loaded with each shot's PCG64 state in turn
+    (through the public ``BitGenerator.state`` setter), so consume it before
+    advancing the iterator.
+
+    ``SeedSequence(seed, spawn_key=(point, shot))`` hashes its entropy words
+    in order: the seed (zero-padded to the pool size), the point index, then
+    the shot index.  Every word before the shot's is the same across the
+    window, and ``SeedSequence(seed, spawn_key=(point,))`` hashes exactly
+    those, so its ``pool`` is the window's pool before the shot words.  Each
+    hash step multiplies the hash constant once, and that prefix takes four
+    steps per entropy word.  Only the shot words and the
+    ``generate_state(4, np.uint64)`` output then run per shot, as uint32
+    vector passes over the window, and PCG64's seeding is two 128-bit LCG
+    steps in Python ints.  The window is split at multiples of ``2**32``:
+    within a piece only the lowest shot word varies, so a shot index that
+    needs a second word (``2**32`` and above) takes the same pass.
+    """
+    prefix = np.random.SeedSequence(seeds.seed, spawn_key=(seeds.point_index,))
+    n_prefix = max(len(_words(seeds.seed)), _POOL_SIZE) + len(_words(seeds.point_index))
+    prefix_const = (_INIT_A * pow(_MULT_A, _POOL_SIZE * n_prefix, 1 << 32)) & _MASK32
+    bit_generator = np.random.PCG64(prefix)
+    generator = np.random.Generator(bit_generator)
+    first, end = seeds.start, seeds.start + shots
+    while first < end:
+        last = min(end, (first | _MASK32) + 1)
+        low = ((first & _MASK32) + np.arange(last - first)).astype(np.uint32)
+        pool = prefix.pool[:, None]
+        hash_const = prefix_const
+        for word in [low, *map(np.uint32, _words(first)[1:])]:
+            hashed, hash_const = _hash(word, hash_const, _MULT_A, _POOL_SIZE)
+            mixed = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
+            pool = mixed ^ (mixed >> 16)
+        state, _ = _hash(np.tile(pool, (2, 1)), _INIT_B, _MULT_B, 2 * _POOL_SIZE)
+        words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").tolist()
+        for state_hi, state_lo, seq_hi, seq_lo in words:
+            inc = ((((seq_hi << 64) | seq_lo) << 1) | 1) & _MASK128
+            initstate = (state_hi << 64) | state_lo
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {
+                    "state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128,
+                    "inc": inc,
+                },
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield generator
+        first = last
+
+
+def _words(value: int) -> list[int]:
+    """``value`` as SeedSequence assembles it: little-endian uint32 words, 0 -> [0]."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hash(values, hash_const: int, multiplier: int, steps: int):
+    """SeedSequence's hash under ``steps`` successive constants: ``(rows, next const)``.
+
+    Row ``i`` of the ``(steps, n)`` uint32 result hashes ``values`` (one row
+    broadcast to all, or row ``i`` of ``values``) with the ``i``-th constant
+    of the sequence ``hash_const, hash_const * multiplier, ...`` (mod
+    ``2**32``), the way ``hashmix`` and ``generate_state`` advance it.
+    """
+    consts = [hash_const]
+    for _ in range(steps):
+        consts.append((consts[-1] * multiplier) & _MASK32)
+    table = np.array(consts, dtype=np.uint32)[:, None]
+    mixed = (values ^ table[:-1]) * table[1:]
+    return mixed ^ (mixed >> 16), consts[-1]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuit import QuantumCircuit
 from repro.experiments.common import random_memory
 from repro.qram import VirtualQRAM
 from repro.sim import (
@@ -14,7 +15,12 @@ from repro.sim import (
     reduced_fidelity,
     state_fidelity,
 )
-from repro.sim.fidelity import _ideal_keep_amplitudes, _pack_rows, shot_fidelities
+from repro.sim.fidelity import (
+    _ideal_keep_amplitudes,
+    _pack_rows,
+    _packed_key_matrix,
+    shot_fidelities,
+)
 
 
 def _state(assignments, num_qubits):
@@ -163,3 +169,98 @@ class TestVectorisedFidelity:
             keep_qubits=keep,
         )
         assert np.array_equal(vectorised, reference)
+
+
+def _qubit_major_view(bits):
+    """The ``.T`` view of the qubit-major copy of a row-major bits block."""
+    view = np.ascontiguousarray(bits.T).T
+    assert view.flags.f_contiguous and not view.flags.c_contiguous
+    return view
+
+
+def _query_block(shots):
+    architecture = VirtualQRAM(memory=random_memory(2, 7), qram_width=2)
+    compiled = architecture.compiled_query()
+    bits, amps = get_engine("feynman-tape").run_noisy_shots(
+        compiled.circuit,
+        compiled.input_state,
+        GateNoiseModel(PauliChannel.depolarizing(0.05)),
+        shots,
+        rng=ShotSeeds(seed=13),
+    )
+    return compiled.ideal_output, bits, amps, list(compiled.kept_qubits)
+
+
+def _branching_block(shots):
+    """A noisy ``H`` + ``CX`` circuit: two output paths per input path."""
+    circuit = QuantumCircuit(3)
+    circuit.h(0)
+    circuit.cx(0, 1)
+    # Noise on the traced qubit 2 splits a shot's rest-state buckets.
+    circuit.x(2)
+    circuit.x(2)
+    state = PathState.from_basis_assignments([({}, 1.0)], 3)
+    engine = get_engine("feynman-tape")
+    bits, amps = engine.run_noisy_shots(
+        circuit,
+        state,
+        GateNoiseModel(PauliChannel.depolarizing(0.2)),
+        shots,
+        rng=ShotSeeds(seed=5),
+    )
+    assert bits.shape[0] == 2 * shots
+    return engine.run(circuit, state), bits, amps, [0, 1]
+
+
+class TestQubitMajorLayout:
+    @pytest.mark.parametrize(
+        "case", ["full", "reduced", "postselected", "branching-full", "branching"]
+    )
+    def test_row_major_and_qubit_major_blocks_agree_bit_for_bit(self, case):
+        shots = 24
+        if case.startswith("branching"):
+            ideal, bits, amps, keep = _branching_block(shots)
+        else:
+            ideal, bits, amps, keep = _query_block(shots)
+        if case.endswith("full"):
+            keep = None
+        kept = None
+        if case == "postselected":
+            kept = np.random.default_rng(3).random(shots) < 0.6
+        n_paths = bits.shape[0] // shots
+        row_major = np.ascontiguousarray(bits)
+        results = [
+            shot_fidelities(
+                ideal,
+                block,
+                amps,
+                shots=shots,
+                n_paths=n_paths,
+                keep_qubits=keep,
+                kept=kept,
+            )
+            for block in (row_major, _qubit_major_view(row_major))
+        ]
+        assert results[0].tobytes() == results[1].tobytes()
+        if kept is not None:
+            assert np.isnan(results[0]).sum() == (~kept).sum()
+
+    def test_stacked_executor_returns_the_qubit_major_view(self):
+        _, bits, _, _ = _query_block(4)
+        assert bits.flags.f_contiguous and not bits.flags.c_contiguous
+
+    @pytest.mark.parametrize("layout", ["row-major", "qubit-major"])
+    @pytest.mark.parametrize(
+        "columns",
+        [[], [5, 1, 4], [0, 2, 3, 7, 8, 11, 12, 13, 16, 19, 23], list(range(24))],
+        ids=["empty", "below-8", "not-multiple-of-8", "full"],
+    )
+    def test_packed_key_matrix_matches_packbits(self, columns, layout):
+        bits = np.random.default_rng(11).random((37, 24)) < 0.5
+        if layout == "qubit-major":
+            bits = _qubit_major_view(bits)
+        expected = np.packbits(bits[:, columns], axis=1)
+        packed = _packed_key_matrix(bits, columns)
+        assert packed.dtype == np.uint8
+        assert packed.shape == expected.shape
+        assert np.array_equal(packed, expected)

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.qram import ClassicalMemory, VirtualQRAM
 from repro.sim import GateNoiseModel, PauliChannel
-from repro.sim.seeding import ShotSeeds, as_shot_seeds
+from repro.circuit.ir import NoiseSiteTable
+from repro.sim.seeding import ShotSeeds, as_shot_seeds, draw_shot_randomness
 from repro.sweep import split_shots
 
 
@@ -47,6 +48,86 @@ class TestShotSeeds:
             ShotSeeds(seed=0, point_index=-1)
         with pytest.raises(ValueError):
             ShotSeeds(seed=0, start=-2)
+
+    @pytest.mark.parametrize("field", ["seed", "point_index", "start"])
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, "3", True, np.bool_(True), np.float64(2.0), None],
+        ids=["float", "str", "bool", "numpy-bool", "numpy-float", "none"],
+    )
+    def test_non_integer_coordinates_rejected(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            ShotSeeds(**{"seed": 0, field: value})
+
+    def test_numpy_integers_normalised_to_int(self):
+        seeds = ShotSeeds(np.uint64(2**63), np.int32(2), np.uint8(5))
+        assert seeds == ShotSeeds(2**63, 2, 5)
+        assert hash(seeds) == hash(ShotSeeds(2**63, 2, 5))
+        for value in (seeds.seed, seeds.point_index, seeds.start):
+            assert type(value) is int
+
+
+def _per_shot_reference(seeds: ShotSeeds, shots: int, width: int) -> np.ndarray:
+    """The per-shot construction the window draw replaces, ``(width, shots)``."""
+    block = np.empty((shots, width))
+    for shot in range(shots):
+        np.random.default_rng(seeds.sequence(shot)).random(out=block[shot])
+    return block.T
+
+
+#: Seeds of one to seven uint32 words, around every word boundary the
+#: SeedSequence entropy assembly pads or splits at.
+window_seeds = (
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1])
+    | st.integers(2**64, 2**64 + 2**16)
+    | st.integers(2**128, 2**200)
+    | st.integers(0, 2**64)
+)
+window_points = (
+    st.integers(0, 50) | st.integers(2**32 - 2, 2**32 + 2) | st.integers(2**32, 2**80)
+)
+#: Window starts that straddle the one- to two-word (and two- to
+#: three-word) shot-index boundaries for up to 64 shots.
+window_starts = (
+    st.integers(0, 10**6)
+    | st.integers(2**32 - 64, 2**32 + 64)
+    | st.integers(2**64 - 64, 2**64 + 64)
+)
+
+
+class TestWindowDraw:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=window_seeds,
+        point_index=window_points,
+        start=window_starts,
+        shots=st.integers(1, 64),
+        width=st.integers(1, 6),
+    )
+    @example(seed=7, point_index=3, start=2**32 - 5, shots=10, width=2)
+    @example(seed=2**130 + 9, point_index=2**33, start=2**32 - 64, shots=64, width=1)
+    @example(seed=0, point_index=0, start=2**64 - 1, shots=3, width=4)
+    def test_window_matches_per_shot_default_rng(
+        self, seed, point_index, start, shots, width
+    ):
+        seeds = ShotSeeds(seed=seed, point_index=point_index, start=start)
+        codes, uniforms = draw_shot_randomness(None, seeds, shots, width)
+        assert codes is None
+        np.testing.assert_array_equal(
+            uniforms, _per_shot_reference(seeds, shots, width)
+        )
+
+    @pytest.mark.parametrize("shots", [0, 1, 64])
+    def test_zero_width_draws(self, shots):
+        seeds = ShotSeeds(seed=2**64 + 3, point_index=2**32, start=2**32 - 1)
+        assert draw_shot_randomness(None, seeds, shots) == (None, None)
+        empty = np.empty(0, dtype=np.int32)
+        table = NoiseSiteTable(
+            gate_index=empty, qubit=empty, group_index=empty, channels=()
+        )
+        codes, uniforms = draw_shot_randomness(table, seeds, shots)
+        assert codes.shape == (0, shots) and codes.dtype == np.int64
+        assert uniforms is None
 
 
 class TestAsShotSeeds:
