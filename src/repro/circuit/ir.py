@@ -19,7 +19,10 @@ Fusing is only performed when it is *exactly* equivalent to sequential
 application: gates inside a group touch disjoint qubit sets, so they commute
 with each other and with any Pauli error on an earlier group member's
 operands.  That is what lets the noisy engine apply a group's error sites
-after the whole group without changing the sampled trajectory.
+after the whole group without changing the sampled trajectory.  A noise
+model that errs on a qubit a *later* gate of the group touches (an
+off-operand, crosstalk-style site) gets a re-fused tape in which that qubit
+closes the run (:meth:`GateTape.noise_sites`).
 
 Mid-circuit measurement (``MEASURE``) and Pauli-frame feedforward
 (``CPAULI``) compile to their own opcodes with **fusion-barrier** semantics:
@@ -28,11 +31,11 @@ run is fused across it.  The tape records the measurement order
 (:attr:`GateTape.measurements`) because every measurement consumes exactly
 one uniform variate of the shot's random stream -- drawn *before* the shot's
 noise-site codes -- which is what keeps seeded trajectories of measured
-circuits bit-identical across engines and across any sweep sharding.
+circuits bit-identical across any sweep sharding.
 
 Path branching (``H``)
 ----------------------
-A mid-circuit Hadamard is the one gate the Feynman engines execute by
+A mid-circuit Hadamard is the one gate the Feynman engine executes by
 *doubling* the path set: ``H|b> = (|0> + (-1)**b |1>) / sqrt(2)`` splits
 every path into two amplitude-weighted branches.  The compiler tags every
 tape position with its **branch level** (:attr:`GateTape.branch_levels`, the
@@ -40,9 +43,9 @@ base-2 logarithm of the path multiplier after the group) and pre-computes a
 deterministic **collapse plan** (:attr:`GateTape.collapse_strides`): for each
 ``Z``-basis measurement it decides statically -- from exact GF(2) tracking of
 every branch axis's bit-difference vector -- whether the true-marginal
-projection annihilates exactly one branch of some axis, in which case every
+projection annihilates exactly one branch of some axis, in which case the
 engine contracts that axis and the path set halves again.  Because the plan
-is a pure function of the instruction sequence, all engines collapse
+is a pure function of the instruction sequence, every shot collapses
 identically and the result is invariant under any sweep sharding.  Circuits
 whose branch level would exceed the configurable budget
 (:func:`get_max_branches`) raise the typed :class:`BranchBudgetError` before
@@ -216,13 +219,13 @@ class TapeGroup:
 class NoiseSiteTable:
     """Every (gate, qubit) error site of a noise model, in execution order.
 
-    The site order is exactly the order the interpreted runner applies
-    errors in (gates in instruction order, operand qubits in gate order,
+    The site order is the order :func:`repro.sim.noise.iter_error_sites`
+    yields (gates in instruction order, each gate's channels in model order,
     trivial channels skipped, then the model's end-of-circuit sites), so a
-    shot's uniforms map to the same sites on every engine
-    (:func:`repro.sim.seeding.draw_shot_randomness`, through
-    :meth:`codes_from_uniforms`) and seeded trajectories agree bit for bit.
-    End-of-circuit sites carry ``gate_index == -1`` and
+    shot's uniforms (:func:`repro.sim.seeding.draw_shot_randomness`, through
+    :meth:`codes_from_uniforms`) map to the sites a sequential insertion of
+    the sampled Paulis would use -- the test suite's dense oracle does
+    exactly that.  End-of-circuit sites carry ``gate_index == -1`` and
     ``group_index == num_groups``.
     """
 
@@ -230,6 +233,10 @@ class NoiseSiteTable:
     qubit: np.ndarray  # (n_sites,) int32
     group_index: np.ndarray  # (n_sites,) int32: group after which the site fires
     channels: tuple  # (n_sites,) PauliChannel per site
+    #: The re-fused tape ``group_index`` refers to when an off-operand site
+    #: sits inside a fused run (see :meth:`GateTape.noise_sites`); ``None``
+    #: means the tape that built the table, which then runs unchanged.
+    tape: "GateTape | None" = field(default=None, repr=False, compare=False)
     _run_cache: tuple | None = field(
         default=None, repr=False, compare=False
     )  # lazily computed (start, stop, channel) runs
@@ -282,10 +289,10 @@ class NoiseSiteTable:
 
         ``uniforms`` has shape ``(..., n_sites)``.  Site ``i`` of every row
         gets ``(u >= t0) + (u >= t1) + (u >= t2)`` over its channel's
-        thresholds, which equals :meth:`PauliChannel.sample_thresholded`'s
-        ``searchsorted(thresholds, u, side="right")`` because the thresholds
-        are sorted.  A whole block of shots is thus three vector comparisons,
-        summed in a one-byte code array that callers widen to int64.
+        thresholds, which equals ``searchsorted(thresholds, u, side="right")``
+        because the thresholds are sorted.  A whole block of shots is thus
+        three vector comparisons, summed in a one-byte code array that
+        callers widen to int64.
         """
         t0, t1, t2 = self._thresholds()
         codes = np.greater_equal(uniforms, t0).view(np.int8)
@@ -293,18 +300,6 @@ class NoiseSiteTable:
         codes += np.greater_equal(uniforms, t1, out=above)
         codes += np.greater_equal(uniforms, t2, out=above)
         return codes
-
-    def draw_shot(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one shot's Pauli codes from its own generator: ``(n_sites,)``.
-
-        This is the per-shot seeded mode used by deterministic sharding
-        (:class:`repro.sim.seeding.ShotSeeds`): the codes for a shot depend
-        only on that shot's generator, so any partition of a shot range into
-        shards reproduces the unsharded batch exactly.  One ``rng.random``
-        call yields a uniform per site in execution order, and
-        :meth:`codes_from_uniforms` maps them through the sites' thresholds.
-        """
-        return self.codes_from_uniforms(rng.random(self.n_sites)).astype(np.int64)
 
 
 # ------------------------------------------------------------------------ tape
@@ -316,7 +311,7 @@ class GateTape:
     groups: list[TapeGroup]
     gates: list[Instruction]  # barrier-free gates in original order
     gate_group: np.ndarray  # (n_gates,) int32: group each gate belongs to
-    unsupported_path_gates: tuple[str, ...]  # gates Feynman engines must reject
+    unsupported_path_gates: tuple[str, ...]  # gates the Feynman engine rejects
     source_length: int  # len(circuit.instructions) at compile time
     #: ``(cbit, basis)`` of every MEASURE instruction in execution order --
     #: the order engines consume measurement randomness in (one uniform per
@@ -384,6 +379,15 @@ class GateTape:
     def noise_sites(self, noise: "NoiseModel") -> NoiseSiteTable:
         """Memoized :class:`NoiseSiteTable` for ``noise``.
 
+        A site on a qubit that is not its gate's operand fires, like every
+        site, after the gate's whole fused group.  When a later gate of that
+        group touches the qubit, the table is built against a **re-fused**
+        copy of this tape instead (:attr:`NoiseSiteTable.tape`, memoised
+        with the table), in which the site's qubit closes the run to later
+        gates on it; engines execute that copy.  A model without such a
+        conflict leaves :attr:`NoiseSiteTable.tape` ``None``, so this very
+        tape runs.
+
         The table only depends on the (hashable, frozen) noise model, so
         repeated Monte-Carlo calls over a sweep reuse it.  The same model
         object is found by identity first: hashing a large frozen model
@@ -408,31 +412,29 @@ class GateTape:
         gate_index: list[int] = []
         qubits: list[int] = []
         channels: list["PauliChannel"] = []
-        later_in_group: dict[int, set[int]] | None = None
+        offsite: dict[int, set[int]] = {}
         for index, instr in enumerate(self.gates):
             for qubit, channel in noise.gate_error_channels_indexed(index, instr):
                 if channel.is_trivial:
                     continue
                 if qubit not in instr.qubits:
-                    # Off-operand site (e.g. a crosstalk model): deferring it
-                    # to the end of the fused group is only sound if no later
-                    # gate in the group touches that qubit.
-                    if later_in_group is None:
-                        later_in_group = self._later_group_qubits()
-                    if qubit in later_in_group[index]:
-                        raise ValueError(
-                            f"noise model places an error on qubit {qubit} "
-                            f"after {instr}, but a later gate in the same "
-                            "fused run touches that qubit; the compiled "
-                            "engine cannot order this -- use "
-                            "engine='feynman-interp'"
-                        )
+                    offsite.setdefault(index, set()).add(qubit)
                 gate_index.append(index)
                 qubits.append(qubit)
                 channels.append(channel)
+        tape = self
+        if offsite:
+            # An off-operand site (e.g. a crosstalk model) fires at the end of
+            # its gate's fused group, which is only sound if no later gate of
+            # the group touches that qubit.  Re-fusing with the site qubits
+            # blocked keeps such gates out of the run; when nothing was
+            # blocked the grouping is unchanged and this tape runs as is.
+            refused = _compile(self.num_qubits, self.gates, self.source_length, offsite)
+            if not np.array_equal(refused.gate_group, self.gate_group):
+                tape = refused
         gate_arr = np.asarray(gate_index, dtype=np.int32)
         group_arr = (
-            self.gate_group[gate_arr]
+            tape.gate_group[gate_arr]
             if len(gate_index)
             else np.empty(0, dtype=np.int32)
         )
@@ -451,27 +453,15 @@ class GateTape:
             qubits.extend(qubit for qubit, _ in final)
             channels.extend(channel for _, channel in final)
             group_arr = np.concatenate(
-                [group_arr, np.full(len(final), len(self.groups), dtype=np.int32)]
+                [group_arr, np.full(len(final), len(tape.groups), dtype=np.int32)]
             )
         return NoiseSiteTable(
             gate_index=gate_arr,
             qubit=np.asarray(qubits, dtype=np.int32),
             group_index=group_arr,
             channels=tuple(channels),
+            tape=None if tape is self else tape,
         )
-
-    def _later_group_qubits(self) -> dict[int, set[int]]:
-        """For each gate, the qubits touched by later gates of its group.
-
-        Suffix scan per group: walk backwards accumulating operand sets.
-        """
-        later: dict[int, set[int]] = {}
-        accumulated: dict[int, set[int]] = {}
-        for index in range(len(self.gates) - 1, -1, -1):
-            group = int(self.gate_group[index])
-            later[index] = set(accumulated.get(group, ()))
-            accumulated.setdefault(group, set()).update(self.gates[index].qubits)
-        return later
 
 
 class _BranchTracker:
@@ -494,7 +484,7 @@ class _BranchTracker:
     axis, for every shot -- so the compiler schedules a deterministic
     contraction of the innermost such axis (recorded as the group's collapse
     stride) and the path multiplier halves again.  Because the schedule is a
-    pure function of the instruction sequence, every engine collapses
+    pure function of the instruction sequence, every shot collapses
     identically and sharded sweeps stay bit-identical.
     """
 
@@ -609,7 +599,25 @@ def compile_circuit(circuit: "QuantumCircuit") -> GateTape:
     cached = getattr(circuit, "_tape", None)
     if cached is not None and cached.source_length == len(circuit.instructions):
         return cached
+    tape = _compile(circuit.num_qubits, circuit.instructions, len(circuit.instructions))
+    circuit._tape = tape
+    return tape
 
+
+def _compile(
+    num_qubits: int,
+    instructions: Sequence[Instruction],
+    source_length: int,
+    offsite: dict[int, set[int]] | None = None,
+) -> GateTape:
+    """The fusion loop of :func:`compile_circuit`, uncached.
+
+    ``offsite`` maps a barrier-free gate index to the qubits a noise model
+    errs on right after that gate without them being its operands.  They
+    join the open run's occupied set after the gate, so no later gate on
+    those qubits fuses into the run and the group-deferred error still
+    fires before any gate touches them (see :meth:`GateTape.noise_sites`).
+    """
     groups: list[TapeGroup] = []
     gates: list[Instruction] = []
     gate_group: list[int] = []
@@ -625,7 +633,7 @@ def compile_circuit(circuit: "QuantumCircuit") -> GateTape:
     current_rows: list[Sequence[int]] = []
     current_qubits: set[int] = set()
 
-    for instr in circuit.instructions:
+    for instr in instructions:
         if instr.is_barrier:
             continue
         opcode = GATE_OPCODES[instr.gate]
@@ -677,6 +685,8 @@ def compile_circuit(circuit: "QuantumCircuit") -> GateTape:
             current_qubits = set()
         current_rows.append(operands)
         current_qubits.update(operands)
+        if offsite:
+            current_qubits.update(offsite.get(len(gates), ()))
         gates.append(instr)
         gate_group.append(len(groups))
         tracker.apply(instr)
@@ -689,13 +699,13 @@ def compile_circuit(circuit: "QuantumCircuit") -> GateTape:
         # the level after the group's final gate.
         group_levels[gate_group[gate_index]] = level
 
-    tape = GateTape(
-        num_qubits=circuit.num_qubits,
+    return GateTape(
+        num_qubits=num_qubits,
         groups=groups,
         gates=gates,
         gate_group=np.asarray(gate_group, dtype=np.int32),
         unsupported_path_gates=tuple(unsupported),
-        source_length=len(circuit.instructions),
+        source_length=source_length,
         measurements=tuple(measurements),
         num_clbits=num_clbits,
         branch_levels=tuple(group_levels),
@@ -704,5 +714,3 @@ def compile_circuit(circuit: "QuantumCircuit") -> GateTape:
         ),
         max_branch_level=max(gate_levels, default=0),
     )
-    circuit._tape = tape
-    return tape

@@ -5,7 +5,7 @@ Usage::
     python -m repro.experiments list
     python -m repro.experiments table1 [--out results/]
     python -m repro.experiments fig9 --shots 256 --seed 7 [--out results/]
-    python -m repro.experiments fig10 --engine feynman-interp
+    python -m repro.experiments table2 --engine statevector
     python -m repro.experiments all --quick
     python -m repro.experiments scenario --list
     python -m repro.experiments scenario htree-swap-m3 --workers 4 --out out/

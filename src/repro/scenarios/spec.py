@@ -58,7 +58,7 @@ class ScenarioSpec:
         links but replaces every sequential hop chain with a constant-depth
         entanglement-swapping link (Bell pairs + Bell-state measurements),
         which branches the path set through the bounded-``H`` support of the
-        Feynman engines and is subject to the branch budget of
+        Feynman engine and is subject to the branch budget of
         :func:`repro.circuit.ir.get_max_branches`.  ``mapping="device"``
         always swap-routes; ``mapping="none"`` ignores this field.
     router:

@@ -15,7 +15,7 @@ Contents
   Monte-Carlo-noisy path simulation, vectorised across both paths and shots.
 * :mod:`~repro.sim.engine` -- pluggable execution engines behind the
   simulator facade: the compiled gate-tape engine (``"feynman-tape"``, the
-  default), the interpreted reference (``"feynman-interp"``) and the dense
+  default and the only one that samples noise) and the dense
   ``"statevector"`` adapter, plus the name registry and session default.
 * :class:`~repro.sim.statevector.StatevectorSimulator` -- dense reference
   simulator (supports ``H``/``S``/``T``) used for cross-validation in tests.

@@ -5,14 +5,9 @@ state does this circuit produce?" and "what are the per-shot trajectories
 under Monte-Carlo Pauli noise?" -- so both are captured behind one
 :class:`Engine` interface with a name-based registry:
 
-``"feynman-interp"``
-    The original instruction-at-a-time Feynman-path runner: string dispatch
-    per gate, one masked update per (gate, qubit) error site.  Kept as the
-    readable reference implementation and the baseline for
-    ``benchmarks/bench_compiled_engine.py``.
-
 ``"feynman-tape"``
-    The compiled engine (the default).  Executes the fused
+    The Feynman-path engine (the default, and the only one that samples
+    Monte-Carlo noise).  Executes the fused
     :class:`~repro.circuit.ir.GateTape` group by group with integer-opcode
     dispatch, draws **all** Pauli codes for a shot batch up front from the
     tape's noise-site table, and applies the (sparse) error events per
@@ -24,12 +19,12 @@ under Monte-Carlo Pauli noise?" -- so both are captured behind one
     amplitudes (phases, ``Z``/``Y`` errors and frames, measurements,
     branching) unpacks the bits it reads, and it applies the same NumPy
     update as the group kernels, so the amplitudes are bit-identical to a
-    NumPy-bool execution.  Under a fixed seed it
-    consumes the random stream identically to ``"feynman-interp"`` and
-    reproduces its shot fidelities bit for bit on the QRAM gate set
-    (permutation gates plus exact ``+-1`` / ``+-i`` phases); fused
-    ``T``/``TDG`` runs use a phase table whose rounding can differ from
-    sequential multiplication by ~1 ulp.
+    NumPy-bool execution.  Its seeded shots are checked against an
+    independent dense oracle in the test suite (``tests/oracle.py``): the
+    same shot's Paulis, drawn from the noise model and inserted after their
+    gates, run through :class:`~repro.sim.statevector.StatevectorSimulator`.
+    Fused ``T``/``TDG`` runs use a phase table whose rounding can differ
+    from sequential multiplication by ~1 ulp.
 
 ``"statevector"``
     The dense reference simulator, adapted to the same interface (noiseless
@@ -73,11 +68,10 @@ argument into a :class:`~repro.sim.seeding.ShotSeeds` window
 stream.  Per shot, measurement uniforms are drawn
 *first* (one per ``MEASURE`` in program order -- see
 :attr:`~repro.circuit.ir.GateTape.measurements`), then the noise-site codes
-in site order.  All Feynman engines consume streams identically, so seeded
-trajectories of measured circuits stay bit-identical across engines and
-across any ``(workers, shard_size)`` sweep split; circuits without
-measurements consume exactly the pre-measurement streams, preserving every
-committed artefact bit for bit.
+in site order.  Because a shot's draws depend only on its own stream, seeded
+trajectories stay bit-identical across any ``(workers, shard_size)`` sweep
+split; circuits without measurements consume exactly the pre-measurement
+streams, preserving every committed artefact bit for bit.
 
 Bounded path branching (``H``)
 ------------------------------
@@ -90,7 +84,7 @@ typed budget of :func:`repro.circuit.ir.get_max_branches`, enforced before
 any shot executes) and falls again at ``Z``-basis measurements whose
 compile-time collapse plan (:attr:`~repro.circuit.ir.GateTape.collapse_strides`)
 proves the true-marginal projection annihilates exactly one branch of a live
-axis -- the engines then contract that axis by gathering the surviving
+axis -- the engine then contracts that axis by gathering the surviving
 partner of every pair.  Branching consumes **no randomness** of its own, so
 the random-stream contract above is untouched: branch-free circuits execute
 exactly as before, bit for bit.
@@ -127,23 +121,22 @@ from repro.circuit.ir import (
     PHASE_T_POW_CONJ,
     compile_circuit,
 )
-from repro.sim.feynman_kernels import (
-    INV_SQRT2,
-    UnsupportedGateError,
-    apply_hadamard,
-    apply_instruction,
-    apply_masked_pauli,
-)
 from repro.sim.noise import (
     NoiseModel,
     NoiselessModel,
-    PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
 )
 from repro.sim.paths import PathState
 from repro.sim.seeding import ShotSeeds, as_shot_seeds, draw_shot_randomness
+
+#: The amplitude weight of each Hadamard branch.
+INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+class UnsupportedGateError(ValueError):
+    """Raised when a circuit contains a gate outside the path-simulable set."""
 
 
 def _check_state(circuit: QuantumCircuit, state: PathState) -> None:
@@ -163,9 +156,9 @@ def _apply_measure(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Measure one qubit across a stacked shot block, in place.
 
-    ``column`` is the measured qubit's boolean values as a writable 1-D view
-    of length ``shots * n_paths`` (a ``bits_q`` row for the tape engine, a
-    ``bits`` column for the interpreted one); ``uniforms`` holds one
+    ``column`` is the measured qubit's boolean values as a writable 1-D
+    array of length ``shots * n_paths`` (one unpacked qubit row of the
+    stacked block); ``uniforms`` holds one
     pre-drawn variate per shot.  Returns ``(outcomes, keep)``: the sampled
     outcomes (shape ``(shots,)`` int8) and, for ``Z``-basis measurements,
     the ``(shots, n_paths)`` mask of paths that survived the projection
@@ -206,11 +199,12 @@ def _branch_hadamard_group(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Apply a fused ``H`` group to a qubit-major block, doubling per gate.
 
-    Column ``j`` splits into ``2 j`` (bit cleared) and ``2 j + 1`` (bit set,
-    sign flipped when the pre-branch bit was 1), each weighted by
-    ``1/sqrt(2)`` -- the same operation order as the row-major
-    :func:`~repro.sim.feynman_kernels.apply_hadamard`, so all engines stay
-    bit-identical.  Returns the new ``(bits_q, amps, n_paths)``.
+    ``H|b> = (|0> + (-1)**b |1>) / sqrt(2)``: column ``j`` splits into
+    ``2 j`` (bit cleared) and ``2 j + 1`` (bit set, sign flipped when the
+    pre-branch bit was 1), each weighted by ``1/sqrt(2)``, so the newest
+    branch axis is always the innermost stride-1 pairing -- the layout the
+    compile-time collapse plan of :mod:`repro.circuit.ir` assumes.  Returns
+    the new ``(bits_q, amps, n_paths)``.
     """
     for row in range(qs.shape[0]):
         q = int(qs[row, 0])
@@ -246,46 +240,6 @@ def _collapse_flat_indices(
     survivors = lower[None] + upper.astype(np.int64) * stride
     offsets = np.arange(shots, dtype=np.int64)[:, None, None] * n_paths
     return (offsets + survivors).reshape(-1)
-
-
-def _apply_frame(
-    column: np.ndarray,
-    amps: np.ndarray,
-    pauli: str,
-    active: np.ndarray,
-    n_paths: int,
-) -> None:
-    """Apply a Pauli-frame correction to the shots where ``active`` is True."""
-    if not np.any(active):
-        return
-    rows = np.repeat(active, n_paths)
-    if pauli == "X":
-        column[rows] ^= True
-    elif pauli == "Z":
-        mask = rows & column
-        if np.any(mask):
-            amps[mask] *= -1.0
-    else:  # Y
-        amps[rows] *= np.where(column[rows], -1j, 1j)
-        column[rows] ^= True
-
-
-def _frame_active(
-    outcomes: np.ndarray | None, condition_bits: tuple[int, ...], shots: int
-) -> np.ndarray:
-    """Per-shot XOR of the recorded classical bits a ``CPAULI`` conditions on."""
-    if outcomes is None or not condition_bits:
-        return np.zeros(shots, dtype=bool)
-    return (outcomes[list(condition_bits)].sum(axis=0) & 1).astype(bool)
-
-
-def _measure_strides(tape: GateTape) -> list[int]:
-    """Collapse strides in measurement order (0 where no collapse is planned)."""
-    return [
-        tape.collapse_strides[index]
-        for index, group in enumerate(tape.groups)
-        if group.opcode == OP_MEASURE
-    ]
 
 
 class UnsupportedEngineError(ValueError):
@@ -366,209 +320,6 @@ class Engine:
 
 
 # ==================================================================== engines
-class InterpretedFeynmanEngine(Engine):
-    """Instruction-at-a-time Feynman-path execution (the original hot path)."""
-
-    name = "feynman-interp"
-
-    def _validate(self, circuit: QuantumCircuit) -> None:
-        tape = compile_circuit(circuit)
-        if tape.unsupported_path_gates:
-            raise UnsupportedGateError(
-                f"gate {tape.unsupported_path_gates[0]} is not simulable by "
-                "the Feynman-path simulator"
-            )
-        tape.require_branch_budget()
-
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> PathState:
-        """Instruction-at-a-time noiseless evolution (measurements sampled from ``rng``)."""
-        _check_state(circuit, state)
-        self._validate(circuit)
-        tape = compile_circuit(circuit)
-        bits = state.bits.copy()
-        amps = state.amplitudes.copy()
-        outcomes: np.ndarray | None = None
-        if tape.num_clbits:
-            outcomes = np.zeros((tape.num_clbits, 1), dtype=np.int8)
-            if rng is None:
-                rng = np.random.default_rng(0)
-        n_paths = state.num_paths
-        measure_strides = _measure_strides(tape)
-        measure_cursor = 0
-        for instr in circuit.instructions:
-            if instr.is_barrier:
-                continue
-            if instr.is_measurement:
-                outcomes[instr.cbit], keep = _apply_measure(
-                    bits[:, instr.qubits[0]], amps, instr.basis, rng.random(1), n_paths
-                )
-                stride = measure_strides[measure_cursor]
-                measure_cursor += 1
-                if stride:
-                    flat = _collapse_flat_indices(keep, 1, n_paths, stride)
-                    bits = bits[flat]
-                    amps = amps[flat]
-                    n_paths //= 2
-            elif instr.is_frame:
-                _apply_frame(
-                    bits[:, instr.qubits[0]],
-                    amps,
-                    instr.frame_pauli,
-                    _frame_active(outcomes, instr.condition_bits, 1),
-                    n_paths,
-                )
-            elif instr.gate == "H":
-                bits, amps = apply_hadamard(bits, amps, instr.qubits[0])
-                n_paths *= 2
-            else:
-                apply_instruction(bits, amps, instr)
-        return PathState(bits=bits, amplitudes=amps)
-
-    def run_noisy_shots(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        rng: ShotSeeds | int | np.random.Generator | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised Monte-Carlo shots, instruction at a time (see :class:`Engine`)."""
-        bits, amps, _ = self.run_noisy_shots_recorded(
-            circuit, state, noise, shots, rng=rng
-        )
-        return bits, amps
-
-    def run_noisy_shots_recorded(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        rng: ShotSeeds | int | np.random.Generator | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Monte-Carlo shots plus the recorded register (see :class:`Engine`)."""
-        if shots <= 0:
-            raise ValueError("shots must be positive")
-        seeds = as_shot_seeds(rng)
-        _check_state(circuit, state)
-        self._validate(circuit)
-        tape = compile_circuit(circuit)
-
-        noiseless = isinstance(noise, NoiselessModel)
-        n_measurements = tape.num_measurements
-        # Pre-draw every shot's randomness column by column from its own
-        # stream, in the contract order -- measurement uniforms first, then
-        # the site codes in the exact order the loop below consumes them
-        # (gates in instruction order, trivial channels skipped,
-        # end-of-circuit channels last -- the same filter as the loop, so a
-        # running cursor stays aligned).  The sites are enumerated here rather
-        # than through GateTape.noise_sites so interp keeps supporting
-        # off-operand error placements the fused tape must reject; for the
-        # QRAM noise models both enumerations are identical, which is what
-        # keeps the engines' seeded trajectories bit-for-bit equal.
-        site_codes: np.ndarray | None = None
-        measure_uniforms: np.ndarray | None = None
-        site_cursor = 0
-        measure_cursor = 0
-        sites: NoiseSiteTable | None = None
-        if not noiseless:
-            channels = [
-                channel
-                for gate_index, instr in enumerate(
-                    instr for instr in circuit.instructions if not instr.is_barrier
-                )
-                for _, channel in noise.gate_error_channels_indexed(gate_index, instr)
-                if not channel.is_trivial
-            ]
-            channels.extend(
-                channel
-                for _, channel in noise.final_error_channels()
-                if not channel.is_trivial
-            )
-            # Drawing consumes only the channel sequence; the positional
-            # columns of the table are irrelevant here.
-            placeholder = np.zeros(len(channels), dtype=np.int32)
-            sites = NoiseSiteTable(
-                gate_index=placeholder,
-                qubit=placeholder,
-                group_index=placeholder,
-                channels=tuple(channels),
-            )
-        if sites is not None or n_measurements:
-            site_codes, measure_uniforms = draw_shot_randomness(
-                sites, seeds, shots, n_measurements
-            )
-
-        outcomes: np.ndarray | None = None
-        if tape.num_clbits:
-            outcomes = np.zeros((tape.num_clbits, shots), dtype=np.int8)
-
-        n_paths = state.num_paths
-        bits = np.tile(state.bits, (shots, 1))
-        amps = np.tile(state.amplitudes, shots).astype(complex)
-
-        def apply_site(qubit: int) -> None:
-            nonlocal site_cursor
-            shot_codes = site_codes[site_cursor]
-            site_cursor += 1
-            if not np.any(shot_codes != PAULI_I):
-                return
-            row_codes = np.repeat(shot_codes, n_paths)
-            apply_masked_pauli(bits, amps, qubit, row_codes)
-
-        measure_strides = _measure_strides(tape)
-        gate_index = 0
-        for instr in circuit.instructions:
-            if instr.is_barrier:
-                continue
-            if instr.is_measurement:
-                outcomes[instr.cbit], keep = _apply_measure(
-                    bits[:, instr.qubits[0]],
-                    amps,
-                    instr.basis,
-                    measure_uniforms[measure_cursor],
-                    n_paths,
-                )
-                stride = measure_strides[measure_cursor]
-                measure_cursor += 1
-                if stride:
-                    flat = _collapse_flat_indices(keep, shots, n_paths, stride)
-                    bits = bits[flat]
-                    amps = amps[flat]
-                    n_paths //= 2
-            elif instr.is_frame:
-                _apply_frame(
-                    bits[:, instr.qubits[0]],
-                    amps,
-                    instr.frame_pauli,
-                    _frame_active(outcomes, instr.condition_bits, shots),
-                    n_paths,
-                )
-            elif instr.gate == "H":
-                bits, amps = apply_hadamard(bits, amps, instr.qubits[0])
-                n_paths *= 2
-            else:
-                apply_instruction(bits, amps, instr)
-            if not noiseless:
-                for qubit, channel in noise.gate_error_channels_indexed(
-                    gate_index, instr
-                ):
-                    if not channel.is_trivial:
-                        apply_site(qubit)
-            gate_index += 1
-        if not noiseless:
-            for qubit, channel in noise.final_error_channels():
-                if not channel.is_trivial:
-                    apply_site(qubit)
-        return bits, amps, outcomes
-
-
 class TapeFeynmanEngine(Engine):
     """Compiled Feynman-path execution over the fused gate tape."""
 
@@ -636,6 +387,8 @@ class TapeFeynmanEngine(Engine):
         sites: NoiseSiteTable | None = (
             None if isinstance(noise, NoiselessModel) else tape.noise_sites(noise)
         )
+        if sites is not None and sites.tape is not None:
+            tape = sites.tape  # re-fused around an off-operand site
         n_measurements = tape.num_measurements
         codes = measure_uniforms = None
         if sites is not None or n_measurements:
@@ -659,7 +412,7 @@ def _execute_stacked_shots(
 
     The block holds one Python ``int`` per qubit: bit ``j`` of ``rows[q]`` is
     qubit ``q`` in column ``j = s * n_paths + p``, path ``p`` of shot ``s``
-    (the transpose of the layout the interpreted engine uses).  Permutation
+    (the transpose of the returned ``bits`` layout).  Permutation
     gates (``SWAP``, ``CSWAP``, ``CX``, ``CCX``, ``MCX``, ``X``) and ``X``
     errors are then one integer operation over every column at once, where a
     NumPy row update pays its call overhead per gate; gates in a group act on
@@ -670,7 +423,7 @@ def _execute_stacked_shots(
     update to the same values in the same order as the group kernels, so the
     amplitudes are bit-identical to a NumPy-bool execution.
 
-    This is the compiled engine's only executor: a noiseless run is one
+    This is the Feynman engine's only executor: a noiseless run is one
     shot without sites.  ``codes`` holds the pre-drawn Pauli codes
     (``(n_sites, shots)``), ``measure_uniforms`` the pre-drawn measurement
     uniforms.  Returns ``(bits, amps, outcomes)``: ``bits`` has the usual
@@ -820,9 +573,10 @@ def _execute_stacked_shots(
 class StatevectorEngine(Engine):
     """Dense statevector execution adapted to the engine interface.
 
-    Output paths are merged per basis state (unlike the Feynman engines,
-    which keep one row per input path), so comparisons should go through
-    :meth:`PathState.as_dict`.  Monte-Carlo noise is not supported.
+    Output paths are merged per basis state (unlike the Feynman engine,
+    which keeps one row per input path), so comparisons should go through
+    :meth:`PathState.as_dict`.  Monte-Carlo noise and measured shot blocks
+    are not supported.
     """
 
     name = "statevector"
@@ -849,13 +603,20 @@ class StatevectorEngine(Engine):
         shots: int,
         rng: ShotSeeds | int | np.random.Generator | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Noiseless-only shot blocks (the dense engine cannot sample Pauli noise)."""
+        """Noiseless, measurement-free shot blocks: one dense run, tiled."""
         if shots <= 0:
             raise ValueError("shots must be positive")
         if not isinstance(noise, NoiselessModel):
             raise NotImplementedError(
                 "the statevector engine does not support Monte-Carlo noise; "
-                "use 'feynman-tape' or 'feynman-interp'"
+                "use 'feynman-tape'"
+            )
+        if any(instr.is_measurement for instr in circuit.instructions):
+            # One dense run samples one outcome sequence; tiling it would
+            # repeat a single trajectory across every shot.
+            raise NotImplementedError(
+                "the statevector engine cannot sample per-shot measurement "
+                "outcomes; use 'feynman-tape'"
             )
         output = self.run(circuit, state)
         # The caller slices the result into blocks of the *input* path count,
@@ -893,7 +654,7 @@ class StatevectorEngine(Engine):
         """Unsupported: the dense engine replays one trajectory, not per-shot records."""
         raise NotImplementedError(
             "the statevector engine does not record per-shot measurement "
-            "outcomes; use 'feynman-tape' or 'feynman-interp'"
+            "outcomes; use 'feynman-tape'"
         )
 
 
@@ -1067,7 +828,7 @@ def _apply_sliced_frame(
     spread: int,
     width: int,
 ) -> None:
-    """:func:`_apply_frame` on bit-sliced rows, over the columns set in ``spread``."""
+    """Apply a Pauli-frame correction over the columns set in ``spread``."""
     if pauli == "X":
         rows[qubit] ^= spread
     elif pauli == "Z":
@@ -1123,6 +884,5 @@ def set_default_engine(name: str) -> None:
     _DEFAULT_ENGINE = name
 
 
-register_engine(InterpretedFeynmanEngine())
 register_engine(TapeFeynmanEngine())
 register_engine(StatevectorEngine())

@@ -20,11 +20,8 @@ Pauli errors are applied as masked column updates.
 engines of :mod:`repro.sim.engine`.  By default it uses the compiled
 ``"feynman-tape"`` engine, which executes the circuit's fused
 :class:`~repro.circuit.ir.GateTape` with integer-opcode dispatch and draws
-all Monte-Carlo Pauli codes up front; pass ``engine="feynman-interp"`` for
-the original instruction-at-a-time runner (bit-identical trajectories under
-a fixed seed on the QRAM gate set -- fused ``T`` runs can differ by ~1 ulp)
-or ``engine="statevector"`` for the dense reference simulator (noiseless
-only).
+all Monte-Carlo Pauli codes up front; pass ``engine="statevector"`` for the
+dense reference simulator (noiseless, measurement-free shot blocks only).
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import is_path_simulable
-from repro.sim.feynman_kernels import UnsupportedGateError
+from repro.sim.engine import UnsupportedGateError
 from repro.sim.fidelity import shot_fidelities
 from repro.sim.noise import NoiseModel
 from repro.sim.paths import PathState
@@ -104,8 +101,8 @@ class FeynmanPathSimulator:
     Parameters
     ----------
     engine:
-        Execution engine: a registered name (``"feynman-tape"``,
-        ``"feynman-interp"``, ``"statevector"``), an
+        Execution engine: a registered name (``"feynman-tape"`` or
+        ``"statevector"``), an
         :class:`~repro.sim.engine.Engine` instance, or ``None`` for the
         session default (see :func:`repro.sim.engine.set_default_engine`).
     """

@@ -80,7 +80,7 @@ class PauliChannel:
 
         The sampler of the explicit-insertion oracles
         (:func:`sample_noisy_circuit`, :class:`QubitOncePauliNoise`); the
-        engines draw through :meth:`sample_thresholded`'s contract instead.
+        engine draws one uniform per site against :attr:`thresholds` instead.
         """
         return rng.choice(
             np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]),
@@ -90,13 +90,14 @@ class PauliChannel:
 
     @property
     def thresholds(self) -> tuple[float, float, float]:
-        """Cumulative ``(I, X, Y)`` thresholds of the threshold sampler.
+        """Cumulative ``(I, X, Y)`` thresholds of the seeded per-site draw.
 
         A uniform variate ``u`` maps to the Pauli code equal to the number of
         thresholds ``<= u``.  The three doubles are non-decreasing (each adds
         a non-negative probability), so that count is both
         ``searchsorted(thresholds, u, side="right")`` and the sum of the
-        three comparisons ``u >= t``; every seeded draw uses these exact
+        three comparisons ``u >= t``; every seeded draw
+        (:func:`repro.sim.seeding.draw_shot_randomness`) uses these exact
         values, so they fix the per-shot random-stream contract.
         """
         return (
@@ -104,25 +105,6 @@ class PauliChannel:
             1.0 - self.p_total + self.p_x,
             1.0 - self.p_total + self.p_x + self.p_y,
         )
-
-    def sample_thresholded(
-        self, rng: np.random.Generator, size: int
-    ) -> np.ndarray:
-        """Sample ``size`` codes via one uniform draw per site.
-
-        Each uniform variate is mapped through the cumulative
-        :attr:`thresholds` with a single ``searchsorted``, so the call
-        consumes exactly ``size`` values of ``rng.random`` regardless of the
-        channel.  This is the one-channel form of the per-shot seeded draw
-        (:class:`repro.sim.seeding.ShotSeeds`), which compares a whole
-        shot's uniforms against every site's thresholds at once
-        (:meth:`repro.circuit.ir.NoiseSiteTable.codes_from_uniforms`) and
-        yields exactly the codes of this sampler applied site by site.  The
-        stream consumption differs from :meth:`sample`'s.
-        """
-        return np.searchsorted(
-            np.array(self.thresholds), rng.random(size), side="right"
-        ).astype(np.int64)
 
     # Convenience constructors ------------------------------------------------
     @classmethod

@@ -17,19 +17,15 @@ keyed on ``(seed, point_index, shot_index)``:
 streams are as statistically independent as NumPy's parallel-RNG machinery
 guarantees, and two distinct ``(point, shot)`` coordinates can never collide.
 
-This is the one random-stream contract of the noisy engines
+This is the one random-stream contract of the noisy engine
 (:mod:`repro.sim.engine`): ``run_noisy_shots`` passes whatever it is given
 through :func:`as_shot_seeds` and draws from the resulting window.  Every
 shot's generator yields one uniform per noise site, in noise-site order, and
 each uniform becomes a Pauli code by comparison against its site's
-cumulative thresholds (:attr:`repro.sim.noise.PauliChannel.thresholds`, the
-threshold sampler of
-:meth:`~repro.sim.noise.PauliChannel.sample_thresholded`).
+cumulative thresholds (:attr:`repro.sim.noise.PauliChannel.thresholds`).
 :func:`draw_shot_randomness` draws a shot's uniforms in one generator call
-and maps a whole window of shots to codes in one vector pass.  All Feynman
-engines share this contract, so their trajectories remain bit-identical to
-each other in seeded mode, and any sharding of the shot range reproduces the
-unsharded run exactly.
+and maps a whole window of shots to codes in one vector pass, so any
+sharding of the shot range reproduces the unsharded run exactly.
 
 The formula above is the definition (:meth:`ShotSeeds.sequence` and
 :meth:`ShotSeeds.generator` build it literally, and the tests compare
@@ -89,10 +85,6 @@ class ShotSeeds:
         """A fresh generator for shot ``start + local_shot`` of this window."""
         return np.random.default_rng(self.sequence(local_shot))
 
-    def generators(self, shots: int) -> list[np.random.Generator]:
-        """One independent generator per shot of a ``shots``-wide batch."""
-        return [self.generator(index) for index in range(shots)]
-
     def shifted(self, offset: int) -> "ShotSeeds":
         """The same stream with the window moved ``offset`` shots forward."""
         return replace(self, start=self.start + offset)
@@ -124,7 +116,7 @@ def draw_shot_randomness(
     """Draw every shot's seeded randomness up front: ``(codes, uniforms)``.
 
     This is the single implementation of the per-shot random-stream contract
-    (the Feynman engines delegate here): each shot's generator is consumed in
+    (the Feynman engine delegates here): each shot's generator is consumed in
     the fixed order -- **measurement uniforms first** (``n_measurements``
     values), **then the noise-site codes** (one threshold draw per site of
     ``sites``, a :class:`~repro.circuit.ir.NoiseSiteTable` or ``None``).

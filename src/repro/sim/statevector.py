@@ -13,7 +13,7 @@ This simulator exists for two reasons:
    other to reproduce that claim.
 
 The implementation executes the circuit's compiled
-:class:`~repro.circuit.ir.GateTape` -- the same IR the Feynman engines run --
+:class:`~repro.circuit.ir.GateTape` -- the same IR the Feynman engine runs --
 dispatching on integer opcodes: basis-permutation gates by index arithmetic
 and the remaining single-qubit gates (``H``, ``S``, ``T``, ``Y``, ``Z``) by a
 reshaped matrix product, so it supports every gate in the registry.  Qubit
@@ -146,7 +146,7 @@ class StatevectorSimulator:
         """Project ``qubit`` onto a sampled outcome; return ``(psi, outcome)``.
 
         X-basis measurements rotate into the computational basis first and,
-        matching the Feynman engines' convention, leave the qubit in the
+        matching the Feynman engine's convention, leave the qubit in the
         computational state ``|m>`` (hardware re-initialises measured qubits
         from the classical record).
         """

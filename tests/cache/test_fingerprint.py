@@ -40,7 +40,7 @@ def test_fingerprint_depends_on_every_run_input():
     base = _fp()
     assert _fp(seed=8) != base
     assert _fp(shots=17) != base
-    assert _fp(engine="feynman-interp") != base
+    assert _fp(engine="statevector") != base
     assert _fp(spec=replace(SPEC, router="lookahead")) != base
     assert _fp(spec=replace(SPEC, qram_width=3)) != base
     assert _fp(spec=replace(SPEC, idle_error=None)) != base

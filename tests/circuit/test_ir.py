@@ -14,7 +14,13 @@ from repro.circuit.ir import (
     OP_SWAP,
     OPCODE_NAMES,
 )
-from repro.sim import GateNoiseModel, NoiselessModel, PauliChannel
+from repro.sim import (
+    GateNoiseModel,
+    NoiseModel,
+    NoiselessModel,
+    PauliChannel,
+    ScheduledNoiseModel,
+)
 
 
 def _example_circuit() -> QuantumCircuit:
@@ -129,7 +135,7 @@ class TestCache:
 
 
 class TestNoiseSites:
-    def test_site_order_matches_interpreted_sampling(self):
+    def test_site_order_follows_gates_then_channels(self):
         circuit = _example_circuit()
         tape = compile_circuit(circuit)
         noise = GateNoiseModel(PauliChannel.phase_flip(1e-2))
@@ -180,3 +186,95 @@ class TestNoiseSites:
         assert clone._site_cache_by_id == {}
         assert tape._site_cache_by_id  # the original keeps its entry
         assert np.array_equal(clone.noise_sites(noise).qubit, table.qubit)
+
+
+class _ExtraSites(NoiseModel):
+    """Fixed ``(qubit, channel)`` sites after chosen gate indices."""
+
+    def __init__(self, sites: dict[int, list[int]]):
+        self.sites = sites
+
+    def gate_error_channels_indexed(self, gate_index, instr):
+        return [(qubit, PauliChannel(p_x=0.5)) for qubit in self.sites.get(gate_index, ())]
+
+
+class TestOffOperandRefuse:
+    def _x_layer(self) -> QuantumCircuit:
+        circuit = QuantumCircuit(4)
+        for qubit in range(4):
+            circuit.x(qubit)
+        return circuit
+
+    def test_conflict_free_model_keeps_the_circuit_tape(self):
+        circuit = self._x_layer()
+        tape = compile_circuit(circuit)
+        # Qubit 0 is touched earlier in the run, never later: no conflict.
+        table = tape.noise_sites(_ExtraSites({2: [0]}))
+        assert table.tape is None
+        assert np.array_equal(table.group_index, [0])
+
+    def test_every_run_is_closed_to_its_site_qubits(self):
+        # X(0) errs on 2 and X(1) on 3.  Closing the run right after X(0)
+        # would leave X(1)'s conflict with X(3) in the next run; blocking
+        # the site qubits keeps X(2), X(3) out while X(1) still fuses.
+        circuit = self._x_layer()
+        tape = compile_circuit(circuit)
+        table = tape.noise_sites(_ExtraSites({0: [2], 1: [3]}))
+        refused = table.tape
+        assert [group.operands for group in refused.groups] == [
+            ((0,), (1,)),
+            ((2,), (3,)),
+        ]
+        assert table.group_index.tolist() == [0, 0]
+        assert refused.gate_group.tolist() == [0, 0, 1, 1]
+        assert refused.gates == tape.gates
+        assert refused.branch_levels == (0, 0)
+
+    def test_refused_tape_is_memoised_and_leaves_the_circuit_tape(self):
+        circuit = self._x_layer()
+        tape = compile_circuit(circuit)
+        noise = _ExtraSites({0: [3]})
+        table = tape.noise_sites(noise)
+        assert table.tape is not None and table.tape is not tape
+        assert tape.noise_sites(noise) is table
+        assert compile_circuit(circuit) is tape
+        assert tape.num_groups == 1
+
+    def test_end_of_circuit_sites_follow_the_refused_groups(self):
+        class WithFinal(_ExtraSites):
+            def final_error_channels(self):
+                return [(1, PauliChannel(p_z=0.5))]
+
+        table = compile_circuit(self._x_layer()).noise_sites(WithFinal({0: [1]}))
+        assert table.tape.num_groups == 2
+        assert table.group_index.tolist() == [0, 2]
+        assert table.gate_index.tolist() == [0, -1]
+
+    def test_split_branch_run_recomputes_branch_levels(self):
+        circuit = QuantumCircuit(3)
+        for qubit in range(3):
+            circuit.h(qubit)
+        tape = compile_circuit(circuit)
+        assert tape.branch_levels == (3,)
+        refused = tape.noise_sites(_ExtraSites({0: [1]})).tape
+        assert [group.operands for group in refused.groups] == [((0,),), ((1,), (2,))]
+        assert refused.branch_levels == (1, 3)
+        assert refused.max_branch_level == 3
+
+    def test_hashable_crosstalk_model_is_found_by_value_and_pickles(self):
+        def model() -> ScheduledNoiseModel:
+            channel = PauliChannel(p_x=0.5)
+            return ScheduledNoiseModel(
+                base=GateNoiseModel(PauliChannel()),
+                gate_sites=(((2, channel),), (), (), ()),
+            )
+
+        tape = compile_circuit(self._x_layer())
+        table = tape.noise_sites(model())
+        assert table.tape is not None
+        assert tape.noise_sites(model()) is table
+        clone = pickle.loads(pickle.dumps(tape))
+        cloned = clone.noise_sites(model())
+        assert [g.operands for g in cloned.tape.groups] == [
+            g.operands for g in table.tape.groups
+        ]

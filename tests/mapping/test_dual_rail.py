@@ -5,7 +5,7 @@ so exactness is pinned directly: per-gadget and on random workloads, the
 encoded circuit must reproduce the logical output under
 :meth:`DualRailExpansion.map_state` with every parity check passing.  The
 zero-noise acceptance (kept_fraction == 1.0, postselected mean fidelity
-exactly 1.0) runs on both Feynman engines.
+exactly 1.0) runs on the Feynman engine.
 """
 
 import numpy as np
@@ -29,8 +29,6 @@ from repro.sim import (
 )
 from repro.sim.engine import get_engine
 from repro.sim.fidelity import shot_fidelities
-
-FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape")
 
 #: (gate name, arity) of every encodable gate, for strategy/parametrization.
 GATE_ARITIES = (
@@ -161,8 +159,7 @@ def test_random_circuits_statevector_exact(case):
 
 
 class TestZeroNoiseAcceptance:
-    @pytest.mark.parametrize("engine", FEYNMAN_ENGINES)
-    def test_kept_fraction_one_and_exact_fidelity(self, engine):
+    def test_kept_fraction_one_and_exact_fidelity(self):
         """Zero noise: every check passes and every kept shot is exact."""
         circuit = QuantumCircuit(3)
         circuit.cx(0, 1)
@@ -171,7 +168,7 @@ class TestZeroNoiseAcceptance:
         expansion = encode_dual_rail(circuit, flag_rounds=1)
         state = PathState.register_superposition(3, [0, 1])
         ideal = get_engine("feynman-tape").run(circuit, state)
-        result = FeynmanPathSimulator(engine=engine).query_fidelities(
+        result = FeynmanPathSimulator().query_fidelities(
             expansion.circuit,
             expansion.map_state(state),
             NoiselessModel(),

@@ -116,16 +116,6 @@ class TestDeterminism:
             )
         assert executed == []
 
-    def test_engines_agree_bit_for_bit(self):
-        tape = run_scenario(
-            "ideal-m3", shots=32, seed=SEED, workers=1, engine="feynman-tape"
-        )
-        interp = run_scenario(
-            "ideal-m3", shots=32, seed=SEED, workers=1, engine="feynman-interp"
-        )
-        for a, b in zip(tape, interp):
-            assert a["fidelity"] == b["fidelity"]
-
 
 class TestPhysics:
     def test_mapped_scenarios_strictly_below_unmapped(self, ablation_records):

@@ -71,9 +71,8 @@ class TestCompile:
 
 
 class TestZeroNoiseExactness:
-    @pytest.mark.parametrize("engine", ["feynman-tape", "feynman-interp"])
-    def test_every_shot_fidelity_is_exactly_one(self, executed, engine):
-        result = FeynmanPathSimulator(engine=engine).query_fidelities(
+    def test_every_shot_fidelity_is_exactly_one(self, executed):
+        result = FeynmanPathSimulator().query_fidelities(
             executed.circuit,
             executed.input_state,
             NoiselessModel(),

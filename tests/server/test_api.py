@@ -234,8 +234,9 @@ class TestErrorModel:
         assert "Monte-Carlo" in body["error"]["message"]
         assert len(service.jobs) == 0
 
-    def test_post_rejects_the_retired_batch_engine_as_unknown(self, service):
-        payload = {"scenario": "ideal-m3", "engine": "feynman-batch"}
+    @pytest.mark.parametrize("engine", ["feynman-batch", "feynman-interp"])
+    def test_post_rejects_the_retired_batch_engine_as_unknown(self, service, engine):
+        payload = {"scenario": "ideal-m3", "engine": engine}
         status, body = service.handle_post(
             f"{API_PREFIX}/runs", json.dumps(payload).encode()
         )

@@ -5,11 +5,11 @@ permutation gates into integer operations.  Its contract is byte identity
 with the NumPy-bool block execution it replaced: the same bits, the same
 ``amps.tobytes()`` and the same recorded outcomes for any tape, any
 pre-drawn randomness and any block width.  The NumPy-bool executor is kept
-below, verbatim, as the reference; a hypothesis property runs both over
-random tapes that use every opcode (fused multi-gate groups, ``Z``/``X``
-measurements, ``CPAULI`` frames with and without active shots, ``H``
-branching with collapse strides) and random error codes that include
-end-of-circuit events.
+below, verbatim, as the reference, together with the frame helpers it used;
+a hypothesis property runs both over random tapes that use every opcode
+(fused multi-gate groups, ``Z``/``X`` measurements, ``CPAULI`` frames with
+and without active shots, ``H`` branching with collapse strides) and random
+error codes that include end-of-circuit events.
 """
 
 import numpy as np
@@ -27,13 +27,11 @@ from repro.circuit.ir import (
 )
 from repro.sim import PathState
 from repro.sim.engine import (
-    _apply_frame,
     _apply_group,
     _apply_measure,
     _branch_hadamard_group,
     _collapse_flat_indices,
     _execute_stacked_shots,
-    _frame_active,
     _pack_row,
     _pack_rows,
     _unpack_row,
@@ -65,6 +63,37 @@ def _apply_error_event(
         block = bits_q[qubit, span]
         amps[span] *= np.where(block, -1j, 1j)
         bits_q[qubit, span] = ~block
+
+
+def _apply_frame(
+    column: np.ndarray,
+    amps: np.ndarray,
+    pauli: str,
+    active: np.ndarray,
+    n_paths: int,
+) -> None:
+    """Apply a Pauli-frame correction to the shots where ``active`` is True."""
+    if not np.any(active):
+        return
+    rows = np.repeat(active, n_paths)
+    if pauli == "X":
+        column[rows] ^= True
+    elif pauli == "Z":
+        mask = rows & column
+        if np.any(mask):
+            amps[mask] *= -1.0
+    else:  # Y
+        amps[rows] *= np.where(column[rows], -1j, 1j)
+        column[rows] ^= True
+
+
+def _frame_active(
+    outcomes: np.ndarray | None, condition_bits: tuple[int, ...], shots: int
+) -> np.ndarray:
+    """Per-shot XOR of the recorded classical bits a ``CPAULI`` conditions on."""
+    if outcomes is None or not condition_bits:
+        return np.zeros(shots, dtype=bool)
+    return (outcomes[list(condition_bits)].sum(axis=0) & 1).astype(bool)
 
 
 def _reference_execute(tape, state, shots, sites, codes, measure_uniforms):

@@ -2,31 +2,29 @@
 
 Mirrors the PR 4 routing-equivalence suite
 (``tests/hardware/test_property_router.py``): hypothesis generates random
-circuits exercising the new branching code paths and three properties form
+circuits exercising the branching code paths and these properties form
 the contract (the fixed ``repro-ci`` profile in ``tests/conftest.py`` keeps
 CI deterministic):
 
 * **Amplitude oracle.**  On random circuits with bounded mid-circuit ``H``
   plus ``S``/``SDG``/``T`` phases and reversible gates (no measurements),
-  every Feynman engine's per-basis-state amplitude sum equals the dense
+  the Feynman engine's per-basis-state amplitude sum equals the dense
   ``statevector`` result exactly.
 * **Measured oracle.**  Mid-circuit measurements are generated in the
   *collapse-contract* shape the static plan guarantees exactness for -- each
   ``H(q)`` is followed only by gates that keep its two branches
   distinguishable on ``q`` (diagonals, ``CX`` controlled by ``q``, ``X``
   elsewhere) and then a ``Z``-measure of ``q``.  With a shared measurement
-  rng, every engine's post-collapse state matches the statevector oracle
-  and the path set returns to its pre-branch size.
-* **ShotSeeds bit-identity.**  On random *noisy* branching circuits with
-  measurements in both bases, both Feynman engines produce identical
-  ``(bits, amps)`` blocks under the same :class:`ShotSeeds` window, and any
-  split of the shot range reproduces the unsharded draw bit for bit --
-  the invariant that makes sweep results independent of worker counts and
-  shard sizes.
-* **Noiseless bit-identity.**  On the same circuits, the tape engine's
-  noiseless ``run`` (one shot of its stacked executor) returns exactly the
-  interpreted engine's bits, amplitudes and dtypes when both draw their
-  measurement outcomes from equal seeded ``Generator`` streams.
+  rng, the post-collapse state matches the statevector oracle and the path
+  set returns to its pre-branch size; under noise, every shot of a
+  :class:`ShotSeeds` window matches the dense oracle of :mod:`tests.oracle`.
+* **ShotSeeds sharding.**  On random *noisy* branching circuits with
+  measurements in both bases, any split of the shot range reproduces the
+  unsharded draw bit for bit -- the invariant that makes sweep results
+  independent of worker counts and shard sizes.
+* **Noiseless run.**  On the same circuits, the noiseless ``run`` under a
+  shot's ``Generator`` returns exactly that one-shot window's bits,
+  amplitudes and dtypes.
 
 The X-basis measurement convention (fixed 50/50 outcome draw, the PR 5
 teleportation contract) deliberately keeps X measures out of the oracle
@@ -40,11 +38,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit
-from repro.sim import FeynmanPathSimulator, PathState, ShotSeeds
+from repro.sim import FeynmanPathSimulator, NoiselessModel, PathState, ShotSeeds
 from repro.sim.engine import get_engine
 from tests.conftest import gate_noise_models
-
-FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape")
+from tests.oracle import assert_tape_matches_oracle
 
 #: Branch points per generated circuit -- comfortably under the default
 #: budget of 10 so the harness never trips the typed error path (that path
@@ -179,9 +176,8 @@ class TestStatevectorOracle:
         """Measurement-free branching circuits reproduce dense amplitudes."""
         state = _superposition_input(circuit)
         dense = get_engine("statevector").run(circuit, state).as_dict()
-        for name in FEYNMAN_ENGINES:
-            output = get_engine(name).run(circuit, state)
-            _assert_amplitudes_match(dense, output.as_dict(), name)
+        output = get_engine("feynman-tape").run(circuit, state)
+        _assert_amplitudes_match(dense, output.as_dict(), "feynman-tape")
 
     @settings(max_examples=40, deadline=None)
     @given(circuit=measured_branching_circuits(), seed=st.integers(0, 2**16))
@@ -193,47 +189,46 @@ class TestStatevectorOracle:
             .run(circuit, state, rng=np.random.default_rng(seed))
             .as_dict()
         )
-        for name in FEYNMAN_ENGINES:
-            output = get_engine(name).run(
-                circuit, state, rng=np.random.default_rng(seed)
-            )
-            _assert_amplitudes_match(dense, output.as_dict(), name)
-            # Every branch collapsed: the path set is back to its input size.
-            assert output.num_paths == state.num_paths
+        output = get_engine("feynman-tape").run(
+            circuit, state, rng=np.random.default_rng(seed)
+        )
+        _assert_amplitudes_match(dense, output.as_dict(), "feynman-tape")
+        # Every branch collapsed: the path set is back to its input size.
+        assert output.num_paths == state.num_paths
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        circuit=measured_branching_circuits(),
+        noise=gate_noise_models(),
+        seed=st.integers(0, 2**31 - 1),
+        shots=st.integers(1, 5),
+    )
+    def test_noisy_collapse_contract_shots_match_dense(
+        self, circuit, noise, seed, shots
+    ):
+        """Noisy branch + Z-collapse shots equal the dense oracle shot for shot."""
+        assert_tape_matches_oracle(
+            circuit, _last_qubit_input(circuit), noise, shots, ShotSeeds(seed=seed)
+        )
 
 
 class TestShotSeedsBitIdentity:
     @settings(max_examples=30, deadline=None)
     @given(instance=noisy_branching_instances())
-    def test_three_engines_bit_identical(self, instance):
-        """Same ShotSeeds window => byte-identical trajectories, all engines."""
-        circuit, noise, seed, shots, _split = instance
-        state = _superposition_input(circuit)
-        reference_bits = reference_amps = None
-        for name in FEYNMAN_ENGINES:
-            bits, amps = FeynmanPathSimulator(engine=name).run_noisy_shots(
-                circuit, state, noise, shots, rng=ShotSeeds(seed=seed)
-            )
-            if reference_bits is None:
-                reference_bits, reference_amps = bits, amps
-            else:
-                assert np.array_equal(reference_bits, bits), name
-                assert np.array_equal(reference_amps, amps), name
-
-    @settings(max_examples=30, deadline=None)
-    @given(instance=noisy_branching_instances())
-    def test_noiseless_run_bit_identical_under_a_generator(self, instance):
-        """Noiseless ``run``: tape equals interp under equal Generator streams."""
+    def test_noiseless_run_equals_a_one_shot_window(self, instance):
+        """Noiseless ``run`` under a shot's Generator is that shot's window."""
         circuit, _noise, seed, _shots, _split = instance
         state = _superposition_input(circuit)
-        interp, tape = (
-            get_engine(name).run(circuit, state, rng=np.random.default_rng(seed))
-            for name in FEYNMAN_ENGINES
+        seeds = ShotSeeds(seed=seed)
+        engine = get_engine("feynman-tape")
+        output = engine.run(circuit, state, rng=seeds.generator(0))
+        bits, amps = engine.run_noisy_shots(
+            circuit, state, NoiselessModel(), 1, rng=seeds
         )
-        assert tape.bits.dtype == interp.bits.dtype
-        assert tape.amplitudes.dtype == interp.amplitudes.dtype
-        assert np.array_equal(tape.bits, interp.bits)
-        assert np.array_equal(tape.amplitudes, interp.amplitudes)
+        assert output.bits.dtype == bool
+        assert output.amplitudes.dtype == complex
+        assert np.array_equal(output.bits, bits)
+        assert np.array_equal(output.amplitudes, amps)
 
     @settings(max_examples=30, deadline=None)
     @given(instance=noisy_branching_instances())
@@ -241,22 +236,15 @@ class TestShotSeedsBitIdentity:
         """Sharding the shot window never changes a single bit or amplitude."""
         circuit, noise, seed, shots, split = instance
         state = _superposition_input(circuit)
-        for name in FEYNMAN_ENGINES:
-            sim = FeynmanPathSimulator(engine=name)
-            bits_all, amps_all = sim.run_noisy_shots(
-                circuit, state, noise, shots, rng=ShotSeeds(seed=seed)
-            )
-            bits_a, amps_a = sim.run_noisy_shots(
-                circuit, state, noise, split, rng=ShotSeeds(seed=seed)
-            )
-            bits_b, amps_b = sim.run_noisy_shots(
-                circuit,
-                state,
-                noise,
-                shots - split,
-                rng=ShotSeeds(seed=seed, start=split),
-            )
-            assert np.array_equal(bits_all, np.vstack([bits_a, bits_b])), name
-            assert np.array_equal(
-                amps_all, np.concatenate([amps_a, amps_b])
-            ), name
+        sim = FeynmanPathSimulator(engine="feynman-tape")
+        bits_all, amps_all = sim.run_noisy_shots(
+            circuit, state, noise, shots, rng=ShotSeeds(seed=seed)
+        )
+        bits_a, amps_a = sim.run_noisy_shots(
+            circuit, state, noise, split, rng=ShotSeeds(seed=seed)
+        )
+        bits_b, amps_b = sim.run_noisy_shots(
+            circuit, state, noise, shots - split, rng=ShotSeeds(seed=seed, start=split)
+        )
+        assert np.array_equal(bits_all, np.vstack([bits_a, bits_b]))
+        assert np.array_equal(amps_all, np.concatenate([amps_a, amps_b]))

@@ -146,14 +146,15 @@ class TestKernelAgainstSearchsorted:
         assert codes.dtype == np.int8 and codes.shape == block.shape
 
     @pytest.mark.parametrize("channel", EDGE_CHANNELS)
-    def test_draw_shot_matches_sample_thresholded(self, channel):
-        table = site_table([channel] * 25)
-        a = np.random.default_rng(31)
-        b = np.random.default_rng(31)
-        codes = table.draw_shot(a)
-        assert codes.dtype == np.int64
-        np.testing.assert_array_equal(codes, channel.sample_thresholded(b, 25))
-        assert a.bit_generator.state == b.bit_generator.state
+    def test_window_draw_matches_per_shot_searchsorted(self, channel):
+        seeds = ShotSeeds(seed=31, start=2)
+        codes, _ = draw_shot_randomness(site_table([channel] * 25), seeds, 3)
+        assert codes.dtype == np.int64 and codes.shape == (25, 3)
+        for shot in range(3):
+            expected = np.searchsorted(
+                channel.thresholds, seeds.generator(shot).random(25), side="right"
+            )
+            np.testing.assert_array_equal(codes[:, shot], expected)
 
 
 probabilities = st.sampled_from([0.0, 1e-4, 0.01, 0.1, 1 / 3, 0.5, 1.0]) | st.floats(

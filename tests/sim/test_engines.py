@@ -1,17 +1,17 @@
-"""Engine registry and cross-engine equivalence tests.
+"""Engine registry and engine-equivalence tests.
 
-The compiled tape engine replaces the interpreted Feynman-path runner on the
-reproduction's hot path, so these tests pin down the refactor's contract:
+The tape engine is the only Feynman-path engine, so these tests pin its
+contract against independent references:
 
-* noiseless outputs agree exactly across the interpreted engine, the tape
-  engine and the dense statevector engine for every registered QRAM
-  architecture;
-* under a fixed seed the interpreted and tape engines consume the random
-  stream identically and therefore produce **bit-identical** Monte-Carlo
-  shot fidelities;
+* noiseless outputs agree exactly with the dense statevector engine for
+  every registered QRAM architecture;
+* under a fixed seed every Monte-Carlo shot equals the dense oracle of
+  :mod:`tests.oracle` (the shot's Paulis drawn from the noise model and
+  inserted after their gates);
 * fused execution is equivalent to sequential execution on circuits designed
   to stress the fusion rules (overlapping runs, diagonal runs, identity
-  gates carrying noise sites, variable-arity MCX).
+  gates carrying noise sites, variable-arity MCX, off-operand noise inside a
+  fused run).
 """
 
 import numpy as np
@@ -35,7 +35,9 @@ from repro.sim import (
     get_engine,
     set_default_engine,
 )
+from repro.sim.seeding import ShotSeeds, as_shot_seeds
 from tests.conftest import random_reversible_circuits
+from tests.oracle import assert_tape_matches_oracle
 
 ARCHITECTURE_NAMES = ["virtual", "sqc_bb", "sqc_ss", "fanout", "sqc"]
 
@@ -61,11 +63,7 @@ def _amplitudes_match(a: PathState, b: PathState, tol: float = 1e-9) -> bool:
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert {
-            "feynman-interp",
-            "feynman-tape",
-            "statevector",
-        } <= set(available_engines())
+        assert available_engines() == ["feynman-tape", "statevector"]
 
     def test_get_engine_by_name_and_instance(self):
         engine = get_engine("feynman-tape")
@@ -79,8 +77,8 @@ class TestRegistry:
     def test_default_engine_roundtrip(self):
         previous = get_default_engine()
         try:
-            set_default_engine("feynman-interp")
-            assert get_engine().name == "feynman-interp"
+            set_default_engine("statevector")
+            assert get_engine().name == "statevector"
         finally:
             set_default_engine(previous)
         assert get_default_engine() == previous
@@ -99,28 +97,20 @@ class TestArchitectureEquivalence:
         architecture = make_architecture(architecture_name, memory, qram_width=2)
         circuit = architecture.build_circuit()
         state = architecture.input_state()
-        interp = get_engine("feynman-interp").run(circuit, state)
         tape = get_engine("feynman-tape").run(circuit, state)
         dense = get_engine("statevector").run(circuit, state)
-        # Interpreted vs tape keep the same path layout: exact equality.
-        assert np.array_equal(interp.bits, tape.bits)
-        assert np.array_equal(interp.amplitudes, tape.amplitudes)
         # The dense engine merges paths per basis state: compare as dicts.
-        assert _amplitudes_match(interp, dense)
+        assert _amplitudes_match(tape, dense)
 
     @pytest.mark.parametrize("noise", NOISE_MODELS)
-    def test_noisy_shot_fidelities_bit_identical(
-        self, architecture_name, memory, noise
-    ):
+    def test_noisy_shots_match_the_oracle(self, architecture_name, memory, noise):
         architecture = make_architecture(architecture_name, memory, qram_width=2)
-        results = {}
-        for engine in ("feynman-interp", "feynman-tape"):
-            results[engine] = architecture.run_query(
-                noise, shots=32, rng=np.random.default_rng(11), engine=engine
-            )
-        assert np.array_equal(
-            results["feynman-interp"].fidelities,
-            results["feynman-tape"].fidelities,
+        assert_tape_matches_oracle(
+            architecture.build_circuit(),
+            architecture.input_state(),
+            noise,
+            8,
+            as_shot_seeds(np.random.default_rng(11)),
         )
 
     def test_statevector_engine_noiseless_query(self, architecture_name, memory):
@@ -133,10 +123,11 @@ class TestFusionStress:
     """Crafted circuits exercising the tape compiler's fusion rules."""
 
     def _compare(self, circuit: QuantumCircuit, state: PathState) -> None:
-        interp = get_engine("feynman-interp").run(circuit, state)
         tape = get_engine("feynman-tape").run(circuit, state)
-        assert np.array_equal(interp.bits, tape.bits)
-        assert np.allclose(interp.amplitudes, tape.amplitudes, atol=1e-12)
+        dense = get_engine("statevector").run(circuit, state)
+        assert _amplitudes_match(tape, dense, tol=1e-12)
+        noise = DepolarizingNoise(0.2)
+        assert_tape_matches_oracle(circuit, state, noise, 4, ShotSeeds(7))
 
     def test_overlapping_cx_chain(self):
         # Sequential CX chain sharing qubits: must not fuse into one batch.
@@ -208,19 +199,12 @@ class TestFusionStress:
         state = PathState.from_basis_assignments([({}, 1.0)], 2)
         noise = GateNoiseModel(PauliChannel.bit_flip(0.5))
         for seed in range(5):
-            blocks = [
-                get_engine(name).run_noisy_shots(
-                    circuit, state, noise, 16, rng=np.random.default_rng(seed)
-                )
-                for name in ("feynman-interp", "feynman-tape")
-            ]
-            assert np.array_equal(blocks[0][0], blocks[1][0])
-            assert np.array_equal(blocks[0][1], blocks[1][1])
+            assert_tape_matches_oracle(circuit, state, noise, 16, ShotSeeds(seed))
 
-    def test_offsite_noise_inside_fused_run_rejected(self):
+    def test_offsite_noise_inside_fused_run_re_fuses(self):
         # A crosstalk-style model placing an error on a qubit the fused run
-        # touches later cannot be ordered by the compiled engine: it must
-        # refuse loudly (the interpreted engine still handles it).
+        # touches later: the compiler re-fuses so the error still lands
+        # between the two CXs, as sequential execution places it.
         from repro.sim import NoiseModel
 
         class CrosstalkNoise(NoiseModel):
@@ -233,16 +217,11 @@ class TestFusionStress:
         circuit.cx(0, 1)
         circuit.cx(2, 3)  # fuses with the first CX and touches qubit 2
         state = PathState.from_basis_assignments([({}, 1.0)], 4)
-        interp_bits, _ = get_engine("feynman-interp").run_noisy_shots(
+        bits, _ = get_engine("feynman-tape").run_noisy_shots(
             circuit, state, CrosstalkNoise(), 2, rng=np.random.default_rng(0)
         )
-        assert np.array_equal(
-            interp_bits.astype(int), [[0, 0, 1, 1], [0, 0, 1, 1]]
-        )
-        with pytest.raises(ValueError, match="feynman-interp"):
-            get_engine("feynman-tape").run_noisy_shots(
-                circuit, state, CrosstalkNoise(), 2, rng=np.random.default_rng(0)
-            )
+        assert np.array_equal(bits.astype(int), [[0, 0, 1, 1], [0, 0, 1, 1]])
+        assert_tape_matches_oracle(circuit, state, CrosstalkNoise(), 2, ShotSeeds(0))
 
     def test_offsite_noise_outside_fused_run_still_agrees(self):
         # Off-operand sites are fine when no later gate in the group touches
@@ -259,13 +238,81 @@ class TestFusionStress:
         circuit.cx(0, 1)
         circuit.cx(1, 2)  # overlaps: new group, so qubit 3 is never mid-run
         state = PathState.from_basis_assignments([({}, 1.0)], 4)
-        blocks = [
-            get_engine(name).run_noisy_shots(
-                circuit, state, SpectatorNoise(), 2, rng=np.random.default_rng(0)
-            )
-            for name in ("feynman-interp", "feynman-tape")
-        ]
-        assert np.array_equal(blocks[0][0], blocks[1][0])
+        # No conflict: the site table keeps the circuit's own tape.
+        assert ir.compile_circuit(circuit).noise_sites(SpectatorNoise()).tape is None
+        assert_tape_matches_oracle(circuit, state, SpectatorNoise(), 2, ShotSeeds(0))
+
+    @pytest.mark.parametrize(
+        "noise_name", ["depolarizing", "idle", "spectator"], ids=str
+    )
+    def test_conflict_free_models_execute_the_circuit_tape(
+        self, noise_name, monkeypatch
+    ):
+        from repro.sim import NoiseModel, with_idle_noise
+        from repro.sim import engine as engine_module
+
+        class SpectatorNoise(NoiseModel):
+            def gate_error_channels(self, instr):
+                return [(5, PauliChannel(p_z=0.5))] if instr.gate == "CX" else []
+
+        circuit = QuantumCircuit(6)
+        circuit.cx(0, 1)
+        circuit.cx(2, 3)
+        circuit.x(4)
+        noise = {
+            "depolarizing": DepolarizingNoise(0.1),
+            "idle": with_idle_noise(
+                DepolarizingNoise(0.1), circuit, PauliChannel.phase_flip(0.1)
+            ),
+            "spectator": SpectatorNoise(),
+        }[noise_name]
+        executed = []
+        execute = engine_module._execute_stacked_shots
+        monkeypatch.setattr(
+            engine_module,
+            "_execute_stacked_shots",
+            lambda tape, *args: executed.append(tape) or execute(tape, *args),
+        )
+        state = PathState.register_superposition(6, [0, 2])
+        get_engine("feynman-tape").run_noisy_shots(circuit, state, noise, 3, rng=1)
+        assert executed == [ir.compile_circuit(circuit)]
+        assert executed[0] is ir.compile_circuit(circuit)
+
+    def test_conflicting_model_runs_the_refused_tape_after_one_lookup(
+        self, monkeypatch
+    ):
+        from repro.sim import NoiseModel
+        from repro.sim import engine as engine_module
+
+        class CrosstalkNoise(NoiseModel):
+            def gate_error_channels(self, instr):
+                return [(2, PauliChannel(p_x=0.5))] if instr.qubits == (0, 1) else []
+
+        circuit = QuantumCircuit(4)
+        circuit.cx(0, 1)
+        circuit.cx(2, 3)
+        noise = CrosstalkNoise()
+        lookups = []
+        noise_sites = ir.GateTape.noise_sites
+        monkeypatch.setattr(
+            ir.GateTape,
+            "noise_sites",
+            lambda tape, model: lookups.append(model) or noise_sites(tape, model),
+        )
+        executed = []
+        execute = engine_module._execute_stacked_shots
+        monkeypatch.setattr(
+            engine_module,
+            "_execute_stacked_shots",
+            lambda tape, *args: executed.append(tape) or execute(tape, *args),
+        )
+        state = PathState.register_superposition(4, [0])
+        for _ in range(2):
+            get_engine("feynman-tape").run_noisy_shots(circuit, state, noise, 3, rng=1)
+        assert lookups == [noise, noise]
+        refused = noise_sites(ir.compile_circuit(circuit), noise).tape
+        assert executed == [refused, refused] and executed[0] is refused
+        assert refused.num_groups == 2
 
     def test_barriers_are_dropped(self):
         circuit = QuantumCircuit(3)
@@ -283,10 +330,9 @@ class TestPropertyEquivalence:
         state = PathState.register_superposition(
             circuit.num_qubits, register=list(range(min(3, circuit.num_qubits)))
         )
-        interp = get_engine("feynman-interp").run(circuit, state)
         tape = get_engine("feynman-tape").run(circuit, state)
-        assert np.array_equal(interp.bits, tape.bits)
-        assert np.array_equal(interp.amplitudes, tape.amplitudes)
+        dense = get_engine("statevector").run(circuit, state)
+        assert _amplitudes_match(tape, dense, tol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(circuit=random_reversible_circuits(max_qubits=5, max_gates=15))
@@ -295,36 +341,27 @@ class TestPropertyEquivalence:
             circuit.num_qubits, register=[0, 1]
         )
         noise = GateNoiseModel(PauliChannel.depolarizing(0.05))
-        blocks = [
-            get_engine(name).run_noisy_shots(
-                circuit, state, noise, 8, rng=np.random.default_rng(99)
-            )
-            for name in ("feynman-interp", "feynman-tape")
-        ]
-        assert np.array_equal(blocks[0][0], blocks[1][0])
-        assert np.array_equal(blocks[0][1], blocks[1][1])
+        assert_tape_matches_oracle(circuit, state, noise, 8, ShotSeeds(99))
 
 
 class TestEngineErrors:
-    def test_feynman_engines_execute_branching_gates(self):
+    def test_feynman_engine_executes_branching_gates(self):
         # H used to be rejected outright; it now branches the path set, so
-        # every Feynman engine must produce the uniform |+> superposition.
+        # the Feynman engine must produce the uniform |+> superposition.
         circuit = QuantumCircuit(1)
         circuit.h(0)
         state = PathState.from_basis_assignments([({}, 1.0)], 1)
-        for name in ("feynman-interp", "feynman-tape"):
-            out = get_engine(name).run(circuit, state)
-            assert out.num_paths == 2
-            assert np.allclose(np.abs(out.amplitudes), 1 / np.sqrt(2))
+        out = get_engine("feynman-tape").run(circuit, state)
+        assert out.num_paths == 2
+        assert np.allclose(np.abs(out.amplitudes), 1 / np.sqrt(2))
 
-    def test_feynman_engines_reject_over_budget_branching(self):
+    def test_feynman_engine_rejects_over_budget_branching(self):
         circuit = QuantumCircuit(ir.get_max_branches() + 1)
         for qubit in range(circuit.num_qubits):
             circuit.h(qubit)
         state = PathState.from_basis_assignments([({}, 1.0)], circuit.num_qubits)
-        for name in ("feynman-interp", "feynman-tape"):
-            with pytest.raises(ir.BranchBudgetError, match="branch budget"):
-                get_engine(name).run(circuit, state)
+        with pytest.raises(ir.BranchBudgetError, match="branch budget"):
+            get_engine("feynman-tape").run(circuit, state)
 
     def test_statevector_engine_rejects_branching_shot_blocks(self):
         # With H the dense output has more paths than the input, which the
@@ -359,11 +396,47 @@ class TestEngineErrors:
         with pytest.raises(NotImplementedError, match="Monte-Carlo"):
             get_engine("statevector").run_noisy_shots(circuit, state, noise, 4)
 
+    def test_statevector_engine_refuses_measured_shot_blocks(self):
+        # One dense run samples one outcome sequence; tiling it once
+        # reported q0 = 1 in all 8 shots here, ignoring rng, while the
+        # per-shot streams give mixed outcomes.
+        circuit = QuantumCircuit(2)
+        circuit.measure(0)
+        circuit.cx(0, 1)
+        state = PathState.register_superposition(2, [0])
+        bits, _ = get_engine("feynman-tape").run_noisy_shots(
+            circuit, state, NoiselessModel(), 8, rng=5
+        )
+        assert bits[::2, 0].astype(int).tolist() == [0, 1, 1, 1, 1, 0, 1, 0]
+        with pytest.raises(NotImplementedError, match="measurement outcomes"):
+            get_engine("statevector").run_noisy_shots(
+                circuit, state, NoiselessModel(), 8, rng=5
+            )
+        with pytest.raises(NotImplementedError, match="measurement outcomes"):
+            FeynmanPathSimulator(engine="statevector").query_fidelities(
+                circuit, state, NoiselessModel(), 8, rng=5
+            )
+
+    def test_statevector_engine_messages_name_only_registered_engines(self):
+        circuit = QuantumCircuit(1)
+        circuit.measure(0)
+        state = PathState.from_basis_assignments([({}, 1.0)], 1)
+        engine = get_engine("statevector")
+        noise = GateNoiseModel(PauliChannel.bit_flip(0.1))
+        for call in (
+            lambda: engine.run_noisy_shots(circuit, state, noise, 2),
+            lambda: engine.run_noisy_shots(circuit, state, NoiselessModel(), 2),
+            lambda: engine.run_noisy_shots_recorded(circuit, state, noise, 2),
+        ):
+            with pytest.raises(NotImplementedError) as excinfo:
+                call()
+            assert str(excinfo.value).endswith("use 'feynman-tape'")
+
     def test_qubit_count_mismatch_rejected(self):
         circuit = QuantumCircuit(2)
         circuit.x(0)
         state = PathState.from_basis_assignments([({}, 1.0)], 3)
-        for name in ("feynman-interp", "feynman-tape", "statevector"):
+        for name in ("feynman-tape", "statevector"):
             with pytest.raises(ValueError, match="qubits"):
                 get_engine(name).run(circuit, state)
 
@@ -374,17 +447,16 @@ class TestEngineErrors:
         state = PathState.from_basis_assignments([({}, 1.0)], 2)
         before_bits = state.bits.copy()
         before_amps = state.amplitudes.copy()
-        for name in ("feynman-interp", "feynman-tape", "statevector"):
+        for name in ("feynman-tape", "statevector"):
             get_engine(name).run(circuit, state)
             assert np.array_equal(state.bits, before_bits)
             assert np.array_equal(state.amplitudes, before_amps)
 
-    @pytest.mark.parametrize("name", ["feynman-interp", "feynman-tape"])
-    def test_zero_path_state_runs_to_zero_paths(self, name):
+    def test_zero_path_state_runs_to_zero_paths(self):
         circuit = QuantumCircuit(2)
         circuit.cx(0, 1)
         state = PathState(bits=np.zeros((0, 2), dtype=bool), amplitudes=[])
-        engine = get_engine(name)
+        engine = get_engine("feynman-tape")
         assert engine.run(circuit, state).bits.shape == (0, 2)
         noise = GateNoiseModel(PauliChannel.depolarizing(0.5))
         bits, amps = engine.run_noisy_shots(circuit, state, noise, 3, rng=1)
@@ -404,7 +476,7 @@ class TestFacade:
         simulator = FeynmanPathSimulator()
         previous = get_default_engine()
         try:
-            set_default_engine("feynman-interp")
-            assert simulator._resolve_engine().name == "feynman-interp"
+            set_default_engine("statevector")
+            assert simulator._resolve_engine().name == "statevector"
         finally:
             set_default_engine(previous)

@@ -134,15 +134,14 @@ class TestAnalyticExpectation:
         return (1.0 + (1.0 - 2.0 * self.P_IDLE) ** self.DEPTH) / 2.0
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("engine", ["feynman-tape", "feynman-interp"])
-    def test_idle_qubit_matches_closed_form(self, engine):
+    def test_idle_qubit_matches_closed_form(self):
         """Monte-Carlo fidelity of one idling |+> qubit vs the closed form."""
         circuit = _busy_idle_circuit(self.DEPTH)
         model = with_idle_noise(
             NoiselessModel(), circuit, PauliChannel.phase_flip(self.P_IDLE)
         )
         state = PathState.register_superposition(2, [1])
-        result = FeynmanPathSimulator(engine=engine).query_fidelities(
+        result = FeynmanPathSimulator().query_fidelities(
             circuit,
             state,
             model,

@@ -7,8 +7,8 @@ Pins the tentpole contracts of the executed-teleportation PR:
 * measured qubits can be frame-reset and reused;
 * Pauli-frame corrections commute through ``CCX``/``MCX`` with the textbook
   compensation gates;
-* the two Feynman engines stay bit-identical on measured circuits under a
-  ``ShotSeeds`` window, including one a ``Generator`` seeds, and any
+* the tape engine's measured shots equal the independent dense oracle under
+  a ``ShotSeeds`` window, including one a ``Generator`` seeds, and any
   sharding of the shot range reproduces the unsharded trajectories.
 """
 
@@ -22,10 +22,10 @@ from repro.sim.engine import get_engine
 from repro.sim.fidelity import shot_fidelities, state_fidelity
 from repro.sim.noise import GateNoiseModel, NoiselessModel, PauliChannel
 from repro.sim.paths import PathState
-from repro.sim.seeding import ShotSeeds
+from repro.sim.seeding import ShotSeeds, as_shot_seeds
+from tests.oracle import assert_tape_matches_oracle
 
-ENGINES = ("feynman-tape", "feynman-interp", "statevector")
-FEYNMAN_ENGINES = ("feynman-tape", "feynman-interp")
+ENGINES = ("feynman-tape", "statevector")
 
 
 def one_bit_teleport(source: int, target: int, circuit: QuantumCircuit) -> None:
@@ -81,14 +81,13 @@ class TestOneBitTeleportation:
 
 
 class TestZMeasurement:
-    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
-    def test_collapse_follows_born_statistics(self, engine_name):
+    def test_collapse_follows_born_statistics(self):
         """Z outcomes of a 0.36/0.64 superposition match the true marginal."""
         circuit = QuantumCircuit(num_qubits=1)
         circuit.measure(0, basis="Z")
         state = PathState.register_superposition(1, [0], {0: 0.6, 1: 0.8})
         shots = 600
-        bits, amps = get_engine(engine_name).run_noisy_shots(
+        bits, amps = get_engine("feynman-tape").run_noisy_shots(
             circuit, state, NoiselessModel(), shots, rng=ShotSeeds(seed=11)
         )
         # Two paths per shot; the surviving one carries amplitude 1.
@@ -224,8 +223,7 @@ class TestPauliFrameCommutation:
             out_late = get_engine(engine_name).run(late, state)
             assert state_fidelity(out_early, out_late) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
-    def test_z_frame_through_mcx_control_with_measured_bit(self, engine_name):
+    def test_z_frame_through_mcx_control_with_measured_bit(self):
         """Z^m on an MCX control commutes with the MCX for a real frame bit."""
         def build(early: bool) -> QuantumCircuit:
             circuit = QuantumCircuit(num_qubits=5)
@@ -241,10 +239,10 @@ class TestPauliFrameCommutation:
 
         state = PathState.register_superposition(5, [0, 1, 2])
         for seed in range(4):
-            out_early = get_engine(engine_name).run(
+            out_early = get_engine("feynman-tape").run(
                 build(True), state, rng=np.random.default_rng(seed)
             )
-            out_late = get_engine(engine_name).run(
+            out_late = get_engine("feynman-tape").run(
                 build(False), state, rng=np.random.default_rng(seed)
             )
             # Z on a control is diagonal: it commutes with MCX exactly.
@@ -297,7 +295,7 @@ class TestCPauliSemantics:
         assert seen_active
 
 
-class TestEngineBitIdentityWithMeasurements:
+class TestOracleAgreementWithMeasurements:
     def _teleport_workload(self) -> tuple[QuantumCircuit, PathState]:
         circuit = QuantumCircuit(num_qubits=4)
         circuit.ccx(0, 1, 2)
@@ -308,22 +306,23 @@ class TestEngineBitIdentityWithMeasurements:
         return circuit, PathState.register_superposition(4, [0, 1])
 
     @pytest.mark.parametrize("rng_mode", ["seeded", "generator"])
-    def test_tape_and_interp_identical(self, rng_mode):
+    def test_tape_matches_the_oracle(self, rng_mode):
         circuit, state = self._teleport_workload()
         noise = GateNoiseModel(PauliChannel.depolarizing(0.04))
         shots = 50
         if rng_mode == "seeded":
-            rng_a = rng_b = ShotSeeds(seed=21, point_index=1)
+            seeds = ShotSeeds(seed=21, point_index=1)
         else:
-            rng_a, rng_b = (np.random.default_rng(17) for _ in range(2))
-        bits_a, amps_a = get_engine("feynman-tape").run_noisy_shots(
-            circuit, state, noise, shots, rng=rng_a
-        )
-        bits_b, amps_b = get_engine("feynman-interp").run_noisy_shots(
-            circuit, state, noise, shots, rng=rng_b
-        )
-        assert np.array_equal(bits_a, bits_b)
-        assert np.array_equal(amps_a, amps_b)
+            seeds = as_shot_seeds(np.random.default_rng(17))
+            bits, amps = get_engine("feynman-tape").run_noisy_shots(
+                circuit, state, noise, shots, rng=np.random.default_rng(17)
+            )
+            bits_w, amps_w = get_engine("feynman-tape").run_noisy_shots(
+                circuit, state, noise, shots, rng=seeds
+            )
+            assert np.array_equal(bits, bits_w)
+            assert np.array_equal(amps, amps_w)
+        assert_tape_matches_oracle(circuit, state, noise, shots, seeds)
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -23,39 +23,64 @@ from repro.sim.noise import (
 from repro.sim.seeding import draw_shot_randomness
 
 
-class TestSampleThresholdedEdges:
-    def test_p_total_zero_is_always_identity(self, rng):
-        channel = PauliChannel()
-        codes = channel.sample_thresholded(rng, 1000)
-        assert codes.shape == (1000,)
+def one_channel_table(channel: PauliChannel, size: int) -> NoiseSiteTable:
+    """``size`` sites of ``channel``; only the channel sequence matters to draws."""
+    placeholder = np.zeros(size, dtype=np.int32)
+    return NoiseSiteTable(
+        gate_index=placeholder,
+        qubit=placeholder,
+        group_index=placeholder,
+        channels=(channel,) * size,
+    )
+
+
+def reference_codes(channel: PauliChannel, uniforms: np.ndarray) -> np.ndarray:
+    """The threshold sampler's definition: one ``searchsorted`` per uniform."""
+    return np.searchsorted(channel.thresholds, uniforms, side="right")
+
+
+class TestSeededDrawEdges:
+    SEEDS = ShotSeeds(seed=5, point_index=1)
+
+    def test_p_total_zero_is_always_identity(self):
+        codes, _ = draw_shot_randomness(
+            one_channel_table(PauliChannel(), 1000), self.SEEDS, 3
+        )
+        assert codes.shape == (1000, 3)
         assert np.all(codes == PAULI_I)
 
-    def test_p_total_one_never_draws_identity(self, rng):
+    def test_p_total_one_never_draws_identity(self):
         channel = PauliChannel(p_x=0.3, p_y=0.3, p_z=0.4)
         assert channel.p_total == pytest.approx(1.0)
-        codes = channel.sample_thresholded(rng, 1000)
+        codes, _ = draw_shot_randomness(one_channel_table(channel, 1000), self.SEEDS, 3)
         assert not np.any(codes == PAULI_I)
         assert set(np.unique(codes)) <= {PAULI_X, PAULI_Y, PAULI_Z}
 
-    def test_pure_z_channel_at_probability_one(self, rng):
-        codes = PauliChannel(p_z=1.0).sample_thresholded(rng, 500)
+    def test_pure_z_channel_at_probability_one(self):
+        table = one_channel_table(PauliChannel(p_z=1.0), 500)
+        codes, _ = draw_shot_randomness(table, self.SEEDS, 2)
         assert np.all(codes == PAULI_Z)
 
-    def test_empty_window_consumes_nothing(self, rng):
-        channel = PauliChannel(p_x=0.5)
-        before = rng.bit_generator.state
-        codes = channel.sample_thresholded(rng, 0)
-        assert codes.shape == (0,)
-        assert rng.bit_generator.state == before
+    def test_empty_table_draws_no_codes(self):
+        table = one_channel_table(PauliChannel(p_x=0.5), 0)
+        codes, uniforms = draw_shot_randomness(table, self.SEEDS, 4, n_measurements=2)
+        assert codes.shape == (0, 4)
+        for shot in range(4):
+            expected = self.SEEDS.generator(shot).random(2)
+            np.testing.assert_array_equal(uniforms[:, shot], expected)
 
-    def test_consumes_exactly_size_uniforms(self):
-        """The seeded-mode contract: one rng.random value per site."""
+    def test_consumes_exactly_one_uniform_per_site(self):
+        """The seeded-mode contract: measurement uniforms, then one per site."""
         channel = PauliChannel(p_x=0.2, p_z=0.1)
-        a = np.random.default_rng(5)
-        b = np.random.default_rng(5)
-        channel.sample_thresholded(a, 17)
-        b.random(17)
-        assert a.bit_generator.state == b.bit_generator.state
+        codes, uniforms = draw_shot_randomness(
+            one_channel_table(channel, 17), self.SEEDS, 3, n_measurements=2
+        )
+        for shot in range(3):
+            stream = self.SEEDS.generator(shot).random(19)
+            np.testing.assert_array_equal(uniforms[:, shot], stream[:2])
+            np.testing.assert_array_equal(
+                codes[:, shot], reference_codes(channel, stream[2:])
+            )
 
 
 class TestSampleEdges:
@@ -88,7 +113,8 @@ class TestEmptySiteWindows:
             GateNoiseModel(PauliChannel(p_x=0.5))
         )
         assert table.n_sites == 0
-        assert table.draw_shot(np.random.default_rng(1)).shape == (0,)
+        codes, _ = draw_shot_randomness(table, ShotSeeds(seed=1), 2)
+        assert codes.shape == (0, 2)
 
     def test_manual_empty_table_draws(self):
         empty = np.empty(0, dtype=np.int32)

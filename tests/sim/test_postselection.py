@@ -20,12 +20,12 @@ from repro.sim import (
     NoiselessModel,
     PathState,
     PauliChannel,
+    ShotSeeds,
 )
 from repro.sim.engine import get_engine
 from repro.sim.feynman import QueryResult
 from repro.sim.fidelity import shot_fidelities
-
-FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape")
+from tests.oracle import assert_tape_matches_oracle, oracle_shot
 
 
 def measured_circuit() -> QuantumCircuit:
@@ -39,10 +39,9 @@ def measured_circuit() -> QuantumCircuit:
 
 
 class TestRecordedRuns:
-    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
-    def test_same_stream_as_unrecorded(self, engine_name):
+    def test_same_stream_as_unrecorded(self):
         """Recording observes the register; it must not consume randomness."""
-        engine = get_engine(engine_name)
+        engine = get_engine("feynman-tape")
         circuit = measured_circuit()
         state = PathState.register_superposition(3, [0])
         noise = GateNoiseModel(PauliChannel(p_x=0.05, p_z=0.02))
@@ -58,26 +57,29 @@ class TestRecordedRuns:
         assert outcomes.shape == (1, 64)
         assert outcomes.dtype == np.int8
 
-    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
-    def test_engines_record_identical_outcomes(self, engine_name):
-        """Every engine sees the same seeded stream, so the same register."""
-        circuit = measured_circuit()
+    def test_recorded_outcomes_match_the_oracle(self):
+        """Each shot records the outcome its oracle shot measured."""
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 1)
+        circuit.cx(1, 2)
+        circuit.measure(2)
         state = PathState.register_superposition(3, [0])
-        noise = GateNoiseModel(PauliChannel(p_x=0.05))
-        reference = get_engine("feynman-tape").run_noisy_shots_recorded(
-            circuit, state, noise, 32, rng=np.random.default_rng(3)
+        noise = GateNoiseModel(PauliChannel(p_x=0.2))
+        seeds = ShotSeeds(seed=3)
+        outcomes = get_engine("feynman-tape").run_noisy_shots_recorded(
+            circuit, state, noise, 32, rng=seeds
         )[2]
-        outcomes = get_engine(engine_name).run_noisy_shots_recorded(
-            circuit, state, noise, 32, rng=np.random.default_rng(3)
-        )[2]
-        assert np.array_equal(reference, outcomes)
+        assert 0 < outcomes.sum() < 32
+        for shot in range(32):
+            dense = oracle_shot(circuit, state, noise, seeds, shot).as_dict()
+            assert {key[2] for key in dense} == {outcomes[0, shot]}
+        assert_tape_matches_oracle(circuit, state, noise, 32, seeds)
 
-    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
-    def test_measurement_free_circuit_records_nothing(self, engine_name):
+    def test_measurement_free_circuit_records_nothing(self):
         circuit = QuantumCircuit(2)
         circuit.cx(0, 1)
         state = PathState.register_superposition(2, [0])
-        _, _, outcomes = get_engine(engine_name).run_noisy_shots_recorded(
+        _, _, outcomes = get_engine("feynman-tape").run_noisy_shots_recorded(
             circuit, state, NoiselessModel(), 4, rng=np.random.default_rng(0)
         )
         assert outcomes is None

@@ -1,8 +1,9 @@
-"""Property-based cross-engine equivalence over random circuits and noise.
+"""Property-based checks of the tape engine over random circuits and noise.
 
-The compiled ``feynman-tape`` engine promises *bit-identical* noisy
-trajectories to the interpreted reference under a fixed per-shot seed, and
-both promise exact noiseless agreement with the dense statevector
+Under a fixed per-shot seed every noisy ``feynman-tape`` shot must equal the
+independent dense oracle of :mod:`tests.oracle` (the same shot's Paulis,
+drawn from the noise model and inserted after their gates, simulated
+densely), and noiseless runs must agree exactly with the dense statevector
 simulator.  These properties are the foundation the scenario sweeps stand
 on, so they are exercised here with hypothesis over random QRAM-gate-set
 circuits and random :class:`GateNoiseModel` parameters (the fixed
@@ -23,6 +24,7 @@ from repro.sim import (
 )
 from repro.sim.noise import PauliChannel
 from tests.conftest import gate_noise_models, random_reversible_circuits
+from tests.oracle import assert_tape_matches_oracle
 
 
 def _superposition_input(circuit) -> PathState:
@@ -30,26 +32,17 @@ def _superposition_input(circuit) -> PathState:
     return PathState.register_superposition(circuit.num_qubits, register)
 
 
-class TestSeededTrajectoryBitIdentity:
+class TestSeededTrajectoriesAgainstTheOracle:
     @settings(max_examples=40, deadline=None)
     @given(
         random_reversible_circuits(max_qubits=6, max_gates=18),
         gate_noise_models(),
         st.integers(0, 2**31 - 1),
     )
-    def test_tape_and_interp_agree_bit_for_bit(self, circuit, noise, seed):
-        """Same ShotSeeds window => identical bits and amplitudes."""
+    def test_tape_matches_the_oracle(self, circuit, noise, seed):
+        """Every shot of a ShotSeeds window equals its dense oracle shot."""
         state = _superposition_input(circuit)
-        seeds = ShotSeeds(seed=seed)
-        shots = 8
-        bits_tape, amps_tape = FeynmanPathSimulator(
-            engine="feynman-tape"
-        ).run_noisy_shots(circuit, state, noise, shots, rng=seeds)
-        bits_interp, amps_interp = FeynmanPathSimulator(
-            engine="feynman-interp"
-        ).run_noisy_shots(circuit, state, noise, shots, rng=seeds)
-        assert np.array_equal(bits_tape, bits_interp)
-        assert np.array_equal(amps_tape, amps_interp)
+        assert_tape_matches_oracle(circuit, state, noise, 8, ShotSeeds(seed=seed))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -57,20 +50,11 @@ class TestSeededTrajectoryBitIdentity:
         gate_noise_models(),
         st.integers(0, 2**31 - 1),
     )
-    def test_idle_extended_models_stay_bit_identical(self, circuit, noise, seed):
-        """The schedule-aware idle path preserves the cross-engine contract."""
+    def test_idle_extended_models_match_the_oracle(self, circuit, noise, seed):
+        """Schedule-aware idle sites, end-of-circuit ones included, match too."""
         state = _superposition_input(circuit)
         model = with_idle_noise(noise, circuit, PauliChannel.phase_flip(0.1))
-        seeds = ShotSeeds(seed=seed)
-        shots = 6
-        bits_tape, amps_tape = FeynmanPathSimulator(
-            engine="feynman-tape"
-        ).run_noisy_shots(circuit, state, model, shots, rng=seeds)
-        bits_interp, amps_interp = FeynmanPathSimulator(
-            engine="feynman-interp"
-        ).run_noisy_shots(circuit, state, model, shots, rng=seeds)
-        assert np.array_equal(bits_tape, bits_interp)
-        assert np.array_equal(amps_tape, amps_interp)
+        assert_tape_matches_oracle(circuit, state, model, 6, ShotSeeds(seed=seed))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -105,6 +89,5 @@ class TestNoiselessStatevectorAgreement:
         """Noiseless Feynman runs reproduce statevector amplitudes exactly."""
         state = _superposition_input(circuit)
         dense = StatevectorSimulator().run(circuit, state)
-        for engine in ("feynman-tape", "feynman-interp"):
-            output = FeynmanPathSimulator(engine=engine).run(circuit, state)
-            assert np.allclose(output.to_statevector(), dense, atol=1e-9)
+        output = FeynmanPathSimulator(engine="feynman-tape").run(circuit, state)
+        assert np.allclose(output.to_statevector(), dense, atol=1e-9)

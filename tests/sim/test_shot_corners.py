@@ -1,13 +1,13 @@
-"""Monte-Carlo shots on the Feynman engines: degenerate corners and windows.
+"""Monte-Carlo shots on the Feynman engine: degenerate corners and windows.
 
-Both Feynman engines must produce the same ``(bits, amps)`` block for the
-same :class:`~repro.sim.ShotSeeds` window (the contract every sweep,
-scenario and served run uses), including one a ``Generator`` seeds.  These
-tests pin that on the corners where a shortcut is most tempting -- no noise,
-one error pattern shared by every shot, pure phase noise, measured circuits
--- as a hypothesis property over arbitrary sharding windows, and pin the
-seeded site draw (:func:`~repro.sim.seeding.draw_shot_randomness`) both
-engines share.
+The tape engine's ``(bits, amps)`` block for a :class:`~repro.sim.ShotSeeds`
+window (the contract every sweep, scenario and served run uses), including
+one a ``Generator`` seeds, must equal the independent dense oracle of
+:mod:`tests.oracle` shot for shot.  These tests pin that on the corners
+where a shortcut is most tempting -- no noise, one error pattern shared by
+every shot, pure phase noise, measured circuits -- pin sharding as a
+hypothesis property over arbitrary windows, and pin the seeded site draw
+(:func:`~repro.sim.seeding.draw_shot_randomness`).
 """
 
 import numpy as np
@@ -26,9 +26,9 @@ from repro.sim import (
     get_engine,
 )
 from repro.sim.paths import PathState
-from repro.sim.seeding import draw_shot_randomness
+from repro.sim.seeding import as_shot_seeds, draw_shot_randomness
+from tests.oracle import assert_tape_matches_oracle
 
-FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape")
 DEPOL = GateNoiseModel(PauliChannel.depolarizing(0.05))
 
 
@@ -37,9 +37,9 @@ def _compiled():
     return architecture.compiled_query()
 
 
-def _run(engine_name: str, noise, shots: int, rng):
+def _run(noise, shots: int, rng):
     compiled = _compiled()
-    return get_engine(engine_name).run_noisy_shots(
+    return get_engine("feynman-tape").run_noisy_shots(
         compiled.circuit, compiled.input_state, noise, shots, rng=rng
     )
 
@@ -60,23 +60,18 @@ def _measured_circuit():
 
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
-    def test_zero_shots_rejected(self, engine_name):
+    def test_zero_shots_rejected(self):
         with pytest.raises(ValueError, match="shots"):
-            _run(engine_name, DEPOL, 0, ShotSeeds(seed=0))
+            _run(DEPOL, 0, ShotSeeds(seed=0))
 
-    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
-    def test_negative_shots_rejected(self, engine_name):
+    def test_negative_shots_rejected(self):
         with pytest.raises(ValueError, match="shots"):
-            _run(engine_name, DEPOL, -3, ShotSeeds(seed=0))
+            _run(DEPOL, -3, ShotSeeds(seed=0))
 
     @pytest.mark.parametrize(
         "window_source", ["none", "shot-seeds", "generator"]
     )
-    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
-    def test_noise_free_circuit_ignores_what_seeds_the_window(
-        self, engine_name, window_source
-    ):
+    def test_noise_free_circuit_ignores_what_seeds_the_window(self, window_source):
         # Without noise sites or measurements no window stream is consumed,
         # so a window from any source must give the seeded tape run exactly.
         rng = {
@@ -84,51 +79,58 @@ class TestEdgeCases:
             "shot-seeds": ShotSeeds(seed=5),
             "generator": np.random.default_rng(5),
         }[window_source]
-        tape = _run("feynman-tape", NoiselessModel(), 6, ShotSeeds(seed=5))
-        _assert_blocks_equal(tape, _run(engine_name, NoiselessModel(), 6, rng))
+        seeded = _run(NoiselessModel(), 6, ShotSeeds(seed=5))
+        _assert_blocks_equal(seeded, _run(NoiselessModel(), 6, rng))
 
-    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
-    def test_certain_bit_flip_gives_every_shot_one_pattern(self, engine_name):
+    def test_certain_bit_flip_gives_every_shot_one_pattern(self):
         # p_x = 1: every site errs on every shot, so all 8 shots carry the
         # same error pattern and hence the same block.
         noise = GateNoiseModel(PauliChannel(p_x=1.0))
         seeds = ShotSeeds(seed=2)
-        bits, amps = _run(engine_name, noise, 8, seeds)
-        n_paths = _compiled().input_state.num_paths
+        bits, amps = _run(noise, 8, seeds)
+        compiled = _compiled()
+        n_paths = compiled.input_state.num_paths
         for shot in range(1, 8):
             rows = slice(shot * n_paths, (shot + 1) * n_paths)
             assert np.array_equal(bits[rows], bits[:n_paths])
             assert np.array_equal(amps[rows], amps[:n_paths])
-        _assert_blocks_equal((bits, amps), _run("feynman-tape", noise, 8, seeds))
+        assert_tape_matches_oracle(
+            compiled.circuit, compiled.input_state, noise, 8, seeds
+        )
 
-    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
-    def test_pure_z_noise_only_flips_signs(self, engine_name):
+    def test_pure_z_noise_only_flips_signs(self):
         # Phase-flip errors never move a path: bits equal the noiseless run,
         # amplitudes differ from it by signs only, and at least one shot
         # picked up a sign at p = 0.2.
         noise = GateNoiseModel(PauliChannel.phase_flip(0.2))
         seeds = ShotSeeds(seed=9)
-        bits, amps = _run(engine_name, noise, 16, seeds)
-        clean_bits, clean_amps = _run(engine_name, NoiselessModel(), 16, seeds)
+        bits, amps = _run(noise, 16, seeds)
+        clean_bits, clean_amps = _run(NoiselessModel(), 16, seeds)
         assert np.array_equal(bits, clean_bits)
         assert np.array_equal(np.abs(amps), np.abs(clean_amps))
         assert not np.array_equal(amps, clean_amps)
-        _assert_blocks_equal((bits, amps), _run("feynman-tape", noise, 16, seeds))
+        compiled = _compiled()
+        assert_tape_matches_oracle(
+            compiled.circuit, compiled.input_state, noise, 16, seeds
+        )
 
-    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
-    def test_generator_seeded_window_is_deterministic(self, engine_name):
-        first = _run(engine_name, DEPOL, 16, np.random.default_rng(8))
-        second = _run(engine_name, DEPOL, 16, np.random.default_rng(8))
+    def test_generator_seeded_window_is_deterministic(self):
+        first = _run(DEPOL, 16, np.random.default_rng(8))
+        second = _run(DEPOL, 16, np.random.default_rng(8))
         _assert_blocks_equal(first, second)
         n_paths = _compiled().input_state.num_paths
         assert first[0].shape[0] == 16 * n_paths
 
-    def test_generator_seeded_window_engines_agree(self):
-        # Equal generators seed equal ShotSeeds windows, so both engines
-        # draw the same shot streams and return equal blocks.
+    def test_generator_seeded_window_matches_the_oracle(self):
+        # A generator seeds one ShotSeeds window; the block must be that
+        # window's, shot for shot.
+        seeds = as_shot_seeds(np.random.default_rng(8))
         _assert_blocks_equal(
-            _run("feynman-interp", DEPOL, 16, np.random.default_rng(8)),
-            _run("feynman-tape", DEPOL, 16, np.random.default_rng(8)),
+            _run(DEPOL, 16, np.random.default_rng(8)), _run(DEPOL, 16, seeds)
+        )
+        compiled = _compiled()
+        assert_tape_matches_oracle(
+            compiled.circuit, compiled.input_state, DEPOL, 16, seeds
         )
 
     @pytest.mark.parametrize(
@@ -136,39 +138,31 @@ class TestEdgeCases:
         [PauliChannel.depolarizing(0.05), PauliChannel.phase_flip(0.2)],
         ids=["depolarizing", "phase-flip"],
     )
-    def test_measured_circuit_engines_agree(self, channel):
+    def test_measured_circuit_matches_the_oracle(self, channel):
         # Measurement collapse consumes each shot's own uniforms ahead of its
-        # site codes; both engines must read them in that order.
+        # site codes; the engine must read them in that order.
         circuit, state = _measured_circuit()
         noise = GateNoiseModel(channel)
-        seeds = ShotSeeds(seed=4)
-        blocks = [
-            get_engine(name).run_noisy_shots(circuit, state, noise, 12, rng=seeds)
-            for name in FEYNMAN_ENGINES
-        ]
-        _assert_blocks_equal(blocks[0], blocks[1])
+        assert_tape_matches_oracle(circuit, state, noise, 12, ShotSeeds(seed=4))
 
 
 class TestShardingProperty:
-    @pytest.mark.parametrize("engine_name", FEYNMAN_ENGINES)
     @given(
         windows=st.lists(st.integers(1, 6), min_size=1, max_size=4),
         seed=st.integers(0, 50),
         point_index=st.integers(0, 3),
     )
     @settings(max_examples=25, deadline=None)
-    def test_windows_reproduce_the_unsharded_tape_run(
-        self, engine_name, windows, seed, point_index
-    ):
+    def test_windows_reproduce_the_unsharded_tape_run(self, windows, seed, point_index):
         # Any partition of the shot range into ShotSeeds windows, executed
         # window by window, concatenates to the unsharded tape run.
         shots = sum(windows)
         seeds = ShotSeeds(seed=seed, point_index=point_index)
-        tape_bits, tape_amps = _run("feynman-tape", DEPOL, shots, seeds)
+        tape_bits, tape_amps = _run(DEPOL, shots, seeds)
         pieces = []
         start = 0
         for width in windows:
-            pieces.append(_run(engine_name, DEPOL, width, seeds.shifted(start)))
+            pieces.append(_run(DEPOL, width, seeds.shifted(start)))
             start += width
         assert np.array_equal(
             tape_bits, np.concatenate([piece[0] for piece in pieces])

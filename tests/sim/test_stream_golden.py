@@ -7,7 +7,7 @@ randomness is consumed in a fixed order -- **measurement uniforms first**
 gate/qubit error site, tape order) -- from its own ``SeedSequence``-derived
 stream.  Path branching added new consumers around that stream, so this
 module pins the contract on a fixed branching circuit with hard-coded golden
-values: if any engine starts drawing in a different order (or branching
+values: if the engine starts drawing in a different order (or branching
 starts consuming randomness at all), these tests fail loudly with the exact
 divergent draw rather than letting a silently re-seeded sweep masquerade as
 a real result.
@@ -19,7 +19,6 @@ instructions.
 """
 
 import numpy as np
-import pytest
 
 from repro.circuit import QuantumCircuit
 from repro.circuit.ir import compile_circuit
@@ -27,10 +26,9 @@ from repro.sim import FeynmanPathSimulator, PathState, ShotSeeds
 from repro.sim.noise import GateNoiseModel, PauliChannel
 from repro.sim.seeding import draw_shot_randomness
 
-FEYNMAN_ENGINES = ("feynman-interp", "feynman-tape")
 SEED = 20260808
 SHOTS = 3
-# The engines' exact double (one ULP below round(1/sqrt(2))): amplitudes
+# The engine's exact double (one ULP below round(1/sqrt(2))): amplitudes
 # are pinned bit for bit, not to tolerance.
 _A = 0.7071067811865474
 
@@ -55,7 +53,7 @@ GOLDEN_CODES = np.array(
     ]
 )
 
-#: The exact trajectory block every engine must emit: ``SHOTS`` stacked
+#: The exact trajectory block the engine must emit: ``SHOTS`` stacked
 #: two-path blocks (the input superposition), post-collapse.
 GOLDEN_BITS = np.array(
     [
@@ -119,23 +117,22 @@ class TestRandomStreamGolden:
             "artefacts assume",
         )
 
-    @pytest.mark.parametrize("engine", FEYNMAN_ENGINES)
-    def test_golden_trajectory(self, engine):
-        """Every engine reproduces the committed trajectory bit for bit."""
+    def test_golden_trajectory(self):
+        """The Feynman engine reproduces the committed trajectory bit for bit."""
         state = PathState.register_superposition(3, [2])
-        bits, amps = FeynmanPathSimulator(engine=engine).run_noisy_shots(
+        bits, amps = FeynmanPathSimulator(engine="feynman-tape").run_noisy_shots(
             _branching_circuit(), state, _noise(), SHOTS, rng=ShotSeeds(seed=SEED)
         )
         np.testing.assert_array_equal(
             bits,
             GOLDEN_BITS,
-            err_msg=f"{engine}: trajectory bits diverged from the golden "
+            err_msg="trajectory bits diverged from the golden "
             "block -- the random-stream contract is broken",
         )
         np.testing.assert_array_equal(
             amps,
             GOLDEN_AMPS,
-            err_msg=f"{engine}: trajectory amplitudes diverged from the "
+            err_msg="trajectory amplitudes diverged from the "
             "golden block -- the random-stream contract is broken",
         )
 

@@ -21,16 +21,15 @@ from repro.sim import (
     PauliChannel,
     ShotSeeds,
     available_engines,
-    get_engine,
 )
 from repro.sweep import ShotShard, SweepRunner
+from tests.oracle import assert_tape_matches_oracle
 
 SHOTS = 12
 SEED = 21
 
 #: Engines and the noise each supports (the dense engine is noiseless-only).
 ENGINE_NOISE = {
-    "feynman-interp": GateNoiseModel(PauliChannel.depolarizing(0.02)),
     "feynman-tape": GateNoiseModel(PauliChannel.depolarizing(0.02)),
     "statevector": NoiselessModel(),
 }
@@ -86,20 +85,15 @@ class TestEveryEngineIsShardInvariant:
         )
 
 
-class TestEngineCrossAgreementUnderShotSeeds:
-    def test_tape_and_interp_draw_identical_trajectories(self):
+class TestTapeAgainstOracleUnderShotSeeds:
+    def test_tape_matches_the_dense_oracle_shot_for_shot(self):
         architecture = _architecture()
         compiled = architecture.compiled_query()
         noise = GateNoiseModel(PauliChannel.depolarizing(0.05))
         seeds = ShotSeeds(seed=3, point_index=1)
-        tape_bits, tape_amps = get_engine("feynman-tape").run_noisy_shots(
-            compiled.circuit, compiled.input_state, noise, 8, rng=seeds
+        assert_tape_matches_oracle(
+            compiled.circuit, compiled.input_state, noise, 8, seeds
         )
-        interp_bits, interp_amps = get_engine("feynman-interp").run_noisy_shots(
-            compiled.circuit, compiled.input_state, noise, 8, rng=seeds
-        )
-        assert np.array_equal(tape_bits, interp_bits)
-        assert np.array_equal(tape_amps, interp_amps)
 
 
 class TestHighLevelHelpersAreWorkerInvariant:

@@ -35,11 +35,11 @@ class TestShotSeeds:
         ):
             assert not np.array_equal(reference, other.random(8))
 
-    def test_generators_matches_generator(self):
+    def test_window_draw_matches_generator(self):
         seeds = ShotSeeds(seed=5, point_index=2, start=4)
-        streams = seeds.generators(3)
-        assert len(streams) == 3
-        assert np.array_equal(streams[2].random(4), seeds.generator(2).random(4))
+        _, uniforms = draw_shot_randomness(None, seeds, 3, n_measurements=4)
+        assert uniforms.shape == (4, 3)
+        assert np.array_equal(uniforms[:, 2], seeds.generator(2).random(4))
 
     def test_negative_coordinates_rejected(self):
         with pytest.raises(ValueError):
