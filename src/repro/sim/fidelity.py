@@ -18,6 +18,8 @@ given Pauli error pattern; the Monte-Carlo average over patterns is taken by
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.sim.paths import PathState
@@ -62,6 +64,36 @@ def _as_void_keys(matrix: np.ndarray) -> np.ndarray:
     return contiguous.view(np.dtype((np.void, matrix.shape[1])))[:, 0]
 
 
+def _key_words(packed: np.ndarray) -> np.ndarray:
+    """A ``(rows, width)`` uint8 key matrix as ``(rows, ceil(width / 8))`` uint64.
+
+    Each word reads 8 key bytes big-endian (the last word zero-padded), so
+    comparing rows word by word orders them exactly like their key bytes.
+    """
+    rows, width = packed.shape
+    words = np.zeros((rows, (width + 7) // 8), dtype=">u8")
+    words.view(np.uint8)[:, :width] = packed
+    return words.astype(np.uint64)
+
+
+def _lexicographic_ids(words: np.ndarray) -> np.ndarray:
+    """One integer per row of a word matrix, ordered like the rows' words.
+
+    Equal rows get equal ids.  A single word is its own id; every further
+    word refines the dense rank of the words before it (both dense ranks
+    are below ``rows``, so ``high * rows + low`` fits an int64), and a
+    zero-word matrix has one all-equal id.
+    """
+    if words.shape[1] == 0:
+        return np.zeros(words.shape[0], dtype=np.uint64)
+    ids = words[:, 0]
+    for column in words.T[1:]:
+        _, high = np.unique(ids, return_inverse=True)
+        _, low = np.unique(column, return_inverse=True)
+        ids = high * words.shape[0] + low
+    return ids
+
+
 def _rest_columns(num_qubits: int, keep_columns: list[int]) -> list[int]:
     """The qubits outside ``keep_columns``, in index order."""
     keep = set(keep_columns)
@@ -90,6 +122,48 @@ def _ideal_keep_amplitudes(
     for key, amp in zip(keep_keys, ideal.amplitudes):
         amplitudes[key] = amplitudes.get(key, 0.0 + 0.0j) + complex(amp)
     return amplitudes
+
+
+@dataclass(frozen=True)
+class _KeepTable:
+    """:func:`_ideal_keep_amplitudes` of one ideal output, keyed by integers.
+
+    ``words`` holds each kept-register basis state's :func:`_key_words`
+    row, sorted lexicographically with no repeats; ``amplitudes`` holds its
+    summed ideal amplitude, the dict's value bit for bit.  ``rest_columns``
+    are the traced qubits.
+    """
+
+    words: np.ndarray
+    amplitudes: np.ndarray
+    rest_columns: list[int]
+
+
+def _keep_table(ideal: PathState, keep_columns: list[int]) -> _KeepTable:
+    """The :class:`_KeepTable` of ``ideal`` over ``keep_columns``, memoised.
+
+    The table lives on ``ideal`` itself (one per keep set), so every shard
+    of a sweep point reuses it and no other state can reach it.  It is
+    rebuilt when the state's bits or amplitudes no longer hold what it was
+    built from.  An entangled ideal output raises from
+    :func:`_ideal_keep_amplitudes` and caches nothing.
+    """
+    snapshot = (ideal.bits.shape, ideal.bits.tobytes(), ideal.amplitudes.tobytes())
+    key = tuple(keep_columns)
+    entry = ideal._keep_tables.get(key)
+    if entry is not None and entry[0] == snapshot:
+        return entry[1]
+    amplitudes = _ideal_keep_amplitudes(ideal, keep_columns)
+    packed = np.frombuffer(b"".join(amplitudes), dtype=np.uint8)
+    words = _key_words(packed.reshape(len(amplitudes), (len(keep_columns) + 7) // 8))
+    order = np.argsort(_lexicographic_ids(words), kind="stable")
+    table = _KeepTable(
+        words=words[order],
+        amplitudes=np.array(list(amplitudes.values()), dtype=complex)[order],
+        rest_columns=_rest_columns(ideal.num_qubits, keep_columns),
+    )
+    ideal._keep_tables[key] = (snapshot, table)
+    return table
 
 
 def reduced_fidelity(
@@ -146,43 +220,44 @@ def shot_fidelities(
     concatenation) understands, so the rejected shots stay countable instead
     of silently vanishing.  ``None`` keeps every shot (no postselection).
 
+    Kept-register keys are integers: each row's key bytes read as one
+    big-endian ``uint64`` word per 64 kept qubits (wider keys, e.g. the
+    full state of a >64-qubit circuit, refine word by word through
+    :func:`_lexicographic_ids`).  They are looked up by binary search in
+    the ideal's per-point :class:`_KeepTable`, built once from
+    :func:`_ideal_keep_amplitudes` and memoised on ``ideal``, so the shards
+    of a sweep point share one table instead of rebuilding it.
+
     The reduction is fully vectorised but reproduces the historical per-shot
     dict loop **bit for bit**: overlap terms accumulate in row order within
     each ``(shot, rest-state)`` bucket (``np.bincount`` adds sequentially in
     input order), the squared magnitude uses the same ``hypot`` that
     ``abs(complex)`` uses, and per-shot bucket contributions sum in
-    first-appearance order -- exactly the old dict's insertion order.
+    first-appearance order -- exactly the old dict's insertion order.  The
+    one exception is a complex ideal amplitude: NumPy's vectorised complex
+    multiply may round ``conj(ideal) * amp`` differently from the loop's
+    scalar one (QRAM ideal outputs are real, so their bits are unaffected).
     """
-    num_qubits = ideal.num_qubits
     if keep_qubits is None:
-        keep_columns = list(range(num_qubits))
-        rest_columns: list[int] = []
+        keep_columns = list(range(ideal.num_qubits))
     else:
         keep_columns = list(keep_qubits)
-        rest_columns = _rest_columns(num_qubits, keep_columns)
 
-    ideal_keep = _ideal_keep_amplitudes(ideal, keep_columns)
+    # Resolve each row's kept-register key against the ideal table: rows
+    # and table entries are ranked together (one integer id per key, however
+    # many words it spans), and each row's id is binary-searched among the
+    # table's sorted ids.
+    table = _keep_table(ideal, keep_columns)
+    rest_columns = table.rest_columns
+    n_entries = table.words.shape[0]
+    row_words = _key_words(_packed_key_matrix(bits_block, keep_columns))
+    ids = _lexicographic_ids(np.concatenate([table.words, row_words]))
+    table_ids = ids[:n_entries]
+    row_ids = ids[n_entries:]
+    slot = np.minimum(np.searchsorted(table_ids, row_ids), n_entries - 1)
+    matched = np.flatnonzero(table_ids[slot] == row_ids)
 
-    rows = shots * n_paths
-    # Per-row ideal amplitude and hit mask, resolved once per *distinct*
-    # kept-register basis state instead of once per row.
-    if keep_columns:
-        keep_void = _as_void_keys(_packed_key_matrix(bits_block, keep_columns))
-        unique_keys, keep_inverse = np.unique(keep_void, return_inverse=True)
-        unique_amps = np.array(
-            [ideal_keep.get(key.tobytes(), 0.0 + 0.0j) for key in unique_keys],
-            dtype=complex,
-        )
-        unique_hit = np.array(
-            [key.tobytes() in ideal_keep for key in unique_keys], dtype=bool
-        )
-        row_amp = unique_amps[keep_inverse]
-        matched = np.nonzero(unique_hit[keep_inverse])[0]
-    else:
-        row_amp = np.full(rows, complex(ideal_keep[b""]))
-        matched = np.arange(rows)
-
-    weights = np.conj(row_amp[matched]) * amps_block[matched]
+    weights = np.conj(table.amplitudes[slot[matched]]) * amps_block[matched]
     shot_of_match = matched // n_paths
 
     if not rest_columns:

@@ -21,7 +21,7 @@ conversions so callers never manipulate raw bit positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -54,6 +54,11 @@ class PathState:
 
     bits: np.ndarray
     amplitudes: np.ndarray
+    #: Ideal-amplitude tables :func:`~repro.sim.fidelity.shot_fidelities`
+    #: derived from this state, keyed by keep set; excluded from equality.
+    _keep_tables: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.bits = np.asarray(self.bits, dtype=bool)

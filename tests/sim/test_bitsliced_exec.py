@@ -345,6 +345,48 @@ class TestBitSlicedExecutor:
         actual = _execute_stacked_shots(tape, state, shots, sites, codes, uniforms)
         _assert_identical(expected, actual)
 
+    def test_fixed_outcome_z_measure_clears_negative_zeros(self):
+        """A Z measure whose outcome is certain still runs its amplitude pass.
+
+        Every shot measures ``0`` on qubit 1 and ``1`` on qubit 2, so each
+        shot's renormalising scale is exactly ``1.0``.  The pass is not a
+        no-op all the same: ``amps *= keep * scale`` multiplies by
+        ``1+0j``, which turns ``0-0j`` into ``0+0j`` (and ``-0-0j`` into
+        ``0+0j`` over the two passes).  Skipping it for a unit scale would
+        break byte identity.
+        """
+        circuit = QuantumCircuit(3)
+        circuit.measure(1, basis="Z")
+        circuit.measure(2, basis="Z")
+        tape = compile_circuit(circuit)
+        bits = np.zeros((4, 3), dtype=bool)
+        bits[:, 0] = [False, True, False, True]
+        bits[:, 2] = True
+        state = PathState(
+            bits=bits,
+            amplitudes=np.array(
+                [
+                    complex(0.0, -0.0),
+                    complex(-0.0, -0.0),
+                    complex(0.6, -0.0),
+                    complex(-0.8, 0.0),
+                ]
+            ),
+        )
+        assert np.signbit(state.amplitudes.imag).sum() == 3
+        shots = 5
+        uniforms = np.random.default_rng(2).random((tape.num_measurements, shots))
+        expected = _reference_execute(tape, state, shots, None, None, uniforms)
+        actual = _execute_stacked_shots(tape, state, shots, None, None, uniforms)
+        _assert_identical(expected, actual)
+        _, amps, outcomes = actual
+        assert outcomes.tolist() == [[0] * shots, [1] * shots]
+        assert not np.signbit(amps.imag).any()
+        unit_passes = np.tile(state.amplitudes, shots)
+        for _ in range(tape.num_measurements):
+            unit_passes *= np.ones(unit_passes.shape)
+        assert amps.tobytes() == unit_passes.tobytes()
+
 
 class TestRowPacking:
     @pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 2048])

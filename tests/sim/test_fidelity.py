@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit
 from repro.experiments.common import random_memory
@@ -15,8 +17,12 @@ from repro.sim import (
     reduced_fidelity,
     state_fidelity,
 )
+from repro.sim import fidelity
 from repro.sim.fidelity import (
     _ideal_keep_amplitudes,
+    _keep_table,
+    _key_words,
+    _lexicographic_ids,
     _pack_rows,
     _packed_key_matrix,
     shot_fidelities,
@@ -264,3 +270,207 @@ class TestQubitMajorLayout:
         assert packed.dtype == np.uint8
         assert packed.shape == expected.shape
         assert np.array_equal(packed, expected)
+
+
+#: Kept-register widths on both sides of the 8-bit byte and 64-bit word
+#: boundaries of the integer keys.
+KEEP_WIDTHS = (0, 1, 8, 9, 64, 65)
+
+
+def _absent_key(present, width, rng):
+    """A ``width``-bit key row not in ``present``, or ``None`` if none found."""
+    taken = {row.tobytes() for row in present}
+    for _ in range(64):
+        candidate = rng.random(width) < 0.5
+        if candidate.tobytes() not in taken:
+            return candidate
+    return None
+
+
+@st.composite
+def fidelity_cases(draw):
+    """An ideal product output and a noisy block that half-matches it.
+
+    The ideal's paths draw their kept bits from a small pool, so keep keys
+    repeat; the block's rows copy an ideal key (some with one bit flipped),
+    take a random (usually absent) one, or -- for whole "dead" shots -- a
+    key the ideal lacks, and their traced bits come from a small pool, so
+    rest buckets collide.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # keep_qubits=None on a >64-qubit circuit: multi-word full keys.
+        num_qubits = draw(st.integers(65, 140))
+        keep = None
+        keep_columns = list(range(num_qubits))
+    else:
+        width = draw(st.sampled_from(KEEP_WIDTHS))
+        num_qubits = width + draw(st.integers(0 if width else 1, 12))
+        keep_columns = [int(q) for q in rng.permutation(num_qubits)[:width]]
+        keep = keep_columns
+    rest_columns = [q for q in range(num_qubits) if q not in set(keep_columns)]
+    width = len(keep_columns)
+
+    n_ideal = draw(st.integers(1, 8))
+    # Pool keys one bit apart, so wide keys often tie on their first word.
+    pool = np.tile(rng.random(width) < 0.5, (draw(st.integers(1, n_ideal)), 1))
+    if width:
+        pool[np.arange(1, len(pool)), rng.integers(width, size=len(pool) - 1)] ^= True
+    ideal_keep = pool[rng.integers(len(pool), size=n_ideal)]
+    ideal_bits = np.zeros((n_ideal, num_qubits), dtype=bool)
+    ideal_bits[:, keep_columns] = ideal_keep
+    ideal_bits[:, rest_columns] = rng.random(len(rest_columns)) < 0.5
+    # Real ideal amplitudes, like every QRAM ideal output: a complex one
+    # lets NumPy's vectorised complex multiply round differently from the
+    # loop's scalar one, which no key resolution can change.
+    ideal = PathState(bits=ideal_bits, amplitudes=rng.normal(size=n_ideal))
+
+    shots = draw(st.integers(1, 6))
+    n_paths = draw(st.integers(1, 6))
+    rows = shots * n_paths
+    bits = rng.random((rows, num_qubits)) < 0.5
+    copied = rng.random(rows) < 0.7
+    bits[np.ix_(copied, keep_columns)] = ideal_keep[
+        rng.integers(n_ideal, size=int(copied.sum()))
+    ]
+    if width:
+        # Near misses: an ideal key with one kept bit flipped.
+        near = np.flatnonzero(copied & (rng.random(rows) < 0.3))
+        bits[near, np.array(keep_columns)[rng.integers(width, size=len(near))]] ^= True
+    rest_pool = rng.random((3, len(rest_columns))) < 0.5
+    rest_pool[0] = ideal_bits[0, rest_columns]
+    bits[:, rest_columns] = rest_pool[rng.integers(3, size=rows)]
+    absent = _absent_key(ideal_keep, width, rng)
+    if absent is not None:
+        for shot in np.flatnonzero(rng.random(shots) < 0.3):
+            bits[shot * n_paths : (shot + 1) * n_paths, keep_columns] = absent
+    amps = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+
+    if draw(st.booleans()):
+        bits = np.ascontiguousarray(bits.T).T  # the qubit-major layout
+    kept = rng.random(shots) < 0.6 if draw(st.booleans()) else None
+    return ideal, bits, amps, shots, n_paths, keep, kept
+
+
+class TestIntegerKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(case=fidelity_cases())
+    def test_matches_reference_loop_bytes(self, case):
+        """Every keep width, layout and mask gives the dict loop's bytes."""
+        ideal, bits, amps, shots, n_paths, keep, kept = case
+        expected = _reference_shot_fidelities(
+            ideal, bits, amps, shots=shots, n_paths=n_paths, keep_qubits=keep
+        )
+        if kept is not None:
+            expected[~kept] = np.nan
+        for _ in range(2):  # the second call runs on the memoised table
+            actual = shot_fidelities(
+                ideal,
+                bits,
+                amps,
+                shots=shots,
+                n_paths=n_paths,
+                keep_qubits=keep,
+                kept=kept,
+            )
+            assert actual.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_words", [0, 1, 2, 3])
+    def test_lexicographic_ids_order_rows_like_their_words(self, n_words):
+        rng = np.random.default_rng(n_words)
+        # Few distinct values per word, so rows tie on leading words.
+        words = rng.integers(0, 3, size=(200, n_words)).astype(np.uint64)
+        words[::7, :1] = np.uint64(2**64 - 1)
+        ids = _lexicographic_ids(words)
+        order = np.lexsort(words.T[::-1]) if n_words else np.arange(200)
+        assert np.array_equal(np.argsort(ids, kind="stable"), order)
+        same_ids = ids[:, None] == ids[None, :]
+        same_rows = (words[:, None, :] == words[None, :, :]).all(axis=2)
+        assert np.array_equal(same_ids, same_rows)
+
+    @pytest.mark.parametrize("width", [0, 1, 8, 9, 64, 65, 130])
+    def test_key_words_are_big_endian_padded_bytes(self, width):
+        bits = np.random.default_rng(width).random((9, width)) < 0.5
+        packed = _packed_key_matrix(bits, list(range(width)))
+        words = _key_words(packed)
+        n_bytes = (width + 7) // 8
+        assert words.dtype == np.uint64
+        assert words.shape == (9, (n_bytes + 7) // 8)
+        for row, key in zip(words, packed):
+            padded = key.tobytes().ljust(8 * len(row), b"\0")
+            assert b"".join(int(word).to_bytes(8, "big") for word in row) == padded
+
+
+class TestKeepTable:
+    def _ideals(self):
+        amp = 1 / np.sqrt(2)
+        a = _state([({0: 0, 1: 0}, amp), ({0: 1, 1: 0}, amp)], 3)
+        b = _state([({0: 0, 1: 1}, amp), ({0: 1, 1: 1}, amp)], 3)
+        assert a.bits.shape == b.bits.shape
+        return a, b
+
+    def test_equal_shape_ideals_never_share_a_table(self):
+        a, b = self._ideals()
+        keep = [0, 1]
+        bits = np.vstack([a.bits, b.bits])
+        amps = np.ones(4, dtype=complex)
+        for ideal in (a, b, a, b):
+            values = shot_fidelities(
+                ideal, bits, amps, shots=2, n_paths=2, keep_qubits=keep
+            )
+            expected = _reference_shot_fidelities(
+                ideal, bits, amps, shots=2, n_paths=2, keep_qubits=keep
+            )
+            assert values.tobytes() == expected.tobytes()
+        table_a, table_b = _keep_table(a, keep), _keep_table(b, keep)
+        assert table_a is not table_b
+        assert not np.array_equal(table_a.words, table_b.words)
+
+    def test_keep_sets_of_one_ideal_get_their_own_tables(self):
+        ideal, _ = self._ideals()
+        first, second = _keep_table(ideal, [0]), _keep_table(ideal, [1, 0])
+        assert first is not second
+        assert _keep_table(ideal, [0]) is first
+        assert _keep_table(ideal, [1, 0]) is second
+        assert first.words[:, 0].tolist() == [0, 1 << 63]
+        assert second.words[:, 0].tolist() == [0, 1 << 62]
+        assert first.rest_columns == [1, 2] and second.rest_columns == [2]
+
+    def test_table_follows_an_ideal_changed_in_place(self):
+        ideal, other = self._ideals()
+        keep = [0, 1]
+        stale = _keep_table(ideal, keep)
+        ideal.bits[:] = other.bits
+        fresh = _keep_table(ideal, keep)
+        assert fresh is not stale
+        assert np.array_equal(fresh.words, _keep_table(other, keep).words)
+
+    def test_entangled_ideal_raises_on_every_use(self):
+        amp = 1 / np.sqrt(2)
+        entangled = _state([({0: 0, 1: 0}, amp), ({0: 1, 1: 1}, amp)], 2)
+        bits = entangled.bits.copy()
+        amps = entangled.amplitudes.copy()
+        with pytest.raises(ValueError) as direct:
+            _ideal_keep_amplitudes(entangled, [0])
+        for _ in range(2):
+            with pytest.raises(ValueError) as raised:
+                shot_fidelities(
+                    entangled, bits, amps, shots=1, n_paths=2, keep_qubits=[0]
+                )
+            assert str(raised.value) == str(direct.value)
+        assert entangled._keep_tables == {}
+
+    def test_shards_of_a_compiled_point_build_one_table(self, monkeypatch):
+        architecture = VirtualQRAM(memory=random_memory(2, 7), qram_width=2)
+        noise = GateNoiseModel(PauliChannel.depolarizing(0.05))
+        built = []
+        original = fidelity._ideal_keep_amplitudes
+
+        def counting(ideal, keep_columns):
+            built.append(tuple(keep_columns))
+            return original(ideal, keep_columns)
+
+        monkeypatch.setattr(fidelity, "_ideal_keep_amplitudes", counting)
+        for shard in range(3):
+            architecture.run_query(noise, 8, rng=ShotSeeds(seed=shard))
+        assert built == [tuple(architecture.kept_qubits())]
