@@ -54,7 +54,7 @@ def _gate_variant(base: str, tag: str):
 def _zero_noise_exact() -> bool:
     """All fidelities exactly 1.0 and every check passes."""
     compiled = compile_scenario(get_scenario("dual-rail-bb-m2"), SEED)
-    result = FeynmanPathSimulator(engine="feynman-tape").query_fidelities(
+    result = FeynmanPathSimulator().query_fidelities(
         compiled.circuit,
         compiled.input_state,
         NoiselessModel(),

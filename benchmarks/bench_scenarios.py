@@ -30,7 +30,7 @@ import time
 
 from repro.experiments.common import format_table
 from repro.scenarios import run_scenario
-from repro.sim.engine import get_default_engine
+from repro.sim.engine import ENGINE_NAME
 
 SCENARIOS = ("ideal-m3", "htree-swap-m3", "htree-teleport-m3")
 IDEAL, SWAP, TELEPORT = SCENARIOS
@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(
         f"workload: scenarios {', '.join(SCENARIOS)}; {SHOTS} shots, "
-        f"shard_size={args.shard_size}, engine={get_default_engine()}, "
+        f"shard_size={args.shard_size}, engine={ENGINE_NAME}, "
         f"{os.cpu_count()} cores"
     )
 
@@ -127,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
                 "shots": SHOTS,
                 "seed": SEED,
                 "shard_size": args.shard_size,
-                "engine": get_default_engine(),
+                "engine": ENGINE_NAME,
                 "cores": os.cpu_count(),
             },
             "timings_seconds": {str(w): timings[w] for w in sorted(timings)},

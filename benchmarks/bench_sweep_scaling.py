@@ -34,7 +34,7 @@ import time
 
 from repro.experiments.common import format_table
 from repro.experiments.fig10 import run_fig10
-from repro.sim.engine import get_default_engine
+from repro.sim.engine import ENGINE_NAME
 
 M = 5
 SHOTS = 256
@@ -121,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(
         f"workload: virtual QRAM m={M}, {args.points} sweep points x {SHOTS} "
-        f"shots, shard_size={args.shard_size}, engine={get_default_engine()}, "
+        f"shots, shard_size={args.shard_size}, engine={ENGINE_NAME}, "
         f"{os.cpu_count()} cores"
     )
 
@@ -153,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
                 "shots": SHOTS,
                 "points": args.points,
                 "shard_size": args.shard_size,
-                "engine": get_default_engine(),
+                "engine": ENGINE_NAME,
                 "cores": os.cpu_count(),
             },
             "timings_seconds": {str(w): timings[w] for w in worker_counts},

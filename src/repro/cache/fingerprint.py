@@ -1,17 +1,19 @@
 """Canonical, versioned fingerprints for scenario runs.
 
 `ShotSeeds` makes every scenario run a pure function of
-``(spec, seed, shots, engine, router)`` -- the same inputs produce
+``(spec, seed, shots, router)`` -- the same inputs produce
 bit-identical records on any machine, worker count or shard size.  The
 fingerprint is the content address of that function application: a SHA-256
 over a canonical JSON serialization of the *resolved* inputs plus the cache
-and record schema versions.
+and record schema versions and the engine name
+(:data:`~repro.sim.engine.ENGINE_NAME`, kept so every committed fingerprint
+stays valid).
 
 Resolution matters: a spec with ``router=None`` means "the session default",
 which can change between sessions, so fingerprinting an unresolved spec
 would let one configuration's artefact be served for another.
 :func:`run_fingerprint` therefore refuses unresolved specs;
-:func:`repro.scenarios.run.run_scenario` pins engine and router *before*
+:func:`repro.scenarios.run.run_scenario` pins the router *before*
 fingerprinting, and stamps the same resolved names into every record.
 """
 
@@ -23,6 +25,7 @@ from dataclasses import fields
 
 from repro.scenarios.record import RECORD_SCHEMA_VERSION
 from repro.scenarios.spec import ScenarioSpec
+from repro.sim.engine import ENGINE_NAME
 
 #: Version of the fingerprint recipe itself (what is hashed, and how).
 #: Bump whenever the canonical serialization or the input set changes, so
@@ -44,7 +47,7 @@ def canonical_spec(spec: ScenarioSpec) -> dict[str, object]:
 
 
 def canonical_run_payload(
-    spec: ScenarioSpec, *, seed: int, shots: int, engine: str
+    spec: ScenarioSpec, *, seed: int, shots: int
 ) -> dict[str, object]:
     """The exact dict :func:`run_fingerprint` hashes (exposed for tests/docs).
 
@@ -63,19 +66,17 @@ def canonical_run_payload(
         "spec": canonical_spec(spec),
         "seed": seed,
         "shots": shots,
-        "engine": engine,
+        "engine": ENGINE_NAME,
     }
 
 
-def run_fingerprint(
-    spec: ScenarioSpec, *, seed: int, shots: int, engine: str
-) -> str:
+def run_fingerprint(spec: ScenarioSpec, *, seed: int, shots: int) -> str:
     """Content address of one scenario run: 64 lowercase hex characters.
 
     SHA-256 of the canonical payload serialized with sorted keys and no
     whitespace.  Two runs share a fingerprint iff they are bit-identical by
     the `ShotSeeds` determinism contract.
     """
-    payload = canonical_run_payload(spec, seed=seed, shots=shots, engine=engine)
+    payload = canonical_run_payload(spec, seed=seed, shots=shots)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -5,7 +5,6 @@ Usage::
     python -m repro.experiments list
     python -m repro.experiments table1 [--out results/]
     python -m repro.experiments fig9 --shots 256 --seed 7 [--out results/]
-    python -m repro.experiments table2 --engine statevector
     python -m repro.experiments all --quick
     python -m repro.experiments scenario --list
     python -m repro.experiments scenario htree-swap-m3 --workers 4 --out out/
@@ -60,12 +59,6 @@ from repro.hardware.router import (
     available_routers,
     get_default_router,
     set_default_router,
-)
-from repro.sim.engine import (
-    UnsupportedEngineError,
-    available_engines,
-    get_default_engine,
-    set_default_engine,
 )
 
 
@@ -200,13 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="random seed forwarded to every runner (default: the project-wide "
         "DEFAULT_SEED, so figures are reproducible bit-for-bit)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=available_engines(),
-        default=None,
-        help="execution engine for every simulation (default: the compiled "
-        "'feynman-tape' engine)",
     )
     parser.add_argument(
         "--router",
@@ -349,9 +335,6 @@ def run_scenarios(args) -> int:
         except BranchBudgetError as exc:
             print(f"error: branch budget exceeded: {exc}", file=sys.stderr)
             return 2
-        except UnsupportedEngineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         print(scenario_report(name, records))
         if args.out:
             paths = export_experiment(
@@ -391,17 +374,13 @@ def main(argv: list[str] | None = None) -> int:
         resolve_formats(args, scenario=args.experiment == "scenario")
     except ValueError as exc:
         parser.error(str(exc))
-    previous_engine = get_default_engine()
     previous_router = get_default_router()
-    if args.engine is not None:
-        set_default_engine(args.engine)
     if args.router is not None:
         set_default_router(args.router)
     if args.experiment == "scenario":
         try:
             return run_scenarios(args)
         finally:
-            set_default_engine(previous_engine)
             set_default_router(previous_router)
     run_all = args.experiment == "all"
     names = sorted(EXPERIMENTS) if run_all else [args.experiment]
@@ -410,12 +389,6 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             try:
                 run_experiment(name, args)
-            except NotImplementedError as exc:
-                # e.g. --engine statevector on a Monte-Carlo figure.
-                print(f"error: [{name}] {exc}", file=sys.stderr)
-                if not run_all:
-                    return 2
-                failures.append(name)
             except Exception as exc:
                 if not run_all:
                     raise
@@ -424,7 +397,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: [{name}] failed: {exc}", file=sys.stderr)
                 failures.append(name)
     finally:
-        set_default_engine(previous_engine)
         set_default_router(previous_router)
     if failures:
         print(

@@ -17,7 +17,6 @@ import numpy as np
 from repro.analysis.fidelity import qram_x_fidelity_bound, qram_z_fidelity_bound
 from repro.experiments.common import format_table, random_memory, resolve_seed
 from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.engine import get_default_engine
 from repro.sim.noise import GateNoiseModel, PauliChannel
 from repro.sweep import ShotShard, SweepRunner
 
@@ -41,12 +40,10 @@ def _fig10_architecture(m: int, seed: int) -> VirtualQRAM:
 
 def _fig10_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
     """Per-shard fidelities for one (error, width, reduction factor) point."""
-    error_name, m, epsilon, seed, engine = spec
+    error_name, m, epsilon, seed = spec
     architecture = _fig10_architecture(m, seed)
     noise = GateNoiseModel(ERROR_CHANNELS[error_name](epsilon))
-    result = architecture.run_query(
-        noise, shard.shots, rng=shard.seeds(), engine=engine
-    )
+    result = architecture.run_query(noise, shard.shots, rng=shard.seeds())
     return result.fidelities
 
 
@@ -63,7 +60,6 @@ def run_fig10(
 ) -> list[dict[str, object]]:
     """Fidelity records for every (error, width, reduction factor) triple."""
     seed_value = resolve_seed(seed)
-    engine = get_default_engine()
     points = [
         (error_name, m, factor)
         for m in widths
@@ -71,7 +67,7 @@ def run_fig10(
         for factor in reduction_factors
     ]
     specs = [
-        (error_name, m, base_epsilon / factor, seed_value, engine)
+        (error_name, m, base_epsilon / factor, seed_value)
         for error_name, m, factor in points
     ]
     runner = SweepRunner(workers=workers, shard_size=shard_size)

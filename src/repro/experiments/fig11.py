@@ -18,7 +18,6 @@ import numpy as np
 from repro.analysis.fidelity import virtual_x_fidelity_bound, virtual_z_fidelity_bound
 from repro.experiments.common import format_table, random_memory, resolve_seed
 from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.engine import get_default_engine
 from repro.sim.noise import GateNoiseModel, PauliChannel
 from repro.sweep import ShotShard, SweepRunner
 
@@ -42,12 +41,10 @@ def _fig11_architecture(m: int, k: int, seed: int) -> VirtualQRAM:
 
 def _fig11_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
     """Per-shard fidelities for one (m, k, error, factor) sweep point."""
-    m, k, error_name, epsilon, seed, engine = spec
+    m, k, error_name, epsilon, seed = spec
     architecture = _fig11_architecture(m, k, seed)
     noise = GateNoiseModel(ERROR_CHANNELS[error_name](epsilon))
-    result = architecture.run_query(
-        noise, shard.shots, rng=shard.seeds(), engine=engine
-    )
+    result = architecture.run_query(noise, shard.shots, rng=shard.seeds())
     return result.fidelities
 
 
@@ -65,7 +62,6 @@ def run_fig11(
 ) -> list[dict[str, object]]:
     """Fidelity records over the (m, k) plane for each error channel and eps_r."""
     seed_value = resolve_seed(seed)
-    engine = get_default_engine()
     points = [
         (m, k, error_name, factor)
         for m in qram_widths
@@ -74,7 +70,7 @@ def run_fig11(
         for factor in reduction_factors
     ]
     specs = [
-        (m, k, error_name, base_epsilon / factor, seed_value, engine)
+        (m, k, error_name, base_epsilon / factor, seed_value)
         for m, k, error_name, factor in points
     ]
     runner = SweepRunner(workers=workers, shard_size=shard_size)

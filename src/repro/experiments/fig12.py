@@ -26,7 +26,6 @@ from repro.hardware.devices import DEVICES, DeviceModel
 from repro.hardware.noise_model import device_noise_model
 from repro.hardware.router import get_default_router, make_router
 from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.engine import get_default_engine
 from repro.sim.feynman import FeynmanPathSimulator
 from repro.sweep import ShotShard, SweepRunner
 
@@ -101,13 +100,13 @@ def _fig12_bundle(configuration: HardwareConfiguration, seed: int, router: str):
 
 def _fig12_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
     """Per-shard fidelities for one (configuration, eps_r) sweep point."""
-    configuration, factor, seed, engine, router = spec
+    configuration, factor, seed, router = spec
     routed, physical_input, physical_ideal, keep = _fig12_bundle(
         configuration, seed, router
     )
     device = DEVICES[configuration.device_name]
     noise = device_noise_model(device, error_reduction_factor=factor)
-    result = FeynmanPathSimulator(engine=engine).query_fidelities(
+    result = FeynmanPathSimulator().query_fidelities(
         routed.circuit,
         physical_input,
         noise,
@@ -130,7 +129,6 @@ def run_fig12(
 ) -> list[dict[str, object]]:
     """Fidelity records for every (configuration, eps_r) pair, plus SWAP counts."""
     seed_value = resolve_seed(seed)
-    engine = get_default_engine()
     router = get_default_router()
     points = [
         (configuration, factor)
@@ -138,7 +136,7 @@ def run_fig12(
         for factor in reduction_factors
     ]
     specs = [
-        (configuration, factor, seed_value, engine, router)
+        (configuration, factor, seed_value, router)
         for configuration, factor in points
     ]
     runner = SweepRunner(workers=workers, shard_size=shard_size)

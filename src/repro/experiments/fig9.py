@@ -26,7 +26,6 @@ from repro.qram.base import QRAMArchitecture
 from repro.qram.bucket_brigade import BucketBrigadeQRAM
 from repro.qram.select_swap import SelectSwapQRAM
 from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.engine import get_default_engine
 from repro.sim.noise import GateNoiseModel, PauliChannel
 from repro.sweep import ShotShard, SweepRunner
 
@@ -54,12 +53,10 @@ def _fig9_architecture(name: str, m: int, seed: int) -> QRAMArchitecture:
 
 def _fig9_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
     """Per-shard fidelities for one (architecture, error, width) sweep point."""
-    name, error_name, m, epsilon, seed, engine = spec
+    name, error_name, m, epsilon, seed = spec
     architecture = _fig9_architecture(name, m, seed)
     noise = GateNoiseModel(ERROR_CHANNELS[error_name](epsilon))
-    result = architecture.run_query(
-        noise, shard.shots, rng=shard.seeds(), engine=engine
-    )
+    result = architecture.run_query(noise, shard.shots, rng=shard.seeds())
     return result.fidelities
 
 
@@ -76,9 +73,8 @@ def run_fig9(
 ) -> list[dict[str, object]]:
     """Fidelity records for every (architecture, error channel, width) triple."""
     seed_value = resolve_seed(seed)
-    engine = get_default_engine()
     specs = [
-        (name, error_name, m, epsilon, seed_value, engine)
+        (name, error_name, m, epsilon, seed_value)
         for m in widths
         for name in architectures
         for error_name in errors
@@ -86,7 +82,7 @@ def run_fig9(
     runner = SweepRunner(workers=workers, shard_size=shard_size)
     merged = runner.map_shards(_fig9_shard, specs, shots=shots, seed=seed_value)
     records: list[dict[str, object]] = []
-    for (name, error_name, m, point_epsilon, _, _), result in zip(specs, merged):
+    for (name, error_name, m, point_epsilon, _), result in zip(specs, merged):
         records.append(
             {
                 "architecture": name,

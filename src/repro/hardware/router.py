@@ -4,8 +4,7 @@ The paper transpiles its small virtual QRAMs onto IBM hardware with Qiskit's
 SABRE pass and reports the number of extra SWAP gates forced by the devices'
 sparse connectivity (5 / 20 / 65 / 99 for the four Figure 12 configurations).
 Qiskit is not available offline, so this module provides compact stand-ins
-behind a name-based **router registry** mirroring the engine registry of
-:mod:`repro.sim.engine`:
+behind a name-based **router registry**:
 
 ``"greedy-swap"``
     :class:`GreedySwapRouter` (this module, the default): walks the circuit
@@ -332,7 +331,7 @@ def get_router_class(spec: str | type | None = None) -> type:
 def make_router(spec: str | type | None, device: DeviceModel, **options):
     """Instantiate the router named ``spec`` (or the default) for ``device``.
 
-    Unlike engines, routers are stateful per device (they precompute the
+    Unlike the engine, routers are stateful per device (they precompute the
     coupling graph and distance tables), so the registry stores classes and
     this factory builds a fresh instance; ``options`` forward to the router's
     constructor (e.g. the lookahead window size).

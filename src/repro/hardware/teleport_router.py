@@ -21,7 +21,7 @@ Whichever move scores lower is applied; layout-selection passes apply the
 same relocations to the layout without emitting instructions.
 
 Routed circuits therefore mix SWAPs (tagged ``"routing"``) with teleport
-hops (tagged ``"teleport"``), and remain fully executable by every engine:
+hops (tagged ``"teleport"``), and remain fully executable by the engine:
 measurement outcomes are sampled per shot from the seeded streams and the
 frame corrections keep :meth:`RoutedCircuit.map_state` exact -- the routed
 circuit reproduces the logical outcome for *every* outcome realisation,

@@ -216,15 +216,8 @@ class QRAMArchitecture:
         return PathState(bits=bits, amplitudes=state.amplitudes.copy())
 
     # -------------------------------------------------------------- simulation
-    def simulate(
-        self, input_state: PathState | None = None, *, engine=None
-    ) -> PathState:
-        """Noiseless simulation of the query circuit.
-
-        ``engine`` selects the execution engine (see
-        :mod:`repro.sim.engine`); ``None`` uses the session default
-        (the compiled ``"feynman-tape"`` engine).
-        """
+    def simulate(self, input_state: PathState | None = None) -> PathState:
+        """Noiseless simulation of the query circuit on the tape engine."""
         if input_state is None:
             compiled = self.compiled_query()
             circuit, state = compiled.circuit, compiled.input_state
@@ -233,7 +226,7 @@ class QRAMArchitecture:
             # superposition and ideal output it carries would be wasted work
             # (e.g. MultiBitQuery readouts run many single-path inputs).
             circuit, state = self.build_circuit(), input_state
-        return FeynmanPathSimulator(engine=engine).run(circuit, state)
+        return FeynmanPathSimulator().run(circuit, state)
 
     def verify(self, input_state: PathState | None = None) -> bool:
         """True when the noiseless simulation matches the ideal output exactly."""
@@ -252,7 +245,6 @@ class QRAMArchitecture:
         input_state: PathState | None = None,
         reduced: bool = True,
         rng: np.random.Generator | ShotSeeds | int | None = None,
-        engine=None,
     ) -> QueryResult:
         """Monte-Carlo noisy query returning per-shot fidelities.
 
@@ -271,9 +263,6 @@ class QRAMArchitecture:
             A :class:`~repro.sim.seeding.ShotSeeds` window or an integer seed
             of one (``rng=7`` runs exactly like ``rng=ShotSeeds(7)``); a
             ``Generator`` seeds a window and ``None`` uses fresh entropy.
-        engine:
-            Execution engine name or instance (see :mod:`repro.sim.engine`);
-            ``None`` uses the session default (``"feynman-tape"``).
         """
         noise = NoiselessModel() if noise is None else noise
         if input_state is None:
@@ -287,7 +276,7 @@ class QRAMArchitecture:
             state = input_state
             ideal = self.ideal_output(state)
             keep = self.kept_qubits() if reduced else None
-        return FeynmanPathSimulator(engine=engine).query_fidelities(
+        return FeynmanPathSimulator().query_fidelities(
             circuit,
             state,
             noise,

@@ -93,7 +93,7 @@ class QueryExperimentResult:
 
 def _experiment_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
     """Shard worker for :func:`run_query_experiment` (module-level: picklable)."""
-    architecture, noise, amplitudes, reduced, engine = spec
+    architecture, noise, amplitudes, reduced = spec
     input_state = None if amplitudes is None else architecture.input_state(amplitudes)
     result = architecture.run_query(
         noise,
@@ -101,7 +101,6 @@ def _experiment_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
         input_state=input_state,
         reduced=reduced,
         rng=shard.seeds(),
-        engine=engine,
     )
     return result.fidelities
 
@@ -113,16 +112,13 @@ def run_query_experiment(
     *,
     amplitudes: Mapping[int, complex] | None = None,
     reduced: bool = True,
-    engine: str | None = None,
     runner: SweepRunner | None = None,
     seed: int = 0,
     point_index: int = 0,
 ) -> QueryExperimentResult:
     """Run one noisy-query experiment and summarise it (Figures 9-12 pattern).
 
-    ``engine`` selects the execution engine (see :mod:`repro.sim.engine`);
-    ``None`` uses the session default.  With the default uniform input the
-    architecture's memoized :meth:`~repro.qram.base.QRAMArchitecture.compiled_query`
+    With the default uniform input the architecture's memoized :meth:`~repro.qram.base.QRAMArchitecture.compiled_query`
     bundle is reused, so repeated sweep points skip circuit construction.
 
     The shot loop is decomposed into deterministic seed-keyed shards executed
@@ -131,7 +127,7 @@ def run_query_experiment(
     summary is bit-identical for any worker count or shard size.
     """
     runner = SweepRunner(workers=1) if runner is None else runner
-    spec = (architecture, noise, amplitudes, reduced, engine)
+    spec = (architecture, noise, amplitudes, reduced)
     result = runner.map_shards(
         _experiment_shard,
         [spec],
@@ -175,7 +171,7 @@ def _plane_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
         shard.point_index,
     )
     result = architecture.run_query(
-        noise, shard.shots, reduced=reduced, rng=shard.seeds(), engine=query.engine
+        noise, shard.shots, reduced=reduced, rng=shard.seeds()
     )
     return result.fidelities
 
@@ -187,8 +183,6 @@ class MultiBitQuery:
     The virtual QRAM natively transfers one bit per query; memories with
     ``data_width > 1`` are served by repeating the query for each bit plane,
     which is the strategy the paper describes as compatible with its design.
-    ``engine`` selects the execution engine used for the per-plane
-    simulations (``None`` = session default, see :mod:`repro.sim.engine`).
 
     :meth:`run_noisy_planes` treats each bit plane as one sweep point of a
     :class:`~repro.sweep.SweepRunner` sweep, so the planes' Monte-Carlo shot
@@ -199,7 +193,6 @@ class MultiBitQuery:
     qram_width: int
     architecture: str = "virtual"
     options: VirtualQRAMOptions | None = None
-    engine: str | None = None
 
     def plane_architecture(self, plane: int) -> QRAMArchitecture:
         """The architecture instance serving one bit plane."""
@@ -265,9 +258,7 @@ class MultiBitQuery:
         value = 0
         for plane, architecture in enumerate(self.planes()):
             amplitudes = {address: 1.0 + 0.0j}
-            output = architecture.simulate(
-                architecture.input_state(amplitudes), engine=self.engine
-            )
+            output = architecture.simulate(architecture.input_state(amplitudes))
             bus_bit = int(output.bits[0, architecture.bus_qubit()])
             value = (value << 1) | bus_bit
         return value

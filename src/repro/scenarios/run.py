@@ -11,13 +11,14 @@ pools work under both ``fork`` and ``spawn`` start methods for registered
 and ad-hoc specs alike.
 
 Because of that determinism, a run is a pure function of
-``(spec, seed, shots, engine, router)`` -- so :func:`run_scenario` first
-resolves the session-default engine and router into concrete names (stamped
-into every :class:`~repro.scenarios.record.ScenarioRecord`), derives the
-run's content address (:func:`repro.cache.run_fingerprint`), and consults
-the result cache when one is configured: a warm hit returns the stored
-records without touching an engine or consuming any randomness, provably
-bit-identical to the fresh run it replaces.
+``(spec, seed, shots, router)`` -- so :func:`run_scenario` first resolves
+the session-default router into a concrete name (stamped, with the engine's
+:data:`~repro.sim.engine.ENGINE_NAME`, into every
+:class:`~repro.scenarios.record.ScenarioRecord`), derives the run's content
+address (:func:`repro.cache.run_fingerprint`), and consults the result cache
+when one is configured: a warm hit returns the stored records without
+executing anything or consuming any randomness, provably bit-identical to
+the fresh run it replaces.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ from repro.hardware.router import get_default_router
 from repro.scenarios.compile import CompiledScenario, compile_scenario
 from repro.scenarios.record import ScenarioRecord
 from repro.scenarios.spec import ScenarioSpec, get_scenario
-from repro.sim.engine import (
-    UnsupportedEngineError,
-    available_engines,
-    get_default_engine,
-    get_engine,
-)
+from repro.sim.engine import ENGINE_NAME
 from repro.sim.feynman import FeynmanPathSimulator
 from repro.sweep import ShotShard, SweepRunner
 
@@ -47,9 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def _scenario_shard(spec_bundle: tuple, shard: ShotShard) -> np.ndarray:
     """Per-shard fidelities of one ``(scenario, eps_r)`` sweep point."""
-    spec, factor, seed, engine = spec_bundle
+    spec, factor, seed = spec_bundle
     compiled = compile_scenario(spec, seed)
-    result = FeynmanPathSimulator(engine=engine).query_fidelities(
+    result = FeynmanPathSimulator().query_fidelities(
         compiled.circuit,
         compiled.input_state,
         compiled.noise_model(factor),
@@ -73,7 +69,6 @@ def _point_record(
     compiled: CompiledScenario,
     factor: float,
     shots: int,
-    engine: str,
     fidelity: float,
     std_error: float,
     kept_fraction: float,
@@ -107,7 +102,7 @@ def _point_record(
         readout_error=compiled.readout_error_rate,
         error_reduction_factor=factor,
         shots=shots,
-        engine=engine,
+        engine=ENGINE_NAME,
         fidelity=fidelity,
         std_error=std_error,
         kept_fraction=kept_fraction,
@@ -119,17 +114,14 @@ def resolve_run(
     *,
     shots: int | None = None,
     seed: int | None = None,
-    engine: str | None = None,
 ) -> tuple[ScenarioSpec, int, int, str, str]:
     """Pin every defaulted run input and derive the run's content address.
 
     Returns ``(spec, seed, shots, engine, fingerprint)`` with the spec's
-    router resolved to a concrete registered name and the engine resolved to
-    a concrete registry entry -- the exact inputs the sweep executes, the
-    records describe and the cache keys on.  Raises ``KeyError`` for an
-    unknown scenario or engine and
-    :class:`~repro.sim.engine.UnsupportedEngineError` for an engine that
-    cannot sample the run's Monte-Carlo noise.
+    router resolved to a concrete registered name and ``engine`` the
+    stamped :data:`~repro.sim.engine.ENGINE_NAME` -- the exact inputs the
+    sweep executes, the records describe and the cache keys on.  Raises
+    ``KeyError`` for an unknown scenario.
     """
     # Imported lazily: repro.cache serializes the spec/record schema defined
     # here, so a module-level import would be circular.
@@ -137,23 +129,14 @@ def resolve_run(
 
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     if spec.router is None:
-        # Resolve the session-default router here, like the engine: the spec
-        # is pickled into pool workers, and a spawned worker's module-global
-        # default would silently fall back to the greedy router.
+        # Resolve the session-default router here: the spec is pickled into
+        # pool workers, and a spawned worker's module-global default would
+        # silently fall back to the greedy router.
         spec = replace(spec, router=get_default_router())
     seed_value = resolve_seed(seed)
-    engine_name = get_default_engine() if engine is None else engine
-    if not get_engine(engine_name).samples_noise:
-        usable = [n for n in available_engines() if get_engine(n).samples_noise]
-        raise UnsupportedEngineError(
-            f"engine {engine_name!r} cannot sample Monte-Carlo noise, which "
-            f"every scenario run needs; use one of {usable}"
-        )
     shot_count = spec.shots if shots is None else shots
-    fingerprint = run_fingerprint(
-        spec, seed=seed_value, shots=shot_count, engine=engine_name
-    )
-    return spec, seed_value, shot_count, engine_name, fingerprint
+    fingerprint = run_fingerprint(spec, seed=seed_value, shots=shot_count)
+    return spec, seed_value, shot_count, ENGINE_NAME, fingerprint
 
 
 def run_scenario(
@@ -163,14 +146,13 @@ def run_scenario(
     seed: int | None = None,
     workers: int | None = None,
     shard_size: int | None = None,
-    engine: str | None = None,
     cache: ResultCache | bool | str | None = None,
 ) -> list[ScenarioRecord]:
     """Run one scenario's full sweep and return one record per sweep point.
 
     ``scenario`` is a registered name or an ad-hoc :class:`ScenarioSpec`.
-    ``shots`` defaults to the spec's; ``seed`` to the project-wide default;
-    ``engine`` to the session default.  Records are bit-identical across
+    ``shots`` defaults to the spec's; ``seed`` to the project-wide default.
+    Records are bit-identical across
     ``workers`` and ``shard_size``.
 
     ``cache`` selects the content-addressed result cache
@@ -178,22 +160,19 @@ def run_scenario(
     ``$REPRO_CACHE_DIR`` when set, ``True``/``False`` force it on/off, and a
     path or :class:`~repro.cache.store.ResultCache` names one explicitly.  A
     warm hit returns the cached records directly -- no compilation, no
-    engine execution, no randomness consumed.
+    execution, no randomness consumed.
     """
     from repro.cache.store import resolve_cache
 
-    spec, seed_value, shot_count, engine_name, fingerprint = resolve_run(
-        scenario, shots=shots, seed=seed, engine=engine
+    spec, seed_value, shot_count, _, fingerprint = resolve_run(
+        scenario, shots=shots, seed=seed
     )
     store = resolve_cache(cache)
     if store is not None:
         cached = store.get(fingerprint)
         if cached is not None:
             return cached
-    bundles = [
-        (spec, factor, seed_value, engine_name)
-        for factor in spec.error_reduction_factors
-    ]
+    bundles = [(spec, factor, seed_value) for factor in spec.error_reduction_factors]
     runner = SweepRunner(workers=workers, shard_size=shard_size)
     merged = runner.map_shards(
         _scenario_shard, bundles, shots=shot_count, seed=seed_value
@@ -204,7 +183,6 @@ def run_scenario(
             compiled,
             factor,
             shot_count,
-            engine_name,
             result.mean_fidelity,
             result.std_error,
             result.kept_fraction,

@@ -52,7 +52,7 @@ from repro.server.responses import (
     error_envelope,
     ok_envelope,
 )
-from repro.sim.engine import UnsupportedEngineError, available_engines
+from repro.sim.engine import ENGINE_NAME
 
 _FINGERPRINT = re.compile(r"^[0-9a-f]{64}$")
 _CONTENT_LENGTH = re.compile(r"[0-9]+")
@@ -63,6 +63,12 @@ MAX_SUBMIT_SHOTS = 100_000
 
 #: Largest ``POST`` body the transport reads; longer bodies answer 413.
 MAX_BODY_BYTES = 64 * 1024
+
+#: Seconds a connection may leave a socket read or write waiting -- an idle
+#: keep-alive connection, a request line or headers that never finish, a
+#: body slower than its ``Content-Length`` -- before the server drops it
+#: and frees its handler thread.
+CONNECTION_TIMEOUT_S = 30.0
 
 
 class ScenarioService:
@@ -234,26 +240,23 @@ class ScenarioService:
             return 400, error_envelope(
                 "invalid_request", "'seed' must be a non-negative integer"
             )
+        # ``engine`` is accepted for compatibility: naming the one engine
+        # (or null) is the same request as omitting it.
         engine = request.get("engine")
-        if engine is not None and engine not in available_engines():
+        if engine is not None and engine != ENGINE_NAME:
             return 400, error_envelope(
                 "invalid_request",
-                f"unknown engine {engine!r}; available: {available_engines()}",
+                f"unknown engine {engine!r}; the only engine is {ENGINE_NAME!r}",
             )
         try:
-            spec, seed, shots, engine_name, fingerprint = resolve_run(
-                name,
-                shots=request.get("shots"),
-                seed=request.get("seed"),
-                engine=engine,
+            spec, seed, shots, _, fingerprint = resolve_run(
+                name, shots=request.get("shots"), seed=request.get("seed")
             )
         except KeyError:
             return 404, error_envelope(
                 "unknown_scenario",
                 f"no scenario {name!r}; GET {API_PREFIX}/scenarios lists them",
             )
-        except UnsupportedEngineError as exc:
-            return 400, error_envelope("invalid_request", str(exc))
         # A committed artefact proves the run compiled within budget, so a
         # hit needs no compile.  A miss pre-flights the compile: a circuit
         # whose path branching exceeds the budget is rejected at submit
@@ -270,7 +273,6 @@ class ScenarioService:
             fingerprint,
             shots=shots,
             seed=seed,
-            engine=engine_name,
             status="done" if cached else "queued",
         )
         if not cached and self.worker is not None:
@@ -286,6 +288,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
     # Injected per server class (see ScenarioServer); annotated for clarity.
     service: ScenarioService
     protocol_version = "HTTP/1.1"
+
+    def setup(self) -> None:
+        """Bound every socket wait by :data:`CONNECTION_TIMEOUT_S`.
+
+        A timed-out read or write makes ``handle_one_request`` close the
+        connection, so a client that sends nothing cannot hold a thread.
+        """
+        self.timeout = CONNECTION_TIMEOUT_S
+        super().setup()
 
     def do_GET(self) -> None:
         """Serve one GET through :meth:`ScenarioService.handle_get`."""

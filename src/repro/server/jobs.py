@@ -28,6 +28,7 @@ from repro.cache.store import ResultCache
 from repro.circuit.ir import BranchBudgetError
 from repro.scenarios.run import run_scenario
 from repro.scenarios.spec import ScenarioSpec
+from repro.sim.engine import ENGINE_NAME
 
 #: Job lifecycle states, in order.
 JOB_STATES = ("queued", "running", "done", "error")
@@ -46,9 +47,9 @@ class Job:
     fingerprint: str
     shots: int
     seed: int
-    engine: str
     status: str = "queued"
     error: str | None = None
+    engine: str = field(default=ENGINE_NAME, init=False)
 
     def public_view(self) -> dict[str, object]:
         """The JSON-safe description ``GET /api/v1/jobs/<id>`` serves."""
@@ -88,7 +89,6 @@ class JobTable:
         *,
         shots: int,
         seed: int,
-        engine: str,
         status: str = "queued",
     ) -> Job:
         """Register a new job (ids are ``job-<n>``, dense and process-local)."""
@@ -100,7 +100,6 @@ class JobTable:
                 fingerprint=fingerprint,
                 shots=shots,
                 seed=seed,
-                engine=engine,
                 status=status,
             )
             self._jobs[job.id] = job
@@ -182,7 +181,6 @@ class JobWorker:
                     job.spec,
                     shots=job.shots,
                     seed=job.seed,
-                    engine=job.engine,
                     workers=self.workers,
                     shard_size=self.shard_size,
                     cache=self.cache,

@@ -13,10 +13,8 @@ Contents
   matrix of paths plus complex amplitudes.
 * :class:`~repro.sim.feynman.FeynmanPathSimulator` -- noiseless and
   Monte-Carlo-noisy path simulation, vectorised across both paths and shots.
-* :mod:`~repro.sim.engine` -- pluggable execution engines behind the
-  simulator facade: the compiled gate-tape engine (``"feynman-tape"``, the
-  default and the only one that samples noise) and the dense
-  ``"statevector"`` adapter, plus the name registry and session default.
+* :mod:`~repro.sim.engine` -- the compiled gate-tape engine behind the
+  simulator facade (``"feynman-tape"``, :data:`~repro.sim.engine.ENGINE_NAME`).
 * :class:`~repro.sim.statevector.StatevectorSimulator` -- dense reference
   simulator (supports ``H``/``S``/``T``) used for cross-validation in tests.
 * :mod:`~repro.sim.noise` -- Pauli channels, gate-based and qubit-based
@@ -25,15 +23,7 @@ Contents
   fidelity estimators.
 """
 
-from repro.sim.engine import (
-    Engine,
-    UnsupportedEngineError,
-    available_engines,
-    get_default_engine,
-    get_engine,
-    register_engine,
-    set_default_engine,
-)
+from repro.sim.engine import ENGINE_NAME, get_default_engine, get_engine
 from repro.sim.fidelity import reduced_fidelity, state_fidelity
 from repro.sim.feynman import FeynmanPathSimulator, UnsupportedGateError
 from repro.sim.noise import (
@@ -53,7 +43,7 @@ from repro.sim.statevector import StatevectorSimulator
 
 __all__ = [
     "DepolarizingNoise",
-    "Engine",
+    "ENGINE_NAME",
     "FeynmanPathSimulator",
     "GateNoiseModel",
     "NoiseModel",
@@ -64,15 +54,11 @@ __all__ = [
     "ScheduledNoiseModel",
     "ShotSeeds",
     "StatevectorSimulator",
-    "UnsupportedEngineError",
     "UnsupportedGateError",
-    "available_engines",
     "get_default_engine",
     "get_engine",
     "reduced_fidelity",
-    "register_engine",
     "sample_noisy_circuit",
-    "set_default_engine",
     "state_fidelity",
     "with_idle_noise",
 ]

@@ -1,44 +1,36 @@
-"""Pluggable execution engines for query-circuit simulation.
+"""The Feynman-path execution engine for query-circuit simulation.
 
-Every simulator in the reproduction answers the same two questions -- "what
-state does this circuit produce?" and "what are the per-shot trajectories
-under Monte-Carlo Pauli noise?" -- so both are captured behind one
-:class:`Engine` interface with a name-based registry:
+One engine, :class:`TapeFeynmanEngine` (named :data:`ENGINE_NAME`,
+``"feynman-tape"``), answers both questions the reproduction asks of a
+circuit -- "what state does it produce?" and "what are the per-shot
+trajectories under Monte-Carlo Pauli noise?".  It executes the fused
+:class:`~repro.circuit.ir.GateTape` group by group with integer-opcode
+dispatch, draws **all** Pauli codes for a shot batch up front from the
+tape's noise-site table, and applies the (sparse) error events per shot.
+Shots run stacked and **bit-sliced** (a noiseless :meth:`~TapeFeynmanEngine.run`
+is one shot of the same executor): one Python ``int`` per qubit holds that
+qubit's bit in every (shot, path) column, so a ``SWAP`` is a list swap and
+``CSWAP``/``CX``/``CCX``/``MCX``/``X`` and ``X`` errors are a few integer
+XOR/AND operations over all columns at once.  Only what touches amplitudes
+(phases, ``Z``/``Y`` errors and frames, measurements, branching) unpacks the
+bits it reads, and it applies the same NumPy update as the group kernels, so
+the amplitudes are bit-identical to a NumPy-bool execution.  Fused
+``T``/``TDG`` runs use a phase table whose rounding can differ from
+sequential multiplication by ~1 ulp.
 
-``"feynman-tape"``
-    The Feynman-path engine (the default, and the only one that samples
-    Monte-Carlo noise).  Executes the fused
-    :class:`~repro.circuit.ir.GateTape` group by group with integer-opcode
-    dispatch, draws **all** Pauli codes for a shot batch up front from the
-    tape's noise-site table, and applies the (sparse) error events per
-    shot.  Shots run stacked and **bit-sliced** (a noiseless :meth:`run` is
-    one shot of the same executor): one Python ``int`` per qubit holds that
-    qubit's bit in every (shot, path) column, so a ``SWAP`` is a list swap
-    and ``CSWAP``/``CX``/``CCX``/``MCX``/``X`` and ``X`` errors are a few
-    integer XOR/AND operations over all columns at once.  Only what touches
-    amplitudes (phases, ``Z``/``Y`` errors and frames, measurements,
-    branching) unpacks the bits it reads, and it applies the same NumPy
-    update as the group kernels, so the amplitudes are bit-identical to a
-    NumPy-bool execution.  Its seeded shots are checked against an
-    independent dense oracle in the test suite (``tests/oracle.py``): the
-    same shot's Paulis, drawn from the noise model and inserted after their
-    gates, run through :class:`~repro.sim.statevector.StatevectorSimulator`.
-    Fused ``T``/``TDG`` runs use a phase table whose rounding can differ
-    from sequential multiplication by ~1 ulp.
+Its seeded shots are checked against an independent dense oracle in the test
+suite (``tests/oracle.py``): the same shot's Paulis, drawn from the noise
+model and inserted after their gates, run through
+:class:`~repro.sim.statevector.StatevectorSimulator`, which is also the
+noiseless cross-check of every path-sum result.
 
-``"statevector"``
-    The dense reference simulator, adapted to the same interface (noiseless
-    only; its output paths are merged per basis state).
-
-Engines are stateless; :func:`get_engine` returns shared instances.  The
-module-level default (``"feynman-tape"``) can be swapped globally with
-:func:`set_default_engine`, which is how ``python -m repro.experiments
---engine`` reroutes every figure sweep without threading a parameter through
-each runner.
+The engine is stateless; :func:`get_engine` returns the one shared instance.
+:data:`ENGINE_NAME` is what fingerprints, records and job views stamp as
+their ``engine`` field.
 
 Mid-circuit measurement and Pauli frames
 ----------------------------------------
-Every engine executes ``MEASURE`` and ``CPAULI`` instructions (the
+The engine executes ``MEASURE`` and ``CPAULI`` instructions (the
 executed-teleportation primitives):
 
 * A **Z-basis** measurement samples the outcome from the shot's true marginal
@@ -130,6 +122,9 @@ from repro.sim.noise import (
 )
 from repro.sim.paths import PathState
 from repro.sim.seeding import ShotSeeds, as_shot_seeds, draw_shot_randomness
+
+#: The engine's name, stamped into fingerprints, records and job views.
+ENGINE_NAME = "feynman-tape"
 
 #: The amplitude weight of each Hadamard branch.
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -242,22 +237,19 @@ def _collapse_flat_indices(
     return (offsets + survivors).reshape(-1)
 
 
-class UnsupportedEngineError(ValueError):
-    """An engine was named for a run it cannot execute.
+# ===================================================================== engine
+class TapeFeynmanEngine:
+    """Compiled Feynman-path execution over the fused gate tape."""
 
-    Raised by :func:`repro.scenarios.resolve_run` before any work starts
-    when the engine cannot sample Monte-Carlo noise (see
-    :attr:`Engine.samples_noise`).
-    """
-
-
-class Engine:
-    """Interface every execution engine implements (see module docstring)."""
-
-    name: str = "abstract"
-    #: Whether :meth:`run_noisy_shots_recorded` samples Monte-Carlo Pauli
-    #: noise; every scenario run needs it.
-    samples_noise: bool = True
+    def _tape(self, circuit: QuantumCircuit) -> GateTape:
+        tape = compile_circuit(circuit)
+        if tape.unsupported_path_gates:
+            raise UnsupportedGateError(
+                f"gate {tape.unsupported_path_gates[0]} is not simulable by "
+                "the Feynman-path simulator"
+            )
+        tape.require_branch_budget()
+        return tape
 
     def run(
         self,
@@ -268,12 +260,20 @@ class Engine:
     ) -> PathState:
         """Noiseless evolution of ``state`` through ``circuit``.
 
-        ``rng`` supplies measurement outcomes for circuits containing
-        ``MEASURE`` instructions; ``None`` uses a fixed stream
-        (``default_rng(0)``) so noiseless runs stay deterministic.  Circuits
-        without measurements never consume randomness.
+        One shot of the stacked executor.  ``rng`` supplies measurement
+        outcomes for circuits containing ``MEASURE`` instructions; ``None``
+        uses a fixed stream (``default_rng(0)``) so noiseless runs stay
+        deterministic.  Circuits without measurements never consume
+        randomness.
         """
-        raise NotImplementedError
+        _check_state(circuit, state)
+        tape = self._tape(circuit)
+        uniforms = None
+        if tape.num_measurements:
+            rng = np.random.default_rng(0) if rng is None else rng
+            uniforms = rng.random((tape.num_measurements, 1))
+        bits, amps, _ = _execute_stacked_shots(tape, state, 1, None, None, uniforms)
+        return PathState(bits=bits, amplitudes=amps)
 
     def run_noisy_shots(
         self,
@@ -295,7 +295,10 @@ class Engine:
         draws its errors from its own ``SeedSequence``-derived stream, so the
         result is invariant under any sharding of the shot range.
         """
-        raise NotImplementedError
+        bits, amps, _ = self.run_noisy_shots_recorded(
+            circuit, state, noise, shots, rng=rng
+        )
+        return bits, amps
 
     def run_noisy_shots_recorded(
         self,
@@ -311,70 +314,12 @@ class Engine:
         classical register -- shape ``(num_clbits, shots)`` ``int8``, one row
         per slot -- or ``None`` when the circuit records nothing.  The random
         stream consumed is *identical* to :meth:`run_noisy_shots` (recording
-        observes the register the engines already maintain), so recorded and
-        unrecorded runs of the same seed agree bit for bit.  Postselection
+        observes the register the executor already maintains), so recorded
+        and unrecorded runs of the same seed agree bit for bit.
+        Postselection
         (:meth:`~repro.sim.feynman.FeynmanPathSimulator.query_fidelities`)
         partitions shots by these outcomes.
         """
-        raise NotImplementedError
-
-
-# ==================================================================== engines
-class TapeFeynmanEngine(Engine):
-    """Compiled Feynman-path execution over the fused gate tape."""
-
-    name = "feynman-tape"
-
-    def _tape(self, circuit: QuantumCircuit) -> GateTape:
-        tape = compile_circuit(circuit)
-        if tape.unsupported_path_gates:
-            raise UnsupportedGateError(
-                f"gate {tape.unsupported_path_gates[0]} is not simulable by "
-                "the Feynman-path simulator"
-            )
-        tape.require_branch_budget()
-        return tape
-
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> PathState:
-        """One-shot stacked-executor evolution (measurements sampled from ``rng``)."""
-        _check_state(circuit, state)
-        tape = self._tape(circuit)
-        uniforms = None
-        if tape.num_measurements:
-            rng = np.random.default_rng(0) if rng is None else rng
-            uniforms = rng.random((tape.num_measurements, 1))
-        bits, amps, _ = _execute_stacked_shots(tape, state, 1, None, None, uniforms)
-        return PathState(bits=bits, amplitudes=amps)
-
-    def run_noisy_shots(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        rng: ShotSeeds | int | np.random.Generator | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised Monte-Carlo shots over the fused tape (see :class:`Engine`)."""
-        bits, amps, _ = self.run_noisy_shots_recorded(
-            circuit, state, noise, shots, rng=rng
-        )
-        return bits, amps
-
-    def run_noisy_shots_recorded(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        rng: ShotSeeds | int | np.random.Generator | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Monte-Carlo shots plus the recorded register (see :class:`Engine`)."""
         if shots <= 0:
             raise ValueError("shots must be positive")
         seeds = as_shot_seeds(rng)
@@ -432,7 +377,7 @@ def _execute_stacked_shots(
     block, so no transpose copy is made and
     :func:`~repro.sim.fidelity.shot_fidelities` reads whole qubit rows; the
     recorded classical register (``None`` when the tape has no classical
-    bits) rides along for the ``*_recorded`` engine entry points.
+    bits) rides along for :meth:`TapeFeynmanEngine.run_noisy_shots_recorded`.
     """
     n_paths = state.num_paths
     width = shots * n_paths
@@ -568,94 +513,6 @@ def _execute_stacked_shots(
             segment,
         )
     return _unpack_rows(rows, width).T, amps, outcomes
-
-
-class StatevectorEngine(Engine):
-    """Dense statevector execution adapted to the engine interface.
-
-    Output paths are merged per basis state (unlike the Feynman engine,
-    which keeps one row per input path), so comparisons should go through
-    :meth:`PathState.as_dict`.  Monte-Carlo noise and measured shot blocks
-    are not supported.
-    """
-
-    name = "statevector"
-    samples_noise = False
-
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> PathState:
-        """Dense noiseless evolution via :class:`StatevectorSimulator`."""
-        from repro.sim.statevector import StatevectorSimulator
-
-        _check_state(circuit, state)
-        return StatevectorSimulator().run_to_path_state(circuit, state, rng=rng)
-
-    def run_noisy_shots(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        rng: ShotSeeds | int | np.random.Generator | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Noiseless, measurement-free shot blocks: one dense run, tiled."""
-        if shots <= 0:
-            raise ValueError("shots must be positive")
-        if not isinstance(noise, NoiselessModel):
-            raise NotImplementedError(
-                "the statevector engine does not support Monte-Carlo noise; "
-                "use 'feynman-tape'"
-            )
-        if any(instr.is_measurement for instr in circuit.instructions):
-            # One dense run samples one outcome sequence; tiling it would
-            # repeat a single trajectory across every shot.
-            raise NotImplementedError(
-                "the statevector engine cannot sample per-shot measurement "
-                "outcomes; use 'feynman-tape'"
-            )
-        output = self.run(circuit, state)
-        # The caller slices the result into blocks of the *input* path count,
-        # so the merged dense output must be reshaped to that contract: pad
-        # with zero-amplitude rows when merging shrank the path set, refuse
-        # when branching (H) grew it beyond the block size.
-        n_paths = state.num_paths
-        if output.num_paths > n_paths:
-            raise NotImplementedError(
-                f"statevector output has {output.num_paths} paths but the "
-                f"input has {n_paths}; the per-shot block contract cannot "
-                "represent branching circuits -- use the dense simulator "
-                "directly"
-            )
-        out_bits = output.bits
-        out_amps = output.amplitudes
-        if output.num_paths < n_paths:
-            pad = n_paths - output.num_paths
-            out_bits = np.vstack(
-                [out_bits, np.zeros((pad, output.num_qubits), dtype=bool)]
-            )
-            out_amps = np.concatenate([out_amps, np.zeros(pad, dtype=complex)])
-        bits = np.tile(out_bits, (shots, 1))
-        amps = np.tile(out_amps, shots).astype(complex)
-        return bits, amps
-
-    def run_noisy_shots_recorded(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        rng: ShotSeeds | int | np.random.Generator | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Unsupported: the dense engine replays one trajectory, not per-shot records."""
-        raise NotImplementedError(
-            "the statevector engine does not record per-shot measurement "
-            "outcomes; use 'feynman-tape'"
-        )
 
 
 # ============================================================= group execution
@@ -841,48 +698,17 @@ def _apply_sliced_frame(
         rows[qubit] ^= spread
 
 
-# ===================================================================== registry
-_ENGINES: dict[str, Engine] = {}
-_DEFAULT_ENGINE = "feynman-tape"
+# ===================================================================== lookup
+_ENGINE = TapeFeynmanEngine()
 
 
-def register_engine(engine: Engine, *, aliases: tuple[str, ...] = ()) -> Engine:
-    """Register ``engine`` under its name (plus ``aliases``) and return it."""
-    for key in (engine.name, *aliases):
-        _ENGINES[key] = engine
-    return engine
-
-
-def available_engines() -> list[str]:
-    """Sorted names of every registered engine."""
-    return sorted(_ENGINES)
-
-
-def get_engine(spec: str | Engine | None = None) -> Engine:
-    """Resolve an engine name (``None`` means the current default)."""
-    if isinstance(spec, Engine):
-        return spec
-    key = _DEFAULT_ENGINE if spec is None else spec
-    try:
-        return _ENGINES[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown engine {key!r}; available: {available_engines()}"
-        ) from None
+def get_engine(name: str | None = None) -> TapeFeynmanEngine:
+    """The shared engine; ``name`` may be ``None`` or :data:`ENGINE_NAME`."""
+    if name is not None and name != ENGINE_NAME:
+        raise KeyError(f"unknown engine {name!r}; the only engine is {ENGINE_NAME!r}")
+    return _ENGINE
 
 
 def get_default_engine() -> str:
-    """Name of the engine used when none is specified."""
-    return _DEFAULT_ENGINE
-
-
-def set_default_engine(name: str) -> None:
-    """Globally switch the default engine (e.g. from the experiments CLI)."""
-    global _DEFAULT_ENGINE
-    if name not in _ENGINES:
-        raise KeyError(f"unknown engine {name!r}; available: {available_engines()}")
-    _DEFAULT_ENGINE = name
-
-
-register_engine(TapeFeynmanEngine())
-register_engine(StatevectorEngine())
+    """Name of the engine every simulation runs on: :data:`ENGINE_NAME`."""
+    return ENGINE_NAME

@@ -16,12 +16,11 @@ For Monte-Carlo noise the simulator goes one step further and vectorises over
 shots as well: the path matrix is replicated ``shots`` times and per-shot
 Pauli errors are applied as masked column updates.
 
-:class:`FeynmanPathSimulator` is a thin facade over the pluggable execution
-engines of :mod:`repro.sim.engine`.  By default it uses the compiled
-``"feynman-tape"`` engine, which executes the circuit's fused
-:class:`~repro.circuit.ir.GateTape` with integer-opcode dispatch and draws
-all Monte-Carlo Pauli codes up front; pass ``engine="statevector"`` for the
-dense reference simulator (noiseless, measurement-free shot blocks only).
+:class:`FeynmanPathSimulator` is a thin facade over the compiled
+``"feynman-tape"`` engine of :mod:`repro.sim.engine`, which executes the
+circuit's fused :class:`~repro.circuit.ir.GateTape` with integer-opcode
+dispatch and draws all Monte-Carlo Pauli codes up front.  The dense
+reference simulator is :class:`~repro.sim.statevector.StatevectorSimulator`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import is_path_simulable
-from repro.sim.engine import UnsupportedGateError
+from repro.sim.engine import UnsupportedGateError, get_engine
 from repro.sim.fidelity import shot_fidelities
 from repro.sim.noise import NoiseModel
 from repro.sim.paths import PathState
@@ -96,24 +95,7 @@ class QueryResult:
 
 
 class FeynmanPathSimulator:
-    """Simulates basis-permutation circuits path by path (see module docstring).
-
-    Parameters
-    ----------
-    engine:
-        Execution engine: a registered name (``"feynman-tape"`` or
-        ``"statevector"``), an
-        :class:`~repro.sim.engine.Engine` instance, or ``None`` for the
-        session default (see :func:`repro.sim.engine.set_default_engine`).
-    """
-
-    def __init__(self, engine=None):
-        self.engine = engine
-
-    def _resolve_engine(self):
-        from repro.sim.engine import get_engine
-
-        return get_engine(self.engine)
+    """Simulates basis-permutation circuits path by path (see module docstring)."""
 
     def validate(self, circuit: QuantumCircuit) -> None:
         """Raise :class:`UnsupportedGateError` if any gate cannot be simulated."""
@@ -137,7 +119,7 @@ class FeynmanPathSimulator:
         contains ``MEASURE`` instructions (``None`` uses a fixed stream);
         measurement-free circuits never consume randomness.
         """
-        return self._resolve_engine().run(circuit, state, rng=rng)
+        return get_engine().run(circuit, state, rng=rng)
 
     # -------------------------------------------------------- noisy Monte Carlo
     def run_noisy_shots(
@@ -156,7 +138,7 @@ class FeynmanPathSimulator:
         window or anything :func:`~repro.sim.seeding.as_shot_seeds` accepts;
         every shot draws from its own stream (see :mod:`repro.sweep`).
         """
-        return self._resolve_engine().run_noisy_shots(
+        return get_engine().run_noisy_shots(
             circuit, state, noise, shots, rng=rng
         )
 
@@ -175,7 +157,7 @@ class FeynmanPathSimulator:
         ``None`` when the circuit records nothing.  This is what
         postselection partitions shots by (see :meth:`query_fidelities`).
         """
-        return self._resolve_engine().run_noisy_shots_recorded(
+        return get_engine().run_noisy_shots_recorded(
             circuit, state, noise, shots, rng=rng
         )
 

@@ -11,7 +11,7 @@ Public surface
 * :func:`~repro.sweep.runner.split_shots` / :func:`~repro.sweep.runner.resolve_workers`
   -- the decomposition and worker-count policies.
 * :class:`~repro.sim.seeding.ShotSeeds` -- re-exported per-shot seed streams
-  (the contract the execution engines implement).
+  (the contract the execution engine implements).
 """
 
 from repro.sim.seeding import ShotSeeds

@@ -146,12 +146,12 @@ class SweepRunner:
         ``sys.path`` tweaks (``PYTHONPATH=src`` runs, pytest's rootdir
         insertion -- spawn cannot even unpickle a worker function defined in
         a test module), plus process-global configuration such as the
-        default-engine registry.  ``fork`` is also the stdlib default on
+        default router.  ``fork`` is also the stdlib default on
         Linux (the platform CI runs), so this adds no risk beyond that
         default; the known caveat is the usual one -- forking a heavily
         multi-threaded parent is unsafe -- which the sweep workloads avoid.
         Platforms without ``fork`` use their default start method, which is
-        why specs also carry the engine explicitly instead of relying on
+        why specs carry the resolved router explicitly instead of relying on
         inherited globals.
         """
         methods = multiprocessing.get_all_start_methods()

@@ -2,7 +2,7 @@
 
 A fingerprint must change when -- and only when -- an input that can change
 the run's records changes: any spec field, the seed, the shot count, the
-engine, the resolved router, or either schema version.
+resolved router, the engine stamp, or either schema version.
 """
 
 from dataclasses import replace
@@ -25,8 +25,8 @@ SPEC = ScenarioSpec(
 )
 
 
-def _fp(spec=SPEC, seed=7, shots=16, engine="feynman-tape"):
-    return run_fingerprint(spec, seed=seed, shots=shots, engine=engine)
+def _fp(spec=SPEC, seed=7, shots=16):
+    return run_fingerprint(spec, seed=seed, shots=shots)
 
 
 def test_fingerprint_is_stable_hex():
@@ -40,7 +40,6 @@ def test_fingerprint_depends_on_every_run_input():
     base = _fp()
     assert _fp(seed=8) != base
     assert _fp(shots=17) != base
-    assert _fp(engine="statevector") != base
     assert _fp(spec=replace(SPEC, router="lookahead")) != base
     assert _fp(spec=replace(SPEC, qram_width=3)) != base
     assert _fp(spec=replace(SPEC, idle_error=None)) != base
@@ -59,7 +58,7 @@ def test_unresolved_router_is_refused():
     unresolved = ScenarioSpec(name="no-router", description="x", qram_width=1)
     assert unresolved.router is None
     with pytest.raises(ValueError, match="router=None"):
-        run_fingerprint(unresolved, seed=7, shots=16, engine="feynman-tape")
+        run_fingerprint(unresolved, seed=7, shots=16)
 
 
 def test_schema_versions_are_mixed_in(monkeypatch):
@@ -69,6 +68,13 @@ def test_schema_versions_are_mixed_in(monkeypatch):
     assert bumped_cache != base
     monkeypatch.setattr(fp_module, "RECORD_SCHEMA_VERSION", 999)
     assert _fp() != bumped_cache
+
+
+def test_engine_stamp_is_mixed_in(monkeypatch):
+    """The fixed engine name is hashed, so committed fingerprints keep it."""
+    base = _fp()
+    monkeypatch.setattr(fp_module, "ENGINE_NAME", "another-engine")
+    assert _fp() != base
 
 
 def test_canonical_spec_is_json_safe():
@@ -82,7 +88,7 @@ def test_canonical_spec_is_json_safe():
 
 
 def test_canonical_payload_names_resolved_inputs():
-    payload = canonical_run_payload(SPEC, seed=7, shots=16, engine="feynman-tape")
+    payload = canonical_run_payload(SPEC, seed=7, shots=16)
     assert payload["seed"] == 7
     assert payload["shots"] == 16
     assert payload["engine"] == "feynman-tape"

@@ -97,9 +97,7 @@ class TestKeying:
 
         run_scenario("ideal-m3", shots=SHOTS, seed=SEED, workers=1, cache=cache)
         spec = replace(get_scenario("ideal-m3"), router=get_default_router())
-        expected = run_fingerprint(
-            spec, seed=SEED, shots=SHOTS, engine="feynman-tape"
-        )
+        expected = run_fingerprint(spec, seed=SEED, shots=SHOTS)
         assert cache.fingerprints() == [expected]
 
     def test_records_stamp_resolved_engine_and_router(self, cache):

@@ -19,7 +19,6 @@ import pytest
 from repro.circuit import QuantumCircuit
 from repro.hardware.router import get_default_router, set_default_router
 from repro.sim import GateNoiseModel, PauliChannel
-from repro.sim.engine import get_default_engine, set_default_engine
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 README = REPO_ROOT / "README.md"
@@ -50,13 +49,11 @@ def _seeded_namespace() -> dict:
 def _execute_blocks(path: Path) -> int:
     namespace = _seeded_namespace()
     previous_router = get_default_router()
-    previous_engine = get_default_engine()
     try:
         for block in python_blocks(path):
             exec(compile(block, str(path), "exec"), namespace)  # noqa: S102
     finally:
         set_default_router(previous_router)
-        set_default_engine(previous_engine)
     return len(python_blocks(path))
 
 
@@ -79,7 +76,6 @@ def test_architecture_doc_covers_the_contracts():
     for required in (
         "ShotSeeds",
         "feynman-tape",
-        "register_engine",
         "register_router",
         "register_scenario",
         "NoiseModel",

@@ -145,22 +145,15 @@ class TestCommandLine:
         other_seed = capsys.readouterr().out
         assert other_seed != first
 
-    def test_engine_flag_selects_engine_and_restores_default(self, capsys):
-        from repro.sim import get_default_engine
-
-        previous = get_default_engine()
-        # The dense engine cannot sample noise, so the noisy figure refuses
-        # it with exit code 2: proof that the flag reached the figure.
-        assert main(["fig9", "--quick", "--shots", "8", "--engine", "statevector"]) == 2
-        assert "does not support Monte-Carlo noise" in capsys.readouterr().err
-        assert get_default_engine() == previous
-
-    @pytest.mark.parametrize("engine", ["warp-drive", "feynman-interp"])
-    def test_unknown_engine_rejected(self, engine, capsys):
+    @pytest.mark.parametrize(
+        "engine", ["feynman-tape", "statevector", "warp-drive", "feynman-interp"]
+    )
+    def test_engine_flag_is_not_an_option(self, engine, capsys):
+        # One engine runs everything, so there is no flag to choose one.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["fig9", "--engine", engine])
         assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_router_flag_selects_router_and_restores_default(self, capsys):
         from repro.hardware import get_default_router
@@ -201,13 +194,6 @@ class TestCommandLine:
     def test_unknown_router_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "perth-m1", "--router", "oracle"])
-
-    def test_statevector_engine_on_noisy_figure_fails_cleanly(self, capsys):
-        # The dense engine cannot run Monte-Carlo noise: the CLI must report
-        # that as an error message, not an unhandled traceback.
-        assert main(["fig9", "--quick", "--shots", "4", "--engine", "statevector"]) == 2
-        err = capsys.readouterr().err
-        assert "Monte-Carlo" in err and "error:" in err
 
 
 class TestFormatFlag:

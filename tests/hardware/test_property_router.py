@@ -10,7 +10,7 @@ random *connected* coupling maps (the fixed ``repro-ci`` profile in
 * **Connectivity**: every multi-qubit gate of the routed circuit acts on
   physical qubits that induce a connected patch of the coupling map (the
   definition of "executable on the device").
-* **Equivalence**: running the routed circuit on the ``statevector`` engine
+* **Equivalence**: running the routed circuit on the dense ``StatevectorSimulator``
   from the initial-layout embedding of a logical input reproduces the
   unrouted logical outcome at the final-layout positions, via
   ``RoutedCircuit.map_state`` / ``physical_qubits``.
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.hardware import make_router
 from repro.hardware.devices import DeviceModel
-from repro.sim import FeynmanPathSimulator, PathState
+from repro.sim import PathState, StatevectorSimulator
 from tests.conftest import random_reversible_circuits
 
 ROUTER_NAMES = ("greedy-swap", "lookahead", "lookahead-teleport")
@@ -90,10 +90,10 @@ class TestRoutingEquivalenceProperties:
         """Routed + embedded input == embedded logical output, on dense amplitudes."""
         device, circuit = instance
         routed = make_router(router_name, device).route(circuit)
-        dense = FeynmanPathSimulator(engine="statevector")
+        dense = StatevectorSimulator()
         state = _logical_input(circuit)
-        logical_output = dense.run(circuit, state)
-        physical_output = dense.run(
+        logical_output = dense.run_to_path_state(circuit, state)
+        physical_output = dense.run_to_path_state(
             routed.circuit, routed.map_state(state, final=False)
         )
         expected = routed.map_state(logical_output, final=True)

@@ -15,6 +15,7 @@ from repro.hardware.devices import DeviceModel
 from repro.sim.engine import get_engine
 from repro.sim.fidelity import shot_fidelities
 from repro.sim.paths import PathState
+from repro.sim.statevector import StatevectorSimulator
 
 
 def line_device(num_qubits: int) -> DeviceModel:
@@ -88,7 +89,7 @@ class TestRelocations:
         physical_input = routed.map_state(state, final=False)
         keep = routed.physical_qubits([0, 1], final=True)
         for seed in range(5):
-            dense = get_engine("statevector").run(
+            dense = StatevectorSimulator().run_to_path_state(
                 routed.circuit, physical_input, rng=np.random.default_rng(seed)
             )
             fidelities = shot_fidelities(
@@ -137,7 +138,7 @@ class TestDeterminism:
         state = PathState.register_superposition(2, [0, 1])
         logical_output = get_engine("feynman-tape").run(circuit, state)
         expected = routed.map_state(logical_output, final=True)
-        dense = get_engine("statevector").run(
+        dense = StatevectorSimulator().run_to_path_state(
             routed.circuit,
             routed.map_state(state, final=False),
             rng=np.random.default_rng(0),

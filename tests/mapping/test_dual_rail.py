@@ -1,6 +1,6 @@
 """Dual-rail encoding: gadget exactness, check bookkeeping, postselection.
 
-The encoded circuits stay small enough for the dense ``statevector`` engine,
+The encoded circuits stay small enough for the dense ``StatevectorSimulator``,
 so exactness is pinned directly: per-gadget and on random workloads, the
 encoded circuit must reproduce the logical output under
 :meth:`DualRailExpansion.map_state` with every parity check passing.  The
@@ -29,6 +29,7 @@ from repro.sim import (
 )
 from repro.sim.engine import get_engine
 from repro.sim.fidelity import shot_fidelities
+from repro.sim.statevector import StatevectorSimulator
 
 #: (gate name, arity) of every encodable gate, for strategy/parametrization.
 GATE_ARITIES = (
@@ -63,7 +64,7 @@ def assert_encoding_exact(
     expected = expansion.map_state(logical_output)
     physical_input = expansion.map_state(state)
     for seed in range(3):
-        dense = get_engine("statevector").run(
+        dense = StatevectorSimulator().run_to_path_state(
             expansion.circuit, physical_input, rng=np.random.default_rng(seed)
         )
         fidelities = shot_fidelities(
@@ -191,7 +192,7 @@ class TestErasureDetection:
         expansion = encode_dual_rail(circuit)
         state = PathState.register_superposition(2, [0])
         ideal = get_engine("feynman-tape").run(circuit, state)
-        return FeynmanPathSimulator(engine="feynman-tape").query_fidelities(
+        return FeynmanPathSimulator().query_fidelities(
             expansion.circuit,
             expansion.map_state(state),
             noise,

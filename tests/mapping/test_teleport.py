@@ -1,9 +1,10 @@
 """Executed teleportation expansion: gadget correctness and cost accounting.
 
 The m = 3 scenario circuits are too wide for dense simulation (28 vertices),
-so exactness is pinned twice: on the full workload with the Feynman engines
+so exactness is pinned twice: on the full workload with the Feynman engine
 (every outcome stream must reproduce the logical ideal exactly), and on a
-synthetic mini-tree circuit small enough for the ``statevector`` engine --
+synthetic mini-tree circuit small enough for the dense
+``StatevectorSimulator`` --
 covering each expansion gadget (ladder CX, tagged move, control extension,
 bounce) against dense amplitudes.
 """
@@ -20,6 +21,7 @@ from repro.qram.memory import ClassicalMemory
 from repro.sim.engine import get_engine
 from repro.sim.fidelity import shot_fidelities
 from repro.sim.paths import PathState
+from repro.sim.statevector import StatevectorSimulator
 
 
 def mini_tree_circuit() -> QuantumCircuit:
@@ -46,7 +48,7 @@ def assert_expansion_exact(circuit: QuantumCircuit, input_state: PathState) -> N
     expected = expansion.map_state(logical_output)
     physical_input = expansion.map_state(input_state)
     for seed in range(5):
-        dense = get_engine("statevector").run(
+        dense = StatevectorSimulator().run_to_path_state(
             expansion.circuit, physical_input, rng=np.random.default_rng(seed)
         )
         fidelities = shot_fidelities(

@@ -142,14 +142,12 @@ class TestServerSurface:
 
     def test_job_worker_reports_typed_slug(self, zero_budget, tmp_path):
         """A job that dodged the pre-flight errors with the same slug."""
-        spec, seed, shots, engine, fingerprint = resolve_run(
+        spec, seed, shots, _, fingerprint = resolve_run(
             fused_probe("worker"), shots=2, seed=SEED
         )
         table = JobTable()
         worker = JobWorker(table, ResultCache(tmp_path), workers=1)
-        job = table.create(
-            spec, fingerprint, shots=shots, seed=seed, engine=engine
-        )
+        job = table.create(spec, fingerprint, shots=shots, seed=seed)
         # Drive the drain loop synchronously: one job, then the sentinel.
         worker._queue.put(job)
         worker._queue.put(None)

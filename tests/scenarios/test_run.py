@@ -17,15 +17,15 @@ import pytest
 
 from repro.experiments.__main__ import main
 from repro.mapping import HTreeEmbedding, htree_device
-import repro.scenarios.run as scenario_run
 from repro.scenarios import (
     ScenarioSpec,
     compile_scenario,
     get_scenario,
+    resolve_run,
     run_scenario,
     scenario_report,
 )
-from repro.sim import UnsupportedEngineError, get_default_engine
+from repro.sim import ENGINE_NAME
 
 SEED = 2023
 SHOTS = 64
@@ -103,18 +103,11 @@ class TestDeterminism:
         )
         assert serial == sharded
 
-    def test_engine_without_noise_sampling_fails_before_any_shard(
-        self, monkeypatch
-    ):
-        executed = []
-        monkeypatch.setattr(
-            scenario_run, "_scenario_shard", lambda *args: executed.append(args)
-        )
-        with pytest.raises(UnsupportedEngineError, match="Monte-Carlo"):
-            run_scenario(
-                "htree-swap-m3", shots=8, workers=1, engine="statevector", cache=False
-            )
-        assert executed == []
+    def test_resolved_run_and_records_stamp_the_one_engine(self):
+        spec, _, _, engine, _ = resolve_run("htree-swap-m3", shots=8, seed=SEED)
+        assert engine == ENGINE_NAME == "feynman-tape"
+        records = run_scenario(spec, shots=8, seed=SEED, workers=1, cache=False)
+        assert {record["engine"] for record in records} == {ENGINE_NAME}
 
 
 class TestPhysics:
@@ -195,13 +188,13 @@ class TestReportAndCli:
         assert main(["scenario", "not-a-scenario"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
-    def test_cli_rejects_an_engine_without_noise_sampling(self, capsys):
-        assert main(["scenario", "ideal-m3", "--engine", "statevector"]) == 2
+    def test_cli_has_no_engine_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "ideal-m3", "--engine", "statevector"])
+        assert excinfo.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
-        assert "Monte-Carlo" in captured.err
+        assert "unrecognized arguments: --engine" in captured.err
         assert captured.out == ""
-        assert get_default_engine() == "feynman-tape"
 
     def test_cli_rejects_names_on_other_experiments(self, capsys):
         with pytest.raises(SystemExit):

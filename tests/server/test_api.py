@@ -15,11 +15,12 @@ import urllib.request
 import pytest
 
 from repro.cache import ResultCache
-from repro.scenarios import available_scenarios, run_scenario
+from repro.scenarios import available_scenarios, resolve_run, run_scenario
 from repro.server import API_PREFIX, API_VERSION, ScenarioServer, ScenarioService
-from repro.server.app import MAX_BODY_BYTES, MAX_SUBMIT_SHOTS
+from repro.server.app import CONNECTION_TIMEOUT_S, MAX_BODY_BYTES, MAX_SUBMIT_SHOTS
 from repro.server.jobs import JobTable
 from repro.server.responses import encode, error_envelope, ok_envelope
+from repro.sim.engine import ENGINE_NAME
 
 SHOTS = 16
 SEED = 9
@@ -224,14 +225,14 @@ class TestErrorModel:
     @pytest.mark.parametrize(
         "scenario", ["htree-swap-m3", "ideal-m3", "htree-dual-rail-m3"]
     )
-    def test_post_rejects_an_engine_without_noise_sampling(self, service, scenario):
-        """A statevector run could only fail in the worker: refuse it up front."""
+    def test_post_rejects_the_dense_simulator_as_an_engine(self, service, scenario):
+        """``statevector`` is no engine: refused before any job exists."""
         payload = {"scenario": scenario, "engine": "statevector"}
         status, body = service.handle_post(
             f"{API_PREFIX}/runs", json.dumps(payload).encode()
         )
         assert (status, body["error"]["code"]) == (400, "invalid_request")
-        assert "Monte-Carlo" in body["error"]["message"]
+        assert "unknown engine" in body["error"]["message"]
         assert len(service.jobs) == 0
 
     @pytest.mark.parametrize("engine", ["feynman-batch", "feynman-interp"])
@@ -352,6 +353,78 @@ class TestWarmPath:
         assert body["data"]["cached_results"] == cache.count() == 2
 
 
+class TestEngineField:
+    """``engine`` may name the one engine (or be null): same run as omitting it.
+
+    Any other value, of any JSON type, answers ``400 invalid_request`` and
+    creates no job, exactly as it did while an engine could be chosen.
+    """
+
+    PAYLOAD = {"scenario": "ideal-m3", "shots": 8, "seed": 4}
+
+    @classmethod
+    def _submit(cls, service, **fields):
+        payload = json.dumps({**cls.PAYLOAD, **fields}).encode()
+        return service.handle_post(f"{API_PREFIX}/runs", payload)
+
+    @pytest.mark.parametrize("engine", [ENGINE_NAME, None])
+    def test_naming_the_engine_is_omitting_it_cold(self, tmp_path, engine):
+        # Separate services, so both submissions are cold and get job-0001.
+        omitted = self._submit(ScenarioService(cache=str(tmp_path / "a")))
+        named = self._submit(ScenarioService(cache=str(tmp_path / "b")), engine=engine)
+        assert named[0] == omitted[0] == 202
+        assert named[1] == omitted[1]
+        job = named[1]["data"]["job"]
+        assert job["engine"] == ENGINE_NAME
+        fingerprint = resolve_run("ideal-m3", shots=8, seed=4)[4]
+        assert job["fingerprint"] == fingerprint
+
+    def test_naming_the_engine_is_omitting_it_warm(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        run_scenario("ideal-m3", shots=8, seed=4, workers=1, cache=cache)
+        service = ScenarioService(cache=cache)
+        omitted = self._submit(service)
+        named = self._submit(service, engine=ENGINE_NAME)
+        assert named[0] == omitted[0] == 200
+        assert named[1]["data"]["cached"] is omitted[1]["data"]["cached"] is True
+        named_job, omitted_job = named[1]["data"]["job"], omitted[1]["data"]["job"]
+        assert named_job.pop("id") != omitted_job.pop("id")
+        assert named_job == omitted_job
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            "statevector",
+            "feynman-interp",
+            "feynman-batch",
+            "Feynman-Tape",
+            " feynman-tape",
+            "",
+            "null",
+            "None",
+            1,
+            0,
+            -1,
+            1.5,
+            True,
+            False,
+            [],
+            {},
+            [ENGINE_NAME],
+            {"name": ENGINE_NAME},
+        ],
+        ids=repr,
+    )
+    def test_any_other_engine_is_refused_without_a_job(self, tmp_path, engine):
+        cache = ResultCache(tmp_path)
+        run_scenario("ideal-m3", shots=8, seed=4, workers=1, cache=cache)
+        service = ScenarioService(cache=cache)
+        status, body = self._submit(service, engine=engine)
+        assert (status, body["error"]["code"]) == (400, "invalid_request")
+        assert "unknown engine" in body["error"]["message"]
+        assert len(service.jobs) == 0
+
+
 class TestKeepAlive:
     """Replies on one keep-alive connection must not stall on delayed ACKs."""
 
@@ -405,6 +478,55 @@ class TestKeepAlive:
                 chunks.append(chunk)
         envelope = json.loads(b"".join(chunks))
         assert envelope["status"] == "ok"
+
+
+class TestIdleConnections:
+    """A connection that sends nothing, or too little, is dropped on a timeout."""
+
+    SILENT = 5
+
+    def test_timeout_is_tens_of_seconds(self):
+        # perfbench's serve client opens one Connection: close socket per
+        # request; a bound this long never fires on a live request.
+        assert 10 <= CONNECTION_TIMEOUT_S <= 120
+
+    def test_silent_and_slow_connections_free_their_threads(
+        self, tmp_path, monkeypatch
+    ):
+        import socket
+        import threading
+
+        import repro.server.app as app_module
+
+        monkeypatch.setattr(app_module, "CONNECTION_TIMEOUT_S", 0.2)
+        with ScenarioServer(port=0, cache=str(tmp_path), workers=1) as live:
+            host, port = live.httpd.server_address[:2]
+            baseline = threading.active_count()
+            sockets = [
+                socket.create_connection((host, port), timeout=10)
+                for _ in range(self.SILENT)
+            ]
+            # A body that stops short of its Content-Length.
+            slow = socket.create_connection((host, port), timeout=10)
+            slow.sendall(
+                f"POST {API_PREFIX}/runs HTTP/1.1\r\nHost: x\r\n"
+                "Content-Length: 64\r\n\r\n{".encode()
+            )
+            sockets.append(slow)
+            try:
+                for raw in sockets:
+                    # The server closes its end with no reply.  Without the
+                    # timeout, recv blocks until the client's own 10 s.
+                    assert raw.recv(1024) == b""
+            finally:
+                for raw in sockets:
+                    raw.close()
+            deadline = time.monotonic() + 10.0
+            while threading.active_count() > baseline and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert threading.active_count() <= baseline
+            status, body = _request(live, f"{API_PREFIX}/health")
+            assert (status, body["status"]) == (200, "ok")
 
 
 class TestContentLength:
@@ -535,8 +657,8 @@ class TestJobTable:
 
         table = JobTable()
         spec = get_scenario("ideal-m3")
-        first = table.create(spec, "f" * 64, shots=1, seed=1, engine="feynman-tape")
-        second = table.create(spec, "f" * 64, shots=1, seed=1, engine="feynman-tape")
+        first = table.create(spec, "f" * 64, shots=1, seed=1)
+        second = table.create(spec, "f" * 64, shots=1, seed=1)
         assert (first.id, second.id) == ("job-0001", "job-0002")
         assert len(table) == 2
         assert table.get("job-0003") is None
@@ -550,9 +672,7 @@ class TestJobTable:
         spec = get_scenario("ideal-m3")
 
         def create(status):
-            return table.create(
-                spec, "f" * 64, shots=1, seed=1, engine="feynman-tape", status=status
-            ).id
+            return table.create(spec, "f" * 64, shots=1, seed=1, status=status).id
 
         running = create("queued")
         table.set_status(running, "running")
@@ -593,9 +713,7 @@ class TestJobTable:
         def client():
             try:
                 for _ in range(300):
-                    job = table.create(
-                        spec, "f" * 64, shots=1, seed=1, engine="feynman-tape"
-                    )
+                    job = table.create(spec, "f" * 64, shots=1, seed=1)
                     # set_status raises KeyError if the live job was evicted.
                     table.set_status(job.id, "running")
                     table.set_status(job.id, "done")
@@ -639,9 +757,7 @@ class TestJobTable:
         from repro.scenarios import get_scenario
 
         table = JobTable()
-        job = table.create(
-            get_scenario("ideal-m3"), "f" * 64, shots=1, seed=1, engine="feynman-tape"
-        )
+        job = table.create(get_scenario("ideal-m3"), "f" * 64, shots=1, seed=1)
         with pytest.raises(ValueError, match="unknown job status"):
             table.set_status(job.id, "exploded")
 

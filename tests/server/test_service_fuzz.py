@@ -19,7 +19,7 @@ from repro.cache import ResultCache
 from repro.scenarios import available_scenarios, resolve_run, run_scenario
 from repro.server import API_PREFIX, API_VERSION, ScenarioService
 from repro.server.responses import RawResponse, encode
-from repro.sim.engine import available_engines
+from repro.sim.engine import ENGINE_NAME
 
 #: Every error slug a service handler may answer with.  (``payload_too_large``
 #: is the transport's, answered before the service sees a body.)
@@ -66,7 +66,7 @@ submissions = st.fixed_dictionaries(
         "scenario": st.sampled_from(available_scenarios()) | json_values,
         "shots": counts,
         "seed": st.integers(0, 3) | counts,
-        "engine": st.sampled_from(available_engines()) | json_values,
+        "engine": st.just(ENGINE_NAME) | json_values,
         "workers": json_values,
     },
 )
@@ -77,7 +77,7 @@ plausible = st.fixed_dictionaries(
     optional={
         "shots": st.integers(1, 64),
         "seed": st.integers(0, 3),
-        "engine": st.sampled_from(available_engines()),
+        "engine": st.just(ENGINE_NAME),
     },
 )
 

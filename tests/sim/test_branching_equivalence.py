@@ -33,12 +33,17 @@ teleport expansions guarantee by construction and random circuits do not.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit
-from repro.sim import FeynmanPathSimulator, NoiselessModel, PathState, ShotSeeds
+from repro.sim import (
+    FeynmanPathSimulator,
+    NoiselessModel,
+    PathState,
+    ShotSeeds,
+    StatevectorSimulator,
+)
 from repro.sim.engine import get_engine
 from tests.conftest import gate_noise_models
 from tests.oracle import assert_tape_matches_oracle
@@ -175,7 +180,7 @@ class TestStatevectorOracle:
     def test_branching_amplitudes_match_dense(self, circuit):
         """Measurement-free branching circuits reproduce dense amplitudes."""
         state = _superposition_input(circuit)
-        dense = get_engine("statevector").run(circuit, state).as_dict()
+        dense = StatevectorSimulator().run_to_path_state(circuit, state).as_dict()
         output = get_engine("feynman-tape").run(circuit, state)
         _assert_amplitudes_match(dense, output.as_dict(), "feynman-tape")
 
@@ -185,8 +190,8 @@ class TestStatevectorOracle:
         """Branch + Z-collapse blocks agree with the oracle outcome for outcome."""
         state = _last_qubit_input(circuit)
         dense = (
-            get_engine("statevector")
-            .run(circuit, state, rng=np.random.default_rng(seed))
+            StatevectorSimulator()
+            .run_to_path_state(circuit, state, rng=np.random.default_rng(seed))
             .as_dict()
         )
         output = get_engine("feynman-tape").run(
@@ -236,7 +241,7 @@ class TestShotSeedsBitIdentity:
         """Sharding the shot window never changes a single bit or amplitude."""
         circuit, noise, seed, shots, split = instance
         state = _superposition_input(circuit)
-        sim = FeynmanPathSimulator(engine="feynman-tape")
+        sim = FeynmanPathSimulator()
         bits_all, amps_all = sim.run_noisy_shots(
             circuit, state, noise, shots, rng=ShotSeeds(seed=seed)
         )

@@ -1,10 +1,11 @@
-"""Engine registry and engine-equivalence tests.
+"""Engine lookup and tape-versus-dense equivalence tests.
 
-The tape engine is the only Feynman-path engine, so these tests pin its
+The tape engine is the only execution engine, so these tests pin its
 contract against independent references:
 
-* noiseless outputs agree exactly with the dense statevector engine for
-  every registered QRAM architecture;
+* noiseless outputs agree exactly with the dense
+  :class:`~repro.sim.StatevectorSimulator` for every registered QRAM
+  architecture, and the dense output is the architecture's ideal output;
 * under a fixed seed every Monte-Carlo shot equals the dense oracle of
   :mod:`tests.oracle` (the shot's Paulis drawn from the noise model and
   inserted after their gates);
@@ -22,19 +23,18 @@ from repro.circuit import QuantumCircuit
 from repro.circuit import ir
 from repro.qram import ClassicalMemory, make_architecture
 from repro.sim import (
+    ENGINE_NAME,
     DepolarizingNoise,
-    Engine,
     FeynmanPathSimulator,
     GateNoiseModel,
     NoiselessModel,
     PathState,
     PauliChannel,
-    UnsupportedGateError,
-    available_engines,
+    StatevectorSimulator,
     get_default_engine,
     get_engine,
-    set_default_engine,
 )
+from repro.sim.engine import TapeFeynmanEngine
 from repro.sim.seeding import ShotSeeds, as_shot_seeds
 from tests.conftest import random_reversible_circuits
 from tests.oracle import assert_tape_matches_oracle
@@ -61,34 +61,27 @@ def _amplitudes_match(a: PathState, b: PathState, tol: float = 1e-9) -> bool:
     return all(abs(left[key] - right[key]) < tol for key in left)
 
 
-class TestRegistry:
-    def test_builtin_engines_registered(self):
-        assert available_engines() == ["feynman-tape", "statevector"]
+def _dense(circuit: QuantumCircuit, state: PathState, **kwargs) -> PathState:
+    """The dense reference output (paths merged per basis state)."""
+    return StatevectorSimulator().run_to_path_state(circuit, state, **kwargs)
 
-    def test_get_engine_by_name_and_instance(self):
-        engine = get_engine("feynman-tape")
-        assert isinstance(engine, Engine)
-        assert get_engine(engine) is engine
 
-    def test_unknown_engine_rejected(self):
+class TestEngineLookup:
+    def test_one_shared_engine(self):
+        engine = get_engine()
+        assert isinstance(engine, TapeFeynmanEngine)
+        assert get_engine(None) is engine
+        assert get_engine(ENGINE_NAME) is engine
+
+    def test_default_engine_name_is_the_stamp(self):
+        assert get_default_engine() == ENGINE_NAME == "feynman-tape"
+
+    @pytest.mark.parametrize(
+        "name", ["statevector", "feynman-interp", "not-an-engine"]
+    )
+    def test_other_names_rejected(self, name):
         with pytest.raises(KeyError, match="unknown engine"):
-            get_engine("not-an-engine")
-
-    def test_default_engine_roundtrip(self):
-        previous = get_default_engine()
-        try:
-            set_default_engine("statevector")
-            assert get_engine().name == "statevector"
-        finally:
-            set_default_engine(previous)
-        assert get_default_engine() == previous
-
-    def test_default_engine_is_compiled(self):
-        assert get_default_engine() == "feynman-tape"
-
-    def test_set_unknown_default_rejected(self):
-        with pytest.raises(KeyError):
-            set_default_engine("bogus")
+            get_engine(name)
 
 
 @pytest.mark.parametrize("architecture_name", ARCHITECTURE_NAMES)
@@ -97,10 +90,9 @@ class TestArchitectureEquivalence:
         architecture = make_architecture(architecture_name, memory, qram_width=2)
         circuit = architecture.build_circuit()
         state = architecture.input_state()
-        tape = get_engine("feynman-tape").run(circuit, state)
-        dense = get_engine("statevector").run(circuit, state)
-        # The dense engine merges paths per basis state: compare as dicts.
-        assert _amplitudes_match(tape, dense)
+        tape = get_engine().run(circuit, state)
+        # The dense output merges paths per basis state: compare as dicts.
+        assert _amplitudes_match(tape, _dense(circuit, state))
 
     @pytest.mark.parametrize("noise", NOISE_MODELS)
     def test_noisy_shots_match_the_oracle(self, architecture_name, memory, noise):
@@ -113,9 +105,15 @@ class TestArchitectureEquivalence:
             as_shot_seeds(np.random.default_rng(11)),
         )
 
-    def test_statevector_engine_noiseless_query(self, architecture_name, memory):
+    def test_dense_output_is_the_ideal_query(self, architecture_name, memory):
+        # The noiseless cross-check: a dense run of the query circuit
+        # answers every address with its memory bit, with no path engine
+        # involved.
         architecture = make_architecture(architecture_name, memory, qram_width=2)
-        result = architecture.run_query(None, shots=4, engine="statevector")
+        state = architecture.input_state()
+        dense = _dense(architecture.build_circuit(), state)
+        assert _amplitudes_match(dense, architecture.ideal_output(state))
+        result = architecture.run_query(None, shots=4, rng=0)
         assert result.fidelities == pytest.approx(np.ones(4))
 
 
@@ -123,9 +121,8 @@ class TestFusionStress:
     """Crafted circuits exercising the tape compiler's fusion rules."""
 
     def _compare(self, circuit: QuantumCircuit, state: PathState) -> None:
-        tape = get_engine("feynman-tape").run(circuit, state)
-        dense = get_engine("statevector").run(circuit, state)
-        assert _amplitudes_match(tape, dense, tol=1e-12)
+        tape = get_engine().run(circuit, state)
+        assert _amplitudes_match(tape, _dense(circuit, state), tol=1e-12)
         noise = DepolarizingNoise(0.2)
         assert_tape_matches_oracle(circuit, state, noise, 4, ShotSeeds(7))
 
@@ -330,9 +327,8 @@ class TestPropertyEquivalence:
         state = PathState.register_superposition(
             circuit.num_qubits, register=list(range(min(3, circuit.num_qubits)))
         )
-        tape = get_engine("feynman-tape").run(circuit, state)
-        dense = get_engine("statevector").run(circuit, state)
-        assert _amplitudes_match(tape, dense, tol=1e-12)
+        tape = get_engine().run(circuit, state)
+        assert _amplitudes_match(tape, _dense(circuit, state), tol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(circuit=random_reversible_circuits(max_qubits=5, max_gates=15))
@@ -363,82 +359,26 @@ class TestEngineErrors:
         with pytest.raises(ir.BranchBudgetError, match="branch budget"):
             get_engine("feynman-tape").run(circuit, state)
 
-    def test_statevector_engine_rejects_branching_shot_blocks(self):
-        # With H the dense output has more paths than the input, which the
-        # per-shot block contract cannot represent; a silent wrong answer
-        # here once produced fidelities of 0.25 instead of 1.0.
-        circuit = QuantumCircuit(1)
-        circuit.h(0)
-        state = PathState.from_basis_assignments([({}, 1.0)], 1)
-        with pytest.raises(NotImplementedError, match="branching"):
-            get_engine("statevector").run_noisy_shots(
-                circuit, state, NoiselessModel(), 3
-            )
-
-    def test_statevector_engine_pads_merged_paths(self):
-        # Two input paths that a SWAP maps onto states which the dense
-        # engine merges into fewer rows: fidelities must still be exact.
-        circuit = QuantumCircuit(2)
-        circuit.swap(0, 1)
-        state = PathState.from_basis_assignments(
-            [({0: 1}, np.sqrt(0.5)), ({1: 1}, np.sqrt(0.5))], 2
-        )
-        result = FeynmanPathSimulator(engine="statevector").query_fidelities(
-            circuit, state, NoiselessModel(), shots=3
-        )
-        assert result.fidelities == pytest.approx(np.ones(3))
-
-    def test_statevector_engine_rejects_noise(self):
-        circuit = QuantumCircuit(1)
-        circuit.x(0)
-        state = PathState.from_basis_assignments([({}, 1.0)], 1)
-        noise = GateNoiseModel(PauliChannel.bit_flip(0.1))
-        with pytest.raises(NotImplementedError, match="Monte-Carlo"):
-            get_engine("statevector").run_noisy_shots(circuit, state, noise, 4)
-
-    def test_statevector_engine_refuses_measured_shot_blocks(self):
-        # One dense run samples one outcome sequence; tiling it once
-        # reported q0 = 1 in all 8 shots here, ignoring rng, while the
-        # per-shot streams give mixed outcomes.
+    def test_measured_shot_blocks_sample_per_shot_outcomes(self):
+        # Every shot draws its outcome from its own stream, so a measured
+        # block mixes outcomes across shots.
         circuit = QuantumCircuit(2)
         circuit.measure(0)
         circuit.cx(0, 1)
         state = PathState.register_superposition(2, [0])
-        bits, _ = get_engine("feynman-tape").run_noisy_shots(
+        bits, _ = get_engine().run_noisy_shots(
             circuit, state, NoiselessModel(), 8, rng=5
         )
         assert bits[::2, 0].astype(int).tolist() == [0, 1, 1, 1, 1, 0, 1, 0]
-        with pytest.raises(NotImplementedError, match="measurement outcomes"):
-            get_engine("statevector").run_noisy_shots(
-                circuit, state, NoiselessModel(), 8, rng=5
-            )
-        with pytest.raises(NotImplementedError, match="measurement outcomes"):
-            FeynmanPathSimulator(engine="statevector").query_fidelities(
-                circuit, state, NoiselessModel(), 8, rng=5
-            )
-
-    def test_statevector_engine_messages_name_only_registered_engines(self):
-        circuit = QuantumCircuit(1)
-        circuit.measure(0)
-        state = PathState.from_basis_assignments([({}, 1.0)], 1)
-        engine = get_engine("statevector")
-        noise = GateNoiseModel(PauliChannel.bit_flip(0.1))
-        for call in (
-            lambda: engine.run_noisy_shots(circuit, state, noise, 2),
-            lambda: engine.run_noisy_shots(circuit, state, NoiselessModel(), 2),
-            lambda: engine.run_noisy_shots_recorded(circuit, state, noise, 2),
-        ):
-            with pytest.raises(NotImplementedError) as excinfo:
-                call()
-            assert str(excinfo.value).endswith("use 'feynman-tape'")
 
     def test_qubit_count_mismatch_rejected(self):
         circuit = QuantumCircuit(2)
         circuit.x(0)
         state = PathState.from_basis_assignments([({}, 1.0)], 3)
-        for name in ("feynman-tape", "statevector"):
-            with pytest.raises(ValueError, match="qubits"):
-                get_engine(name).run(circuit, state)
+        with pytest.raises(ValueError, match="qubits"):
+            get_engine().run(circuit, state)
+        with pytest.raises(ValueError, match="qubit count"):
+            _dense(circuit, state)
 
     def test_engines_do_not_mutate_input_state(self):
         circuit = QuantumCircuit(2)
@@ -447,8 +387,8 @@ class TestEngineErrors:
         state = PathState.from_basis_assignments([({}, 1.0)], 2)
         before_bits = state.bits.copy()
         before_amps = state.amplitudes.copy()
-        for name in ("feynman-tape", "statevector"):
-            get_engine(name).run(circuit, state)
+        for run in (get_engine().run, _dense):
+            run(circuit, state)
             assert np.array_equal(state.bits, before_bits)
             assert np.array_equal(state.amplitudes, before_amps)
 
@@ -464,19 +404,26 @@ class TestEngineErrors:
 
 
 class TestFacade:
-    def test_simulator_accepts_engine_instances(self, memory):
+    def test_simulator_runs_the_shared_engine(self, memory):
         architecture = make_architecture("virtual", memory, qram_width=2)
         circuit = architecture.build_circuit()
         state = architecture.input_state()
-        engine = get_engine("feynman-tape")
-        out = FeynmanPathSimulator(engine=engine).run(circuit, state)
-        assert _amplitudes_match(out, FeynmanPathSimulator().run(circuit, state))
+        out = FeynmanPathSimulator().run(circuit, state)
+        expected = get_engine().run(circuit, state)
+        assert np.array_equal(out.bits, expected.bits)
+        assert np.array_equal(out.amplitudes, expected.amplitudes)
 
-    def test_default_engine_change_affects_existing_simulators(self):
-        simulator = FeynmanPathSimulator()
-        previous = get_default_engine()
-        try:
-            set_default_engine("statevector")
-            assert simulator._resolve_engine().name == "statevector"
-        finally:
-            set_default_engine(previous)
+    def test_noisy_queries_call_the_engine_class_method(self, memory, monkeypatch):
+        # Instrumentation wraps TapeFeynmanEngine.run_noisy_shots_recorded on
+        # the class; every noisy query must reach it there.
+        calls = []
+        recorded = TapeFeynmanEngine.run_noisy_shots_recorded
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return recorded(self, *args, **kwargs)
+
+        monkeypatch.setattr(TapeFeynmanEngine, "run_noisy_shots_recorded", counting)
+        architecture = make_architecture("virtual", memory, qram_width=2)
+        architecture.run_query(DepolarizingNoise(0.01), shots=4, rng=0)
+        assert calls == [get_engine()]

@@ -1,8 +1,9 @@
-"""Mid-circuit measurement and Pauli-frame semantics across all engines.
+"""Mid-circuit measurement and Pauli-frame semantics, tape and dense.
 
 Pins the tentpole contracts of the executed-teleportation PR:
 
-* one-bit teleportation is exact on every engine for every outcome draw;
+* one-bit teleportation is exact on the tape engine and the dense
+  simulator for every outcome draw;
 * Z measurements collapse with the true Born statistics and renormalise;
 * measured qubits can be frame-reset and reused;
 * Pauli-frame corrections commute through ``CCX``/``MCX`` with the textbook
@@ -23,9 +24,16 @@ from repro.sim.fidelity import shot_fidelities, state_fidelity
 from repro.sim.noise import GateNoiseModel, NoiselessModel, PauliChannel
 from repro.sim.paths import PathState
 from repro.sim.seeding import ShotSeeds, as_shot_seeds
+from repro.sim.statevector import StatevectorSimulator
 from tests.oracle import assert_tape_matches_oracle
 
-ENGINES = ("feynman-tape", "statevector")
+#: Every exactness property runs on the tape engine and on the dense
+#: reference simulator.
+RUNNERS = {
+    "feynman-tape": get_engine().run,
+    "statevector": StatevectorSimulator().run_to_path_state,
+}
+ENGINES = tuple(RUNNERS)
 
 
 def one_bit_teleport(source: int, target: int, circuit: QuantumCircuit) -> None:
@@ -44,7 +52,7 @@ class TestOneBitTeleportation:
         circuit = QuantumCircuit(num_qubits=2)
         one_bit_teleport(0, 1, circuit)
         state = PathState.register_superposition(2, [0], {0: 0.6, 1: 0.8})
-        out = get_engine(engine_name).run(
+        out = RUNNERS[engine_name](
             circuit, state, rng=np.random.default_rng(seed)
         )
         assert out.as_dict() == pytest.approx(
@@ -59,7 +67,7 @@ class TestOneBitTeleportation:
         state = PathState.from_basis_assignments(
             [({0: 0, 1: 0}, 0.6), ({0: 1, 1: 1}, 0.8j)], num_qubits=3
         )
-        out = get_engine(engine_name).run(circuit, state, rng=np.random.default_rng(1))
+        out = RUNNERS[engine_name](circuit, state, rng=np.random.default_rng(1))
         assert out.as_dict() == pytest.approx(
             {(0, 0, 0): 0.6 + 0j, (1, 0, 1): 0.8j}
         )
@@ -112,7 +120,7 @@ class TestZMeasurement:
         assert abs(amp) == pytest.approx(1.0)
 
     def test_statevector_agrees_on_z_collapse(self):
-        """Dense and path engines sample identical Z outcomes per stream."""
+        """Dense and path simulators sample identical Z outcomes per stream."""
         circuit = QuantumCircuit(num_qubits=2)
         circuit.cx(0, 1)
         circuit.measure(1, basis="Z")
@@ -120,7 +128,9 @@ class TestZMeasurement:
         for seed in range(5):
             rng_a, rng_b = (np.random.default_rng(seed) for _ in range(2))
             path_out = get_engine("feynman-tape").run(circuit, state, rng=rng_a)
-            dense_out = get_engine("statevector").run(circuit, state, rng=rng_b)
+            dense_out = StatevectorSimulator().run_to_path_state(
+                circuit, state, rng=rng_b
+            )
             assert state_fidelity(dense_out, path_out) == pytest.approx(1.0)
 
 
@@ -132,7 +142,7 @@ class TestMeasureThenReuse:
         one_bit_teleport(0, 1, circuit)  # qubit 0 now |0>
         circuit.cx(1, 0)  # reuse qubit 0 as a CX target
         state = PathState.register_superposition(2, [0], {0: 0.6, 1: 0.8})
-        out = get_engine(engine_name).run(circuit, state, rng=np.random.default_rng(2))
+        out = RUNNERS[engine_name](circuit, state, rng=np.random.default_rng(2))
         assert out.as_dict() == pytest.approx(
             {(0, 0): 0.6 + 0j, (1, 1): 0.8 + 0j}
         )
@@ -198,10 +208,10 @@ class TestPauliFrameCommutation:
                 late.x(0)
                 late.cx(1, 2)
             state = PathState.register_superposition(3, [0, 1])
-            out_early = get_engine(engine_name).run(
+            out_early = RUNNERS[engine_name](
                 early, state, rng=np.random.default_rng(seed)
             )
-            out_late = get_engine(engine_name).run(
+            out_late = RUNNERS[engine_name](
                 late, state, rng=np.random.default_rng(seed)
             )
             assert state_fidelity(out_early, out_late) == pytest.approx(1.0)
@@ -219,8 +229,8 @@ class TestPauliFrameCommutation:
             if frame:
                 late.x(3)
             state = PathState.register_superposition(4, [0, 1, 2])
-            out_early = get_engine(engine_name).run(early, state)
-            out_late = get_engine(engine_name).run(late, state)
+            out_early = RUNNERS[engine_name](early, state)
+            out_late = RUNNERS[engine_name](late, state)
             assert state_fidelity(out_early, out_late) == pytest.approx(1.0)
 
     def test_z_frame_through_mcx_control_with_measured_bit(self):

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit
-from repro.mapping.dual_rail import encode_dual_rail
 from repro.sim import (
     FeynmanPathSimulator,
     GateNoiseModel,
@@ -97,21 +96,13 @@ class TestRecordedRuns:
         assert not outcomes[:2].any()  # gap slots never written
         assert np.all(outcomes[2] == 1)  # |1> measures 1 deterministically
 
-    def test_statevector_engine_refuses_recording(self):
-        circuit = measured_circuit()
-        state = PathState.register_superposition(3, [0])
-        with pytest.raises(NotImplementedError, match="statevector"):
-            get_engine("statevector").run_noisy_shots_recorded(
-                circuit, state, NoiselessModel(), 4
-            )
-
     def test_postselect_without_outcomes_rejected(self):
         """Naming classical bits on a record-free circuit is a caller bug."""
         circuit = QuantumCircuit(2)
         circuit.cx(0, 1)
         state = PathState.register_superposition(2, [0])
         with pytest.raises(ValueError, match="no measurement outcomes"):
-            FeynmanPathSimulator(engine="feynman-tape").query_fidelities(
+            FeynmanPathSimulator().query_fidelities(
                 circuit,
                 state,
                 NoiselessModel(),
@@ -197,7 +188,7 @@ class TestQueryResultEdges:
         circuit = QuantumCircuit(1)
         circuit.measure(0)  # |0> always measures 0; demand 1
         state = PathState.from_basis_assignments([({}, 1.0)], 1)
-        result = FeynmanPathSimulator(engine="feynman-tape").query_fidelities(
+        result = FeynmanPathSimulator().query_fidelities(
             circuit,
             state,
             NoiselessModel(),

@@ -66,7 +66,7 @@ class TestSeededTrajectoriesAgainstTheOracle:
         """Any split of the shot range reproduces the unsharded draw."""
         state = _superposition_input(circuit)
         shots = 6
-        sim = FeynmanPathSimulator(engine="feynman-tape")
+        sim = FeynmanPathSimulator()
         bits_all, amps_all = sim.run_noisy_shots(
             circuit, state, noise, shots, rng=ShotSeeds(seed=seed)
         )
@@ -89,5 +89,5 @@ class TestNoiselessStatevectorAgreement:
         """Noiseless Feynman runs reproduce statevector amplitudes exactly."""
         state = _superposition_input(circuit)
         dense = StatevectorSimulator().run(circuit, state)
-        output = FeynmanPathSimulator(engine="feynman-tape").run(circuit, state)
+        output = FeynmanPathSimulator().run(circuit, state)
         assert np.allclose(output.to_statevector(), dense, atol=1e-9)

@@ -120,7 +120,7 @@ class TestRandomStreamGolden:
     def test_golden_trajectory(self):
         """The Feynman engine reproduces the committed trajectory bit for bit."""
         state = PathState.register_superposition(3, [2])
-        bits, amps = FeynmanPathSimulator(engine="feynman-tape").run_noisy_shots(
+        bits, amps = FeynmanPathSimulator().run_noisy_shots(
             _branching_circuit(), state, _noise(), SHOTS, rng=ShotSeeds(seed=SEED)
         )
         np.testing.assert_array_equal(

@@ -1,7 +1,7 @@
 """The seed-splitting guarantee: merged shard results are bit-identical.
 
-This is the property the whole sweep subsystem rests on: for every
-registered engine, running a Monte-Carlo query sweep sharded across any
+This is the property the whole sweep subsystem rests on: with or without
+noise, running a Monte-Carlo query sweep sharded across any
 number of workers with any shard size produces fidelities bit-identical to
 the serial, unsharded run -- because every shot's random stream is keyed on
 ``(seed, point_index, shot_index)`` and nothing else.
@@ -20,7 +20,6 @@ from repro.sim import (
     NoiselessModel,
     PauliChannel,
     ShotSeeds,
-    available_engines,
 )
 from repro.sweep import ShotShard, SweepRunner
 from tests.oracle import assert_tape_matches_oracle
@@ -28,10 +27,10 @@ from tests.oracle import assert_tape_matches_oracle
 SHOTS = 12
 SEED = 21
 
-#: Engines and the noise each supports (the dense engine is noiseless-only).
-ENGINE_NOISE = {
-    "feynman-tape": GateNoiseModel(PauliChannel.depolarizing(0.02)),
-    "statevector": NoiselessModel(),
+#: The noise models every invariance property runs under.
+NOISE = {
+    "depolarizing": GateNoiseModel(PauliChannel.depolarizing(0.02)),
+    "noiseless": NoiselessModel(),
 }
 
 
@@ -40,48 +39,38 @@ def _architecture() -> VirtualQRAM:
 
 
 def _query_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
-    (engine_name,) = spec
+    (noise_name,) = spec
     architecture = _architecture()
-    result = architecture.run_query(
-        ENGINE_NOISE[engine_name],
-        shard.shots,
-        rng=shard.seeds(),
-        engine=engine_name,
-    )
+    result = architecture.run_query(NOISE[noise_name], shard.shots, rng=shard.seeds())
     return result.fidelities
 
 
-def _merged(engine_name: str, workers: int, shard_size: int) -> np.ndarray:
+def _merged(noise_name: str, workers: int, shard_size: int) -> np.ndarray:
     runner = SweepRunner(workers=workers, shard_size=shard_size)
-    results = runner.map_shards(_query_shard, [(engine_name,)], shots=SHOTS, seed=SEED)
+    results = runner.map_shards(_query_shard, [(noise_name,)], shots=SHOTS, seed=SEED)
     return results[0].fidelities
 
 
-class TestEveryEngineIsShardInvariant:
-    def test_registry_is_covered(self):
-        # If a new engine is registered, it must be added to this property
-        # test (and honour the ShotSeeds contract).
-        assert set(ENGINE_NOISE) == set(available_engines())
-
-    @pytest.mark.parametrize("engine_name", sorted(ENGINE_NOISE))
+class TestQuerySweepsAreShardInvariant:
+    @pytest.mark.parametrize("noise_name", sorted(NOISE))
     @pytest.mark.parametrize("shard_size", [1, 5, SHOTS, 64])
-    def test_shard_size_invariance_serial(self, engine_name, shard_size):
-        reference = _merged(engine_name, workers=1, shard_size=SHOTS)
+    def test_shard_size_invariance_serial(self, noise_name, shard_size):
+        reference = _merged(noise_name, workers=1, shard_size=SHOTS)
         assert np.array_equal(
-            _merged(engine_name, workers=1, shard_size=shard_size), reference
+            _merged(noise_name, workers=1, shard_size=shard_size), reference
         )
 
-    @pytest.mark.parametrize("engine_name", sorted(ENGINE_NOISE))
-    def test_worker_invariance(self, engine_name):
-        reference = _merged(engine_name, workers=1, shard_size=4)
-        assert np.array_equal(_merged(engine_name, workers=2, shard_size=4), reference)
+    @pytest.mark.parametrize("noise_name", sorted(NOISE))
+    def test_worker_invariance(self, noise_name):
+        reference = _merged(noise_name, workers=1, shard_size=4)
+        assert np.array_equal(_merged(noise_name, workers=2, shard_size=4), reference)
 
     @given(shard_size=st.integers(1, 2 * SHOTS))
     @settings(max_examples=12, deadline=None)
     def test_shard_size_property_tape_engine(self, shard_size):
-        reference = _merged("feynman-tape", workers=1, shard_size=SHOTS)
+        reference = _merged("depolarizing", workers=1, shard_size=SHOTS)
         assert np.array_equal(
-            _merged("feynman-tape", workers=1, shard_size=shard_size), reference
+            _merged("depolarizing", workers=1, shard_size=shard_size), reference
         )
 
 
