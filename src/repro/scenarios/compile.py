@@ -74,7 +74,7 @@ and a searched initial layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.ir import compile_circuit
@@ -147,9 +147,12 @@ class CompiledScenario:
         """Number of gates actually executed (includes expanded link ops)."""
         return len(self.circuit.gates)
 
-    @property
+    @cached_property
     def executed_depth(self) -> int:
-        """ASAP depth of the executed circuit (frame corrections are free)."""
+        """ASAP depth of the executed circuit (frame corrections are free).
+
+        Computed once per bundle: every record of a sweep reads it.
+        """
         return circuit_depth(self.circuit)
 
     @property

@@ -120,7 +120,14 @@ from repro.sim.noise import (
     PAULI_Y,
     PAULI_Z,
 )
-from repro.sim.paths import PathState
+from repro.sim.paths import (
+    PackedBits,
+    PathState,
+    _pack_row,
+    _pack_rows,
+    _unpack_row,
+    _unpack_rows,
+)
 from repro.sim.seeding import ShotSeeds, as_shot_seeds, draw_shot_randomness
 
 #: The engine's name, stamped into fingerprints, records and job views.
@@ -273,7 +280,7 @@ class TapeFeynmanEngine:
             rng = np.random.default_rng(0) if rng is None else rng
             uniforms = rng.random((tape.num_measurements, 1))
         bits, amps, _ = _execute_stacked_shots(tape, state, 1, None, None, uniforms)
-        return PathState(bits=bits, amplitudes=amps)
+        return PathState(bits=np.asarray(bits), amplitudes=amps)
 
     def run_noisy_shots(
         self,
@@ -298,7 +305,7 @@ class TapeFeynmanEngine:
         bits, amps, _ = self.run_noisy_shots_recorded(
             circuit, state, noise, shots, rng=rng
         )
-        return bits, amps
+        return np.asarray(bits), amps
 
     def run_noisy_shots_recorded(
         self,
@@ -307,12 +314,17 @@ class TapeFeynmanEngine:
         noise: NoiseModel,
         shots: int,
         rng: ShotSeeds | int | np.random.Generator | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    ) -> tuple[PackedBits, np.ndarray, np.ndarray | None]:
         """Like :meth:`run_noisy_shots`, plus the recorded classical register.
 
-        Returns ``(bits, amps, outcomes)`` where ``outcomes`` is the batch's
-        classical register -- shape ``(num_clbits, shots)`` ``int8``, one row
-        per slot -- or ``None`` when the circuit records nothing.  The random
+        Returns ``(bits, amps, outcomes)``.  ``bits`` is the executor's
+        :class:`~repro.sim.paths.PackedBits` -- one ``int`` per qubit, with
+        ``shape == (shots * n_paths, n_qubits)`` -- which
+        :func:`~repro.sim.fidelity.shot_fidelities` reads without unpacking
+        every qubit; ``np.asarray(bits)`` is :meth:`run_noisy_shots`' block,
+        bit for bit.  ``outcomes`` is the batch's classical register --
+        shape ``(num_clbits, shots)`` ``int8``, one row per slot -- or
+        ``None`` when the circuit records nothing.  The random
         stream consumed is *identical* to :meth:`run_noisy_shots` (recording
         observes the register the executor already maintains), so recorded
         and unrecorded runs of the same seed agree bit for bit.
@@ -352,7 +364,7 @@ def _execute_stacked_shots(
     sites: NoiseSiteTable | None,
     codes: np.ndarray | None,
     measure_uniforms: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[PackedBits, np.ndarray, np.ndarray | None]:
     """Execute the fused tape over a full shot-stacked block of bit-sliced rows.
 
     The block holds one Python ``int`` per qubit: bit ``j`` of ``rows[q]`` is
@@ -371,13 +383,13 @@ def _execute_stacked_shots(
     This is the Feynman engine's only executor: a noiseless run is one
     shot without sites.  ``codes`` holds the pre-drawn Pauli codes
     (``(n_sites, shots)``), ``measure_uniforms`` the pre-drawn measurement
-    uniforms.  Returns ``(bits, amps, outcomes)``: ``bits`` has the usual
-    ``(shots * n_paths, n_qubits)`` shape but is a non-contiguous view (the
-    ``.T``) of the unpacked qubit-major ``(n_qubits, shots * n_paths)``
-    block, so no transpose copy is made and
-    :func:`~repro.sim.fidelity.shot_fidelities` reads whole qubit rows; the
-    recorded classical register (``None`` when the tape has no classical
-    bits) rides along for :meth:`TapeFeynmanEngine.run_noisy_shots_recorded`.
+    uniforms.  Returns ``(bits, amps, outcomes)``: ``bits`` is the final
+    rows and width as a :class:`~repro.sim.paths.PackedBits` of shape
+    ``(shots * n_paths, n_qubits)``, left packed so that
+    :func:`~repro.sim.fidelity.shot_fidelities` unpacks only the qubits it
+    reads (``np.asarray`` gives the whole bool block); the recorded
+    classical register (``None`` when the tape has no classical bits) rides
+    along for :meth:`TapeFeynmanEngine.run_noisy_shots_recorded`.
     """
     n_paths = state.num_paths
     width = shots * n_paths
@@ -512,7 +524,7 @@ def _execute_stacked_shots(
             n_paths,
             segment,
         )
-    return _unpack_rows(rows, width).T, amps, outcomes
+    return PackedBits(rows, width), amps, outcomes
 
 
 # ============================================================= group execution
@@ -618,36 +630,6 @@ def _apply_group(
 
 
 # ============================================================ bit-sliced rows
-def _pack_row(column: np.ndarray) -> int:
-    """Pack a 1-D bool array into one Python ``int``: bit ``j`` is ``column[j]``."""
-    return int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
-
-
-def _unpack_row(row: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_pack_row`: a fresh writable bool array of ``width``."""
-    raw = np.frombuffer(row.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=width, bitorder="little").view(bool)
-
-
-def _pack_rows(block: np.ndarray) -> list[int]:
-    """:func:`_pack_row` over every row of a ``(n_rows, width)`` bool block."""
-    packed = np.packbits(block, axis=1, bitorder="little")
-    n_bytes = packed.shape[1]
-    raw = packed.tobytes()
-    return [
-        int.from_bytes(raw[row * n_bytes : (row + 1) * n_bytes], "little")
-        for row in range(block.shape[0])
-    ]
-
-
-def _unpack_rows(rows: list[int], width: int) -> np.ndarray:
-    """Inverse of :func:`_pack_rows`: a fresh writable ``(len(rows), width)`` bool block."""
-    n_bytes = (width + 7) // 8
-    raw = b"".join(row.to_bytes(n_bytes, "little") for row in rows)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), n_bytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
-
-
 def _apply_sliced_error_event(
     rows: list[int],
     amps: np.ndarray,

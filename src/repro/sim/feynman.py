@@ -34,7 +34,7 @@ from repro.circuit.gates import is_path_simulable
 from repro.sim.engine import UnsupportedGateError, get_engine
 from repro.sim.fidelity import shot_fidelities
 from repro.sim.noise import NoiseModel
-from repro.sim.paths import PathState
+from repro.sim.paths import PackedBits, PathState
 from repro.sim.seeding import ShotSeeds
 
 __all__ = ["FeynmanPathSimulator", "QueryResult", "UnsupportedGateError"]
@@ -149,12 +149,14 @@ class FeynmanPathSimulator:
         noise: NoiseModel,
         shots: int,
         rng: ShotSeeds | int | np.random.Generator | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    ) -> tuple[PackedBits, np.ndarray, np.ndarray | None]:
         """Like :meth:`run_noisy_shots`, plus the recorded measurement outcomes.
 
-        The third element is the classical register of the whole batch --
-        shape ``(num_clbits, shots)`` ``int8``, one row per slot -- or
-        ``None`` when the circuit records nothing.  This is what
+        The bits come back packed, a :class:`~repro.sim.paths.PackedBits`
+        that ``np.asarray`` unpacks.  The third element is the classical
+        register of the whole batch -- shape ``(num_clbits, shots)``
+        ``int8``, one row per slot -- or ``None`` when the circuit records
+        nothing.  This is what
         postselection partitions shots by (see :meth:`query_fidelities`).
         """
         return get_engine().run_noisy_shots_recorded(
@@ -174,6 +176,10 @@ class FeynmanPathSimulator:
         postselect: tuple[tuple[int, int], ...] | None = None,
     ) -> QueryResult:
         """Monte-Carlo estimate of the query fidelity under ``noise``.
+
+        The shots run through :meth:`run_noisy_shots_recorded`, and its
+        packed bits go to :func:`~repro.sim.fidelity.shot_fidelities` as
+        they are: no full bool block is built.
 
         Parameters
         ----------
@@ -205,11 +211,13 @@ class FeynmanPathSimulator:
         """
         if ideal_output is None:
             ideal_output = self.run(circuit, input_state)
+        # The packed rows go straight to the fidelity reduction, which
+        # unpacks only the qubits it reads.
+        bits, amps, outcomes = self.run_noisy_shots_recorded(
+            circuit, input_state, noise, shots, rng=rng
+        )
         kept: np.ndarray | None = None
         if postselect:
-            bits, amps, outcomes = self.run_noisy_shots_recorded(
-                circuit, input_state, noise, shots, rng=rng
-            )
             if outcomes is None:
                 raise ValueError(
                     "postselect names classical bits but the circuit records "
@@ -218,10 +226,6 @@ class FeynmanPathSimulator:
             kept = np.ones(shots, dtype=bool)
             for cbit, expected in postselect:
                 kept &= outcomes[cbit] == expected
-        else:
-            bits, amps = self.run_noisy_shots(
-                circuit, input_state, noise, shots, rng=rng
-            )
         # Branching circuits may leave more paths per shot than the input had
         # (uncollapsed H branches), so derive the per-shot width from the
         # returned block instead of the input state.

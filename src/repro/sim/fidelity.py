@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.paths import PathState
+from repro.sim.paths import PackedBits, PathState, _pack_rows, _unpack_rows
 
 
 def state_fidelity(ideal: PathState, noisy: PathState) -> float:
@@ -30,7 +30,7 @@ def state_fidelity(ideal: PathState, noisy: PathState) -> float:
     return float(abs(ideal.overlap(noisy)) ** 2)
 
 
-def _pack_rows(bits: np.ndarray, columns: list[int]) -> list[bytes]:
+def _row_keys(bits: np.ndarray, columns: list[int]) -> list[bytes]:
     """Hashable key per row restricted to ``columns`` (empty list -> b'')."""
     if not columns:
         return [b""] * bits.shape[0]
@@ -38,30 +38,25 @@ def _pack_rows(bits: np.ndarray, columns: list[int]) -> list[bytes]:
     return [row.tobytes() for row in packed]
 
 
-def _packed_key_matrix(bits: np.ndarray, columns: list[int]) -> np.ndarray:
-    """Per-row key bytes over ``columns`` as a ``(rows, width)`` uint8 matrix.
+#: Weight of each bit within a key byte, most significant first.
+_BIT_WEIGHTS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
-    Row ``r`` of the result is byte-for-byte the :func:`_pack_rows` key of
-    row ``r`` (so lookups against dicts keyed by ``_pack_rows`` agree), but
-    kept as a matrix so whole-block comparisons vectorise.  The bytes are
-    built along the qubit axis: ``bits.T[columns]`` gathers whole qubit
-    rows (contiguous ones for the stacked executor's qubit-major block),
-    zero-padded to a multiple of 8, and each group of 8 rows is weighted
-    ``128 ... 1`` and OR-reduced into one byte per path row: the bytes of
-    ``np.packbits(bits[:, columns], axis=1)`` without a row-major gather.
+
+def _key_bytes(rows: list[int], width: int) -> np.ndarray:
+    """Per-row key bytes of the qubit rows ``rows`` as a ``(width, n_bytes)`` matrix.
+
+    Row ``j`` of the result is byte-for-byte the :func:`_row_keys` key of
+    row ``j`` of the block ``rows`` spans, so lookups against dicts keyed by
+    ``_row_keys`` agree.  The bytes are built along the qubit axis: the
+    rows are unpacked qubit-major, zero-padded to a multiple of 8, and each
+    group of 8 is weighted ``128 ... 1`` and OR-reduced into one byte per
+    block row.
     """
-    n_bytes = (len(columns) + 7) // 8
-    selected = np.zeros((8 * n_bytes, bits.shape[0]), dtype=np.uint8)
-    selected[: len(columns)] = bits.T[columns]
-    grouped = selected.reshape(n_bytes, 8, bits.shape[0])
-    grouped *= np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)[:, None]
+    n_bytes = (len(rows) + 7) // 8
+    padded = rows + [0] * (8 * n_bytes - len(rows))
+    grouped = _unpack_rows(padded, width).view(np.uint8).reshape(n_bytes, 8, width)
+    grouped *= _BIT_WEIGHTS[:, None]
     return np.bitwise_or.reduce(grouped, axis=1).T
-
-
-def _as_void_keys(matrix: np.ndarray) -> np.ndarray:
-    """View each row of a uint8 key matrix as one fixed-width void scalar."""
-    contiguous = np.ascontiguousarray(matrix)
-    return contiguous.view(np.dtype((np.void, matrix.shape[1])))[:, 0]
 
 
 def _key_words(packed: np.ndarray) -> np.ndarray:
@@ -111,13 +106,13 @@ def _ideal_keep_amplitudes(
     builder.  A non-product ideal output indicates a builder bug and raises.
     """
     rest_columns = _rest_columns(ideal.num_qubits, keep_columns)
-    rest_keys = _pack_rows(ideal.bits, rest_columns)
+    rest_keys = _row_keys(ideal.bits, rest_columns)
     if len(set(rest_keys)) > 1:
         raise ValueError(
             "ideal output is entangled across the keep/rest cut; "
             "reduced fidelity is only defined for product ideal outputs"
         )
-    keep_keys = _pack_rows(ideal.bits, keep_columns)
+    keep_keys = _row_keys(ideal.bits, keep_columns)
     amplitudes: dict[bytes, complex] = {}
     for key, amp in zip(keep_keys, ideal.amplitudes):
         amplitudes[key] = amplitudes.get(key, 0.0 + 0.0j) + complex(amp)
@@ -179,8 +174,8 @@ def reduced_fidelity(
     ideal_keep = _ideal_keep_amplitudes(ideal, keep_columns)
     rest_columns = _rest_columns(noisy.num_qubits, keep_columns)
 
-    noisy_keep_keys = _pack_rows(noisy.bits, keep_columns)
-    noisy_rest_keys = _pack_rows(noisy.bits, rest_columns)
+    noisy_keep_keys = _row_keys(noisy.bits, keep_columns)
+    noisy_rest_keys = _row_keys(noisy.bits, rest_columns)
 
     overlaps: dict[bytes, complex] = {}
     for keep_key, rest_key, amp in zip(noisy_keep_keys, noisy_rest_keys, noisy.amplitudes):
@@ -193,7 +188,7 @@ def reduced_fidelity(
 
 def shot_fidelities(
     ideal: PathState,
-    bits_block: np.ndarray,
+    bits_block: PackedBits | np.ndarray,
     amps_block: np.ndarray,
     *,
     shots: int,
@@ -204,11 +199,15 @@ def shot_fidelities(
     """Per-shot fidelities for a vectorised Monte-Carlo block.
 
     ``bits_block``/``amps_block`` are the outputs of
-    :meth:`FeynmanPathSimulator.run_noisy_shots`: ``shots`` stacked copies of
-    the path set, each evolved under an independently sampled error pattern.
-    Any memory layout of ``bits_block`` gives the same bits; the keys are
-    read along its qubit axis, which is contiguous for the tape engine's
-    ``.T`` view of a qubit-major block.
+    :meth:`~repro.sim.engine.TapeFeynmanEngine.run_noisy_shots_recorded`:
+    ``shots`` stacked copies of the path set, each evolved under an
+    independently sampled error pattern.  ``bits_block`` is the executor's
+    :class:`~repro.sim.paths.PackedBits`, read as it is; a bool block of
+    shape ``(shots * n_paths, n_qubits)`` (any memory layout) is packed
+    into one first, so both give the same bits.  Only the kept qubits and
+    the traced qubits that vary across the block are unpacked: a traced
+    qubit that is ``0`` or ``1`` in every row cannot split a
+    ``(shot, rest-state)`` bucket.
 
     When ``keep_qubits`` is ``None`` the full-state fidelity is computed;
     otherwise the reduced fidelity over ``keep_qubits``.
@@ -226,7 +225,10 @@ def shot_fidelities(
     :func:`_lexicographic_ids`).  They are looked up by binary search in
     the ideal's per-point :class:`_KeepTable`, built once from
     :func:`_ideal_keep_amplitudes` and memoised on ``ideal``, so the shards
-    of a sweep point share one table instead of rebuilding it.
+    of a sweep point share one table instead of rebuilding it.  Traced
+    registers bucket by integer ids too: the dense rank of the varying
+    rest qubits' word combined with the shot index, or
+    :func:`_lexicographic_ids` over ``[shot, words...]`` past 64 of them.
 
     The reduction is fully vectorised but reproduces the historical per-shot
     dict loop **bit for bit**: overlap terms accumulate in row order within
@@ -242,15 +244,18 @@ def shot_fidelities(
         keep_columns = list(range(ideal.num_qubits))
     else:
         keep_columns = list(keep_qubits)
+    if not isinstance(bits_block, PackedBits):
+        block = np.asarray(bits_block, dtype=bool)
+        bits_block = PackedBits(_pack_rows(block.T), block.shape[0])
+    rows, width = bits_block.rows, bits_block.width
 
     # Resolve each row's kept-register key against the ideal table: rows
     # and table entries are ranked together (one integer id per key, however
     # many words it spans), and each row's id is binary-searched among the
     # table's sorted ids.
     table = _keep_table(ideal, keep_columns)
-    rest_columns = table.rest_columns
     n_entries = table.words.shape[0]
-    row_words = _key_words(_packed_key_matrix(bits_block, keep_columns))
+    row_words = _key_words(_key_bytes([rows[q] for q in keep_columns], width))
     ids = _lexicographic_ids(np.concatenate([table.words, row_words]))
     table_ids = ids[:n_entries]
     row_ids = ids[n_entries:]
@@ -260,19 +265,24 @@ def shot_fidelities(
     weights = np.conj(table.amplitudes[slot[matched]]) * amps_block[matched]
     shot_of_match = matched // n_paths
 
-    if not rest_columns:
-        # One overlap bucket per shot: the traced register set is empty.
+    full = (1 << width) - 1
+    varying = [rows[q] for q in table.rest_columns if rows[q] and rows[q] != full]
+    if not varying:
+        # One overlap bucket per shot: no traced qubit tells rows apart.
         real = np.bincount(shot_of_match, weights=weights.real, minlength=shots)
         imag = np.bincount(shot_of_match, weights=weights.imag, minlength=shots)
         return _mask_rejected(np.hypot(real, imag) ** 2, kept)
 
-    # Bucket matched rows by (shot, rest-state): prefix the rest key bytes
-    # with the shot index so one void-key unique covers both.
-    rest_matrix = _packed_key_matrix(bits_block, rest_columns)[matched]
-    shot_bytes = shot_of_match.astype(np.uint64)[:, None].view(np.uint8)
-    combo = _as_void_keys(np.concatenate([shot_bytes, rest_matrix], axis=1))
+    # Bucket matched rows by (shot, rest-state) integer ids.
+    rest_words = _key_words(_key_bytes(varying, width)[matched])
+    if rest_words.shape[1] == 1:
+        values, rank = np.unique(rest_words[:, 0], return_inverse=True)
+        bucket_ids = shot_of_match * len(values) + rank
+    else:
+        shot_column = shot_of_match.astype(np.uint64)[:, None]
+        bucket_ids = _lexicographic_ids(np.hstack([shot_column, rest_words]))
     _, first_position, bucket_of_match = np.unique(
-        combo, return_index=True, return_inverse=True
+        bucket_ids, return_index=True, return_inverse=True
     )
     real = np.bincount(bucket_of_match, weights=weights.real)
     imag = np.bincount(bucket_of_match, weights=weights.imag)

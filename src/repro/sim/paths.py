@@ -17,6 +17,11 @@ qubit index*: when a group of qubits ``(q_0, q_1, ..., q_{w-1})`` encodes an
 integer, ``q_0`` holds the most significant bit (this matches how the QRAM
 builders lay out address registers).  Helpers on this class perform the
 conversions so callers never manipulate raw bit positions.
+
+:class:`PackedBits` is the same ``(n_paths, n_qubits)`` bool block stored
+bit-sliced, one Python ``int`` per qubit: the form the stacked shot executor
+of :mod:`repro.sim.engine` evolves and the per-shot fidelity reduction of
+:mod:`repro.sim.fidelity` reads without unpacking every qubit.
 """
 
 from __future__ import annotations
@@ -46,6 +51,60 @@ def bits_to_int(bits: Sequence[int]) -> int:
     for bit in bits:
         value = (value << 1) | (1 if bit else 0)
     return value
+
+
+def _pack_row(column: np.ndarray) -> int:
+    """Pack a 1-D bool array into one Python ``int``: bit ``j`` is ``column[j]``."""
+    return int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
+
+
+def _unpack_row(row: int, width: int) -> np.ndarray:
+    """Inverse of :func:`_pack_row`: a fresh writable bool array of ``width``."""
+    raw = np.frombuffer(row.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=width, bitorder="little").view(bool)
+
+
+def _pack_rows(block: np.ndarray) -> list[int]:
+    """:func:`_pack_row` over every row of a ``(n_rows, width)`` bool block."""
+    packed = np.packbits(block, axis=1, bitorder="little")
+    n_bytes = packed.shape[1]
+    raw = packed.tobytes()
+    return [
+        int.from_bytes(raw[row * n_bytes : (row + 1) * n_bytes], "little")
+        for row in range(block.shape[0])
+    ]
+
+
+def _unpack_rows(rows: list[int], width: int) -> np.ndarray:
+    """Inverse of :func:`_pack_rows`: a fresh writable ``(len(rows), width)`` bool block."""
+    n_bytes = (width + 7) // 8
+    raw = b"".join(row.to_bytes(n_bytes, "little") for row in rows)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), n_bytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
+
+
+@dataclass(frozen=True, eq=False)
+class PackedBits:
+    """A ``(width, len(rows))`` bool block held as one Python ``int`` per qubit.
+
+    Bit ``j`` of ``rows[q]`` is qubit ``q`` of block row ``j`` (for a shot
+    block, path ``p`` of shot ``s`` at ``j = s * n_paths + p``).  ``shape``
+    is the bool block's, and ``np.asarray`` unpacks it: the ``.T`` view of
+    the qubit-major ``(len(rows), width)`` block, so whole qubit rows stay
+    contiguous.  Readers that need only some qubits unpack just their rows.
+    """
+
+    rows: list[int]
+    width: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(width, n_qubits)``: the shape of the unpacked bool block."""
+        return (self.width, len(self.rows))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        block = _unpack_rows(self.rows, self.width).T
+        return block if dtype is None else block.astype(dtype, copy=False)
 
 
 @dataclass

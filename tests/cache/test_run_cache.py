@@ -6,8 +6,6 @@ fingerprint, same JSON bytes -- without executing the engine and without
 consuming any randomness.
 """
 
-import json
-
 import pytest
 
 import repro.scenarios.run as run_module

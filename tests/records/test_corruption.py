@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.cache import ResultCache
 from repro.records import RecordFile, RecordFormatError, read_records, write_records
-from repro.records.format import HEADER_STRUCT, MAGIC
+from repro.records.format import HEADER_STRUCT
 from tests.records.test_format import _record
 
 FP = "ab" + "0" * 62

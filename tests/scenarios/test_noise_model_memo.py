@@ -3,7 +3,8 @@
 Every shot shard of a sweep point asks the process-cached compiled scenario
 for its noise model.  The memo makes those shards share one model object
 (and so one memoised noise-site table) without changing what the model is,
-and without leaking into the bundle's equality.
+and without leaking into the bundle's equality.  ``executed_depth``, read
+by every record, is computed once per bundle the same way.
 """
 
 import dataclasses
@@ -13,7 +14,9 @@ import pytest
 
 from repro.circuit.ir import compile_circuit
 from repro.hardware.noise_model import scheduled_device_noise_model
+from repro.circuit.scheduling import circuit_depth
 from repro.scenarios import CompiledScenario, compile_scenario, get_scenario
+from repro.scenarios import compile as scenario_compile
 
 SEED = 2023
 
@@ -80,3 +83,24 @@ class TestNoiseModelMemo:
         assert memo.hash is None
         assert memo.repr is False
         assert memo.init is False
+
+
+class TestExecutedDepthMemo:
+    def test_two_reads_compute_the_depth_once(self, idle_scenario, monkeypatch):
+        calls = []
+
+        def counting(circuit):
+            calls.append(circuit)
+            return circuit_depth(circuit)
+
+        monkeypatch.setattr(scenario_compile, "circuit_depth", counting)
+        fresh = dataclasses.replace(idle_scenario)
+        first = fresh.executed_depth
+        assert fresh.executed_depth == first == circuit_depth(fresh.circuit)
+        assert calls == [fresh.circuit]
+
+    def test_equality_ignores_the_cached_depth(self, idle_scenario):
+        fresh = dataclasses.replace(idle_scenario)
+        assert "executed_depth" not in vars(fresh)
+        assert idle_scenario.executed_depth > 0
+        assert fresh == idle_scenario

@@ -26,6 +26,7 @@ from repro.circuit.ir import (
     compile_circuit,
 )
 from repro.sim import PathState
+from repro.sim.paths import PackedBits
 from repro.sim.engine import (
     _apply_group,
     _apply_measure,
@@ -268,8 +269,10 @@ def executor_cases(draw):
 
 
 def _assert_identical(expected, actual):
-    bits, amps, outcomes = actual
+    packed, amps, outcomes = actual
     ref_bits, ref_amps, ref_outcomes = expected
+    assert isinstance(packed, PackedBits) and packed.shape == ref_bits.shape
+    bits = np.asarray(packed)
     assert bits.dtype == ref_bits.dtype and bits.shape == ref_bits.shape
     assert np.array_equal(bits, ref_bits)
     assert amps.tobytes() == ref_amps.tobytes()

@@ -10,7 +10,6 @@ from repro.sim import (
     NoiselessModel,
     PathState,
     PauliChannel,
-    UnsupportedGateError,
 )
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit
 from repro.experiments.common import random_memory
-from repro.qram import VirtualQRAM
+from repro.qram import VirtualQRAM, make_architecture
 from repro.sim import (
     GateNoiseModel,
     PathState,
@@ -21,12 +21,13 @@ from repro.sim import fidelity
 from repro.sim.fidelity import (
     _ideal_keep_amplitudes,
     _keep_table,
+    _key_bytes,
     _key_words,
     _lexicographic_ids,
-    _pack_rows,
-    _packed_key_matrix,
+    _row_keys,
     shot_fidelities,
 )
+from repro.sim.paths import PackedBits, _pack_rows
 
 
 def _state(assignments, num_qubits):
@@ -113,6 +114,7 @@ def _reference_shot_fidelities(
     ideal, bits_block, amps_block, *, shots, n_paths, keep_qubits=None
 ):
     """The historical per-shot dict loop that ``shot_fidelities`` vectorised."""
+    bits_block = np.asarray(bits_block)
     num_qubits = ideal.num_qubits
     if keep_qubits is None:
         keep_columns = list(range(num_qubits))
@@ -126,8 +128,8 @@ def _reference_shot_fidelities(
     fidelities = np.zeros(shots)
     for index in range(shots):
         rows = slice(index * n_paths, (index + 1) * n_paths)
-        keep_keys = _pack_rows(bits_block[rows], keep_columns)
-        rest_keys = _pack_rows(bits_block[rows], rest_columns)
+        keep_keys = _row_keys(bits_block[rows], keep_columns)
+        rest_keys = _row_keys(bits_block[rows], rest_columns)
         overlaps: dict[bytes, complex] = {}
         for keep_key, rest_key, amp in zip(
             keep_keys, rest_keys, amps_block[rows]
@@ -143,13 +145,16 @@ def _reference_shot_fidelities(
 
 
 class TestVectorisedFidelity:
+    @pytest.mark.parametrize("name", ["virtual", "bb", "ss", "fanout", "sqc"])
     @pytest.mark.parametrize("reduced", [False, True])
-    def test_matches_reference_loop_bit_for_bit(self, reduced):
-        architecture = VirtualQRAM(memory=random_memory(2, 7), qram_width=2)
+    def test_matches_reference_loop_bit_for_bit(self, reduced, name):
+        """Every builder's ideal output is real, so the bits are the loop's."""
+        architecture = make_architecture(name, random_memory(2, 7), qram_width=2)
         compiled = architecture.compiled_query()
+        assert not compiled.ideal_output.amplitudes.imag.any()
         noise = GateNoiseModel(PauliChannel.depolarizing(0.05))
         shots = 24
-        bits, amps = get_engine("feynman-tape").run_noisy_shots(
+        packed, amps, _ = get_engine("feynman-tape").run_noisy_shots_recorded(
             compiled.circuit,
             compiled.input_state,
             noise,
@@ -160,7 +165,7 @@ class TestVectorisedFidelity:
         n_paths = compiled.input_state.num_paths
         vectorised = shot_fidelities(
             compiled.ideal_output,
-            bits,
+            packed,
             amps,
             shots=shots,
             n_paths=n_paths,
@@ -168,13 +173,13 @@ class TestVectorisedFidelity:
         )
         reference = _reference_shot_fidelities(
             compiled.ideal_output,
-            bits,
+            packed,
             amps,
             shots=shots,
             n_paths=n_paths,
             keep_qubits=keep,
         )
-        assert np.array_equal(vectorised, reference)
+        assert vectorised.tobytes() == reference.tobytes()
 
 
 def _qubit_major_view(bits):
@@ -184,17 +189,23 @@ def _qubit_major_view(bits):
     return view
 
 
+def _packed(bits):
+    """The :class:`PackedBits` of a bool block, as ``shot_fidelities`` packs it."""
+    return PackedBits(_pack_rows(bits.T), bits.shape[0])
+
+
 def _query_block(shots):
+    """A noisy virtual-QRAM shard as the executor returns it (packed)."""
     architecture = VirtualQRAM(memory=random_memory(2, 7), qram_width=2)
     compiled = architecture.compiled_query()
-    bits, amps = get_engine("feynman-tape").run_noisy_shots(
+    packed, amps, _ = get_engine("feynman-tape").run_noisy_shots_recorded(
         compiled.circuit,
         compiled.input_state,
         GateNoiseModel(PauliChannel.depolarizing(0.05)),
         shots,
         rng=ShotSeeds(seed=13),
     )
-    return compiled.ideal_output, bits, amps, list(compiled.kept_qubits)
+    return compiled.ideal_output, packed, amps, list(compiled.kept_qubits)
 
 
 def _branching_block(shots):
@@ -207,15 +218,15 @@ def _branching_block(shots):
     circuit.x(2)
     state = PathState.from_basis_assignments([({}, 1.0)], 3)
     engine = get_engine("feynman-tape")
-    bits, amps = engine.run_noisy_shots(
+    packed, amps, _ = engine.run_noisy_shots_recorded(
         circuit,
         state,
         GateNoiseModel(PauliChannel.depolarizing(0.2)),
         shots,
         rng=ShotSeeds(seed=5),
     )
-    assert bits.shape[0] == 2 * shots
-    return engine.run(circuit, state), bits, amps, [0, 1]
+    assert packed.shape[0] == 2 * shots
+    return engine.run(circuit, state), packed, amps, [0, 1]
 
 
 class TestQubitMajorLayout:
@@ -225,16 +236,16 @@ class TestQubitMajorLayout:
     def test_row_major_and_qubit_major_blocks_agree_bit_for_bit(self, case):
         shots = 24
         if case.startswith("branching"):
-            ideal, bits, amps, keep = _branching_block(shots)
+            ideal, packed, amps, keep = _branching_block(shots)
         else:
-            ideal, bits, amps, keep = _query_block(shots)
+            ideal, packed, amps, keep = _query_block(shots)
         if case.endswith("full"):
             keep = None
         kept = None
         if case == "postselected":
             kept = np.random.default_rng(3).random(shots) < 0.6
-        n_paths = bits.shape[0] // shots
-        row_major = np.ascontiguousarray(bits)
+        n_paths = packed.shape[0] // shots
+        row_major = np.ascontiguousarray(packed)
         results = [
             shot_fidelities(
                 ideal,
@@ -245,15 +256,37 @@ class TestQubitMajorLayout:
                 keep_qubits=keep,
                 kept=kept,
             )
-            for block in (row_major, _qubit_major_view(row_major))
+            for block in (packed, row_major, _qubit_major_view(row_major))
         ]
-        assert results[0].tobytes() == results[1].tobytes()
+        expected = _reference_shot_fidelities(
+            ideal, row_major, amps, shots=shots, n_paths=n_paths, keep_qubits=keep
+        )
         if kept is not None:
+            expected[~kept] = np.nan
             assert np.isnan(results[0]).sum() == (~kept).sum()
+        for result in results:
+            assert result.tobytes() == expected.tobytes()
 
     def test_stacked_executor_returns_the_qubit_major_view(self):
-        _, bits, _, _ = _query_block(4)
+        """The recorded run hands back packed rows; ``np.asarray`` is the view."""
+        _, packed, _, _ = _query_block(4)
+        assert isinstance(packed, PackedBits)
+        assert packed.shape == (packed.width, len(packed.rows))
+        bits = np.asarray(packed)
+        assert bits.dtype == bool and bits.shape == packed.shape
         assert bits.flags.f_contiguous and not bits.flags.c_contiguous
+        assert _pack_rows(bits.T) == packed.rows
+        architecture = VirtualQRAM(memory=random_memory(2, 7), qram_width=2)
+        compiled = architecture.compiled_query()
+        unpacked, _ = get_engine("feynman-tape").run_noisy_shots(
+            compiled.circuit,
+            compiled.input_state,
+            GateNoiseModel(PauliChannel.depolarizing(0.05)),
+            4,
+            rng=ShotSeeds(seed=13),
+        )
+        assert np.array_equal(unpacked, bits)
+        assert unpacked.flags.f_contiguous
 
     @pytest.mark.parametrize("layout", ["row-major", "qubit-major"])
     @pytest.mark.parametrize(
@@ -261,12 +294,13 @@ class TestQubitMajorLayout:
         [[], [5, 1, 4], [0, 2, 3, 7, 8, 11, 12, 13, 16, 19, 23], list(range(24))],
         ids=["empty", "below-8", "not-multiple-of-8", "full"],
     )
-    def test_packed_key_matrix_matches_packbits(self, columns, layout):
+    def test_key_bytes_match_packbits(self, columns, layout):
         bits = np.random.default_rng(11).random((37, 24)) < 0.5
         if layout == "qubit-major":
             bits = _qubit_major_view(bits)
         expected = np.packbits(bits[:, columns], axis=1)
-        packed = _packed_key_matrix(bits, columns)
+        rows = _packed(bits).rows
+        packed = _key_bytes([rows[q] for q in columns], bits.shape[0])
         assert packed.dtype == np.uint8
         assert packed.shape == expected.shape
         assert np.array_equal(packed, expected)
@@ -356,17 +390,22 @@ class TestIntegerKeys:
     @settings(max_examples=200, deadline=None)
     @given(case=fidelity_cases())
     def test_matches_reference_loop_bytes(self, case):
-        """Every keep width, layout and mask gives the dict loop's bytes."""
+        """Every keep width, layout and mask gives the dict loop's bytes.
+
+        The bool block and its packed rows are the same draw: the first
+        call packs the block, the second reads the packed value directly
+        (and runs on the memoised table).
+        """
         ideal, bits, amps, shots, n_paths, keep, kept = case
         expected = _reference_shot_fidelities(
             ideal, bits, amps, shots=shots, n_paths=n_paths, keep_qubits=keep
         )
         if kept is not None:
             expected[~kept] = np.nan
-        for _ in range(2):  # the second call runs on the memoised table
+        for block in (bits, _packed(bits)):
             actual = shot_fidelities(
                 ideal,
-                bits,
+                block,
                 amps,
                 shots=shots,
                 n_paths=n_paths,
@@ -391,7 +430,7 @@ class TestIntegerKeys:
     @pytest.mark.parametrize("width", [0, 1, 8, 9, 64, 65, 130])
     def test_key_words_are_big_endian_padded_bytes(self, width):
         bits = np.random.default_rng(width).random((9, width)) < 0.5
-        packed = _packed_key_matrix(bits, list(range(width)))
+        packed = np.packbits(bits, axis=1)
         words = _key_words(packed)
         n_bytes = (width + 7) // 8
         assert words.dtype == np.uint64
@@ -399,6 +438,157 @@ class TestIntegerKeys:
         for row, key in zip(words, packed):
             padded = key.tobytes().ljust(8 * len(row), b"\0")
             assert b"".join(int(word).to_bytes(8, "big") for word in row) == padded
+
+
+def _product_case(rng, num_qubits, n_keep, shots, n_paths, rest, matches=True):
+    """An ideal product output and a noisy block whose traced rows are ``rest``.
+
+    ``rest`` is ``"zeros"`` or ``"ones"`` (every traced qubit constant) or
+    ``"varying"`` (every traced qubit takes both values somewhere in the
+    block, drawn from a small pool so rest buckets collide).  Most rows copy
+    an ideal key and a fifth miss the table by one flipped bit; with
+    ``matches=False`` no row matches it at all.
+    """
+    keep_columns = [int(q) for q in rng.permutation(num_qubits)[:n_keep]]
+    rest_columns = [q for q in range(num_qubits) if q not in set(keep_columns)]
+    n_ideal = 4
+    ideal_keep = rng.random((n_ideal, n_keep)) < 0.5
+    ideal_keep[:, 0] = False
+    ideal_bits = np.zeros((n_ideal, num_qubits), dtype=bool)
+    ideal_bits[:, keep_columns] = ideal_keep
+    ideal_bits[:, rest_columns] = rest == "ones"
+    ideal = PathState(bits=ideal_bits, amplitudes=rng.normal(size=n_ideal))
+
+    rows = shots * n_paths
+    bits = np.zeros((rows, num_qubits), dtype=bool)
+    bits[:, keep_columns] = ideal_keep[rng.integers(n_ideal, size=rows)]
+    missed = rng.random(rows) < 0.2 if matches else np.ones(rows, dtype=bool)
+    bits[np.flatnonzero(missed), keep_columns[0]] = True
+    if rest == "varying":
+        pool = rng.random((4, len(rest_columns))) < 0.5
+        pool[0], pool[1] = False, True
+        # Two patterns one bit apart in the last traced qubit: past 64
+        # traced qubits they tie on every word but the last.
+        pool[3] = pool[2]
+        pool[3, -1] ^= True
+        choice = rng.integers(4, size=rows)
+        choice[:2] = [0, 1]
+        bits[:, rest_columns] = pool[choice]
+    else:
+        bits[:, rest_columns] = rest == "ones"
+    amps = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    return ideal, bits, amps, keep_columns, rest_columns
+
+
+def _assert_matches_reference(ideal, bits, amps, shots, n_paths, keep, kept=None):
+    """The bool block and its packed rows both give the dict loop's bytes."""
+    expected = _reference_shot_fidelities(
+        ideal, bits, amps, shots=shots, n_paths=n_paths, keep_qubits=keep
+    )
+    if kept is not None:
+        expected[~kept] = np.nan
+    for block in (bits, _packed(bits)):
+        actual = shot_fidelities(
+            ideal,
+            block,
+            amps,
+            shots=shots,
+            n_paths=n_paths,
+            keep_qubits=keep,
+            kept=kept,
+        )
+        assert actual.tobytes() == expected.tobytes()
+    return expected
+
+
+class TestPackedRows:
+    """Differential cases for the packed-row reduction, one per code path."""
+
+    @pytest.mark.parametrize(
+        "rest, num_qubits",
+        [("zeros", 12), ("ones", 12), ("varying", 40), ("varying", 90)],
+        ids=["rest-zeros", "rest-ones", "rest-varying", "rest-varying-multiword"],
+    )
+    def test_traced_rows(self, rest, num_qubits):
+        rng = np.random.default_rng(num_qubits)
+        shots, n_paths = 16, 4
+        ideal, bits, amps, keep, rest_columns = _product_case(
+            rng, num_qubits, 6, shots, n_paths, rest
+        )
+        rest_rows = [_packed(bits).rows[q] for q in rest_columns]
+        full = (1 << shots * n_paths) - 1
+        if rest == "varying":
+            assert all(row not in (0, full) for row in rest_rows)
+        else:
+            assert set(rest_rows) == {full if rest == "ones" else 0}
+        expected = _assert_matches_reference(ideal, bits, amps, shots, n_paths, keep)
+        assert expected.any()
+
+    def test_full_state_keep_past_one_word(self):
+        rng = np.random.default_rng(100)
+        shots, n_paths = 12, 3
+        ideal, bits, amps, _, _ = _product_case(rng, 100, 100, shots, n_paths, "zeros")
+        expected = _assert_matches_reference(ideal, bits, amps, shots, n_paths, None)
+        assert expected.any()
+
+    def test_postselected_shots(self):
+        rng = np.random.default_rng(7)
+        shots, n_paths = 20, 3
+        ideal, bits, amps, keep, _ = _product_case(
+            rng, 30, 5, shots, n_paths, "varying"
+        )
+        kept = rng.random(shots) < 0.6
+        expected = _assert_matches_reference(
+            ideal, bits, amps, shots, n_paths, keep, kept
+        )
+        assert np.isnan(expected).sum() == (~kept).sum()
+
+    @pytest.mark.parametrize("keep", ["reduced", "full"])
+    def test_branching_block(self, keep):
+        shots = 24
+        ideal, packed, amps, kept_qubits = _branching_block(shots)
+        assert packed.rows[2] not in (0, (1 << packed.width) - 1)
+        bits = np.asarray(packed)
+        keep_qubits = kept_qubits if keep == "reduced" else None
+        _assert_matches_reference(
+            ideal, bits, amps, shots, packed.width // shots, keep_qubits
+        )
+
+    @pytest.mark.parametrize("rest", ["zeros", "varying"])
+    def test_shard_with_no_matching_row(self, rest):
+        rng = np.random.default_rng(3)
+        shots, n_paths = 8, 4
+        ideal, bits, amps, keep, _ = _product_case(
+            rng, 20, 5, shots, n_paths, rest, matches=False
+        )
+        expected = _assert_matches_reference(ideal, bits, amps, shots, n_paths, keep)
+        assert expected.tobytes() == np.zeros(shots).tobytes()
+
+
+class TestComplexIdealCaveat:
+    """The one documented departure from the dict loop's bits.
+
+    QRAM builders emit real ideal outputs, which agree bit for bit
+    (``TestVectorisedFidelity``); a complex ideal amplitude may round
+    ``conj(ideal) * amp`` differently from the loop's scalar multiply.
+    """
+
+    def test_complex_ideal_agrees_to_rtol(self):
+        rng = np.random.default_rng(17)
+        shots, n_paths = 16, 4
+        ideal, bits, amps, keep, _ = _product_case(
+            rng, 24, 6, shots, n_paths, "varying"
+        )
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=ideal.num_paths))
+        ideal = PathState(bits=ideal.bits, amplitudes=ideal.amplitudes * phases)
+        expected = _reference_shot_fidelities(
+            ideal, bits, amps, shots=shots, n_paths=n_paths, keep_qubits=keep
+        )
+        for block in (bits, _packed(bits)):
+            actual = shot_fidelities(
+                ideal, block, amps, shots=shots, n_paths=n_paths, keep_qubits=keep
+            )
+            np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0)
 
 
 class TestKeepTable:
