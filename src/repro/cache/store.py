@@ -4,7 +4,7 @@ Layout: ``<root>/<fp[:2]>/<fp>.rrec`` + ``<root>/<fp[:2]>/<fp>.json`` --
 one packed binary artefact and one JSON document per fingerprint, sharded
 by the first hex byte so a hot cache never piles every artefact into a
 single directory.  The ``.rrec`` file (see :mod:`repro.records`) is the
-primary backend: reads memory-map it and never parse a JSON record on the
+primary backend: reads decode it and never parse a JSON record on the
 warm path, and its header tag carries the fingerprint so a renamed
 artefact can never be served under another address.  The JSON document --
 the cache schema version, its own fingerprint, and the record rows in
@@ -37,6 +37,7 @@ import json
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.cache.fingerprint import CACHE_SCHEMA_VERSION
@@ -83,12 +84,12 @@ class ResultCache:
     def get(self, fingerprint: str) -> list[ScenarioRecord] | None:
         """The cached records for ``fingerprint``, or ``None`` on any miss.
 
-        The packed ``.rrec`` artefact is tried first (mmap read, no JSON
-        parse); its header tag must equal the fingerprint, so a renamed
-        artefact is a miss, not a wrong answer.  A corrupt or absent binary
-        falls back to the JSON document; corrupt, truncated, mislabelled or
-        schema-incompatible documents are misses, not errors (see the
-        module docstring).
+        The packed ``.rrec`` artefact is tried first (no JSON parse); its
+        header tag must equal the fingerprint, so a renamed artefact is a
+        miss, not a wrong answer.  A corrupt or absent binary falls back to
+        the JSON document; corrupt, truncated, mislabelled or
+        schema-incompatible documents are misses, not errors (see the module
+        docstring).
         """
         try:
             with RecordFile(self.binary_path_for(fingerprint)) as record_file:
@@ -161,15 +162,17 @@ class ResultCache:
         return self.get_payload(fingerprint) is not None
 
     # ---------------------------------------------------------------- writes
-    def _replace(self, fingerprint: str, path: Path, blob: bytes) -> Path:
-        """Write ``blob`` to a same-directory temp file and rename onto ``path``."""
+    @contextmanager
+    def _committing(self, fingerprint: str, path: Path):
+        """Yield ``(handle, temp_name)`` for a same-directory temp file that is
+        renamed onto ``path`` on a clean exit and removed otherwise."""
         path.parent.mkdir(parents=True, exist_ok=True)
         descriptor, temp_name = tempfile.mkstemp(
             dir=path.parent, prefix=f".{fingerprint[:8]}-", suffix=".tmp"
         )
         try:
             with os.fdopen(descriptor, "wb") as handle:
-                handle.write(blob)
+                yield handle, temp_name
             os.replace(temp_name, path)
         except BaseException:
             try:
@@ -177,27 +180,14 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        return path
 
     def _commit_binary(
         self, fingerprint: str, records: list[ScenarioRecord]
     ) -> Path:
         """Atomically write the ``.rrec`` artefact, tag = fingerprint."""
         path = self.binary_path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{fingerprint[:8]}-", suffix=".tmp"
-        )
-        os.close(descriptor)
-        try:
+        with self._committing(fingerprint, path) as (_, temp_name):
             write_records(temp_name, records, tag=fingerprint)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
         return path
 
     def put(self, fingerprint: str, records: list[ScenarioRecord]) -> Path:
@@ -218,9 +208,10 @@ class ResultCache:
             "records": [record.json_dict() for record in records],
         }
         blob = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        return self._replace(
-            fingerprint, self.path_for(fingerprint), blob.encode("utf-8")
-        )
+        path = self.path_for(fingerprint)
+        with self._committing(fingerprint, path) as (handle, _):
+            handle.write(blob.encode("utf-8"))
+        return path
 
     # ------------------------------------------------------------- inventory
     def fingerprints(self) -> list[str]:

@@ -249,11 +249,6 @@ def is_path_simulable(name: str) -> bool:
     return name.upper() in PATH_SIMULABLE_GATES
 
 
-def is_unitary(name: str) -> bool:
-    """True when ``name`` is a unitary operation on the quantum state."""
-    return gate_spec(name).unitary
-
-
 def inverse_gate_name(name: str) -> str:
     """Name of the inverse of ``name``.
 

@@ -185,19 +185,3 @@ def idle_slack(
     return ScheduleSlack(
         gate_idle=tuple(gate_idle), final_idle=final_idle, depth=depth
     )
-
-
-def critical_path_qubits(circuit: "QuantumCircuit") -> set[int]:
-    """Qubits that appear in at least one gate of the final (deepest) layer.
-
-    This is a cheap proxy for identifying the critical path; the mapping
-    benchmarks use it to report which registers dominate latency after
-    routing overhead is added.
-    """
-    layers = asap_layers(circuit)
-    if not layers:
-        return set()
-    qubits: set[int] = set()
-    for instr in layers[-1]:
-        qubits.update(instr.qubits)
-    return qubits

@@ -16,8 +16,8 @@ Each experiment prints the same rows/series the paper reports (via the
 ``*_report`` helpers) and, when ``--out`` is given, also writes the raw
 records through :mod:`repro.experiments.export` -- CSV, JSON and Markdown
 by default, plus the packed binary ``.rrec`` artefact for scenario runs
-(``--format`` narrows the set; multiple scenarios additionally merge into
-one ``scenario_sweep.rrec`` via the memory-mapped shard merge).
+(``--format`` narrows the set; multiple scenarios additionally write every
+scenario's records into one ``scenario_sweep.rrec``).
 
 ``scenario`` runs named end-to-end configurations from the
 :mod:`repro.scenarios` registry (``--list`` enumerates them); any number of
@@ -321,7 +321,7 @@ def run_scenarios(args) -> int:
     # Neither flag: cache iff $REPRO_CACHE_DIR is set (see repro.cache.store).
     cache = True if args.cache else (False if args.no_cache else None)
     formats = resolve_formats(args, scenario=True)
-    shard_paths = []
+    sweep_records = []
     for name in args.names:
         try:
             records = run_scenario(
@@ -340,22 +340,18 @@ def run_scenarios(args) -> int:
             paths = export_experiment(
                 records, args.out, f"scenario_{name}", formats=formats
             )
-            if "rrec" in paths:
-                shard_paths.append(paths["rrec"])
+            sweep_records.extend(records)
             written = ", ".join(str(paths[fmt]) for fmt in paths)
             print(f"[scenario {name}] wrote {written}")
-    if len(shard_paths) > 1:
-        # One merged artefact across every requested scenario, produced by
-        # the mmap k-way merge -- byte-identical to a serial re-encode of
-        # the concatenated records.
+    if args.out and "rrec" in formats and len(args.names) > 1:
+        # One artefact across every requested scenario: the concatenated
+        # records, encoded once.
         from pathlib import Path
 
-        from repro.records import merge_record_files
+        from repro.records import write_records
 
-        merged = merge_record_files(
-            shard_paths, Path(args.out) / "scenario_sweep.rrec"
-        )
-        print(f"[scenario] merged {len(shard_paths)} artefacts into {merged}")
+        merged = write_records(Path(args.out) / "scenario_sweep.rrec", sweep_records)
+        print(f"[scenario] merged {len(args.names)} artefacts into {merged}")
     return 0
 
 

@@ -7,10 +7,17 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.qram.memory import ClassicalMemory
+from repro.sim.noise import PauliChannel
 
 #: Seed used by every experiment unless the caller overrides it, so that the
 #: numbers quoted in EXPERIMENTS.md are reproducible bit-for-bit.
 DEFAULT_SEED = 2023
+
+#: The Pauli error channels the noise figures (9--11) sweep, by label.
+ERROR_CHANNELS = {
+    "Z": PauliChannel.phase_flip,
+    "X": PauliChannel.bit_flip,
+}
 
 
 def experiment_rng(seed: int | None = None) -> np.random.Generator:

@@ -15,21 +15,20 @@ from functools import lru_cache
 import numpy as np
 
 from repro.analysis.fidelity import qram_x_fidelity_bound, qram_z_fidelity_bound
-from repro.experiments.common import format_table, random_memory, resolve_seed
+from repro.experiments.common import (
+    ERROR_CHANNELS,
+    format_table,
+    random_memory,
+    resolve_seed,
+)
 from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.noise import GateNoiseModel, PauliChannel
+from repro.sim.noise import GateNoiseModel
 from repro.sweep import ShotShard, SweepRunner
 
 DEFAULT_WIDTHS: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
 DEFAULT_REDUCTION_FACTORS: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0, 1000.0)
 DEFAULT_BASE_EPSILON = 1e-3
 DEFAULT_SHOTS = 1024
-
-ERROR_CHANNELS = {
-    "Z": PauliChannel.phase_flip,
-    "X": PauliChannel.bit_flip,
-}
-
 
 @lru_cache(maxsize=64)
 def _fig10_architecture(m: int, seed: int) -> VirtualQRAM:

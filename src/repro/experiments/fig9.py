@@ -21,12 +21,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.experiments.common import format_table, random_memory, resolve_seed
+from repro.experiments.common import (
+    ERROR_CHANNELS,
+    format_table,
+    random_memory,
+    resolve_seed,
+)
 from repro.qram.base import QRAMArchitecture
 from repro.qram.bucket_brigade import BucketBrigadeQRAM
 from repro.qram.select_swap import SelectSwapQRAM
 from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.noise import GateNoiseModel, PauliChannel
+from repro.sim.noise import GateNoiseModel
 from repro.sweep import ShotShard, SweepRunner
 
 DEFAULT_WIDTHS: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
@@ -38,12 +43,6 @@ ARCHITECTURE_BUILDERS = {
     "bb": BucketBrigadeQRAM,
     "ss": SelectSwapQRAM,
 }
-
-ERROR_CHANNELS = {
-    "Z": PauliChannel.phase_flip,
-    "X": PauliChannel.bit_flip,
-}
-
 
 @lru_cache(maxsize=64)
 def _fig9_architecture(name: str, m: int, seed: int) -> QRAMArchitecture:

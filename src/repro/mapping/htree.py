@@ -97,11 +97,6 @@ class HTreeEmbedding:
             self._place(child, child_position, arms)
 
     # -------------------------------------------------------------- inspection
-    @property
-    def num_leaves(self) -> int:
-        """Number of leaf nodes, ``2**tree_depth``."""
-        return 1 << self.tree_depth
-
     def node_position(self, level: int, index: int) -> Coordinate:
         """Grid coordinate of tree node ``(level, index)``."""
         return self.node_positions[(level, index)]

@@ -3,22 +3,20 @@
 The versioned ``.rrec`` format (magic, container format version, the live
 ``RECORD_SCHEMA_VERSION``, a self-describing field table, fixed-width
 packed rows with string interning for the categorical columns, and a
-whole-file CRC-32) replaces JSON record lists wherever parse and merge
-cost matters at sweep scale:
+whole-file CRC-32) is the binary artefact the result cache, the scenario
+CLI and the HTTP ``.rrec`` route share:
 
-* :class:`~repro.records.writer.RecordWriter` / :func:`write_records` --
-  append-only encoding, byte-deterministic for a given record sequence;
+* :func:`~repro.records.writer.write_records` -- one-shot encoding,
+  byte-deterministic for a given record sequence;
 * :class:`~repro.records.reader.RecordFile` / :func:`read_records` --
-  zero-copy memory-mapped reads, every structural invariant (including the
-  CRC) validated before the first row decodes;
-* :func:`~repro.records.merge.merge_record_files` -- mmap k-way shard
-  merge, bit-identical to a serial re-encode of the concatenated records;
+  reads the file once and validates every structural invariant (including
+  the CRC) before the first row decodes;
 * :class:`~repro.records.format.RecordFormatError` -- the single typed
   error for every malformed input, which the result cache maps to a miss.
 
 Every byte of the format is pinned by the differential and fuzz suites
-under ``tests/records/`` and throughput-gated by
-``benchmarks/bench_records.py``.
+under ``tests/records/``; ``benchmarks/bench_records.py`` gates the packed
+size against JSON.
 """
 
 from repro.records.format import (
@@ -27,17 +25,14 @@ from repro.records.format import (
     RecordFormatError,
     schema_fields,
 )
-from repro.records.merge import merge_record_files
 from repro.records.reader import RecordFile, read_records
-from repro.records.writer import RecordWriter, write_records
+from repro.records.writer import write_records
 
 __all__ = [
     "MAGIC",
     "RECORD_FORMAT_VERSION",
     "RecordFile",
     "RecordFormatError",
-    "RecordWriter",
-    "merge_record_files",
     "read_records",
     "schema_fields",
     "write_records",

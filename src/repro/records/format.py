@@ -2,8 +2,8 @@
 
 A ``.rrec`` file is the struct-packed, versioned binary serialization of a
 list of :class:`~repro.scenarios.record.ScenarioRecord` rows -- the format
-the result cache, the sweep CLI export and the HTTP artefact route use
-where JSON records would dominate merge and parse time at fleet scale.
+the result cache, the scenario CLI export and the HTTP artefact route
+share.
 
 File layout (all integers little-endian)::
 
@@ -28,8 +28,8 @@ Every field is exactly eight bytes wide: ``int`` fields are signed 64-bit,
 and ``str`` fields hold a 64-bit index into the file's string-interning
 table, so the categorical columns (scenario, engine, router, ...) cost one
 integer per row no matter how long the names are.  A row block is therefore
-a dense ``(row_count, field_count)`` int64 matrix -- the property the
-memory-mapped reader and the k-way shard merge exploit to stay zero-copy.
+a dense ``(row_count, field_count)`` int64 matrix, which the reader views
+in place with one ``np.frombuffer``.
 
 Versioning/CRC contract:
 
@@ -73,10 +73,6 @@ _TYPE_CODES = {"int": TYPE_INT, "float": TYPE_FLOAT, "str": TYPE_STR}
 
 #: Bytes per packed field (int64 / float64 / string-intern index).
 FIELD_WIDTH = 8
-
-#: Signed 64-bit bounds every packed ``int`` field must respect.
-INT64_MIN = -(2**63)
-INT64_MAX = 2**63 - 1
 
 
 class RecordFormatError(ValueError):

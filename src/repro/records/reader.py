@@ -1,14 +1,12 @@
-"""Zero-copy memory-mapped reader for ``.rrec`` packed record files.
+"""Validating reader for ``.rrec`` packed record files.
 
-:class:`RecordFile` maps the file once, validates *everything* up front --
+:class:`RecordFile` reads the file once, validates *everything* up front --
 magic, format and schema versions, the field table against the live
 :class:`~repro.scenarios.record.ScenarioRecord` schema, section bounds, the
 string-interning table, every intern index, and the trailing CRC-32 -- and
-then exposes the rows lazily: ``record_file[i]`` materializes one
+then decodes rows on demand: ``record_file[i]`` materializes one
 :class:`~repro.scenarios.record.ScenarioRecord` (the same read-only mapping
-protocol every exporter already consumes) straight off the mapping, and
-``record_file.rows`` is the raw ``(row_count, field_count)`` int64 matrix
-view the k-way shard merge copies without ever decoding a record.
+protocol every exporter already consumes) straight off the held bytes.
 
 Any violation raises :class:`~repro.records.format.RecordFormatError`
 during construction; once a :class:`RecordFile` exists, every row decode is
@@ -17,7 +15,6 @@ guaranteed to succeed.
 
 from __future__ import annotations
 
-import mmap
 import struct
 import zlib
 from pathlib import Path
@@ -41,48 +38,33 @@ _U32 = struct.Struct("<I")
 
 
 class RecordFile:
-    """A validated, memory-mapped ``.rrec`` file of scenario records.
+    """A validated ``.rrec`` file of scenario records, held as bytes.
 
     Sequence protocol: ``len(rf)``, ``rf[i]`` (negative indices and slices
-    included), iteration.  Also usable as a context manager; :meth:`close`
-    releases the mapping.  :attr:`strings` is the file's interning table
-    and :attr:`rows` the packed int64 row matrix -- the merge path's inputs.
+    included), iteration.  Also usable as a context manager; :attr:`strings`
+    is the file's interning table and :meth:`tobytes` its exact bytes.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._fields = schema_fields()
-        self._mm: mmap.mmap | None = None
-        self._handle = None
         try:
-            self._handle = self.path.open("rb")
+            self._data = self.path.read_bytes()
         except OSError as exc:
             raise RecordFormatError(f"cannot open {self.path}: {exc}") from exc
-        try:
-            self._mm = mmap.mmap(self._handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError) as exc:
-            self._handle.close()
-            self._handle = None
-            raise RecordFormatError(
-                f"{self.path} is empty or unmappable: {exc}"
-            ) from exc
-        try:
-            self._parse()
-        except RecordFormatError:
-            self.close()
-            raise
+        self._parse()
 
     # ------------------------------------------------------------ validation
     def _fail(self, reason: str) -> RecordFormatError:
         return RecordFormatError(f"{self.path}: {reason}")
 
     def _parse(self) -> None:
-        mm = self._mm
-        size = len(mm)
+        data = self._data
+        size = len(data)
         if size < HEADER_STRUCT.size + _U32.size + _U32.size:
             raise self._fail(f"truncated: {size} bytes is smaller than any valid file")
         magic, fmt_version, schema_version, field_count, reserved, row_count = (
-            HEADER_STRUCT.unpack_from(mm, 0)
+            HEADER_STRUCT.unpack_from(data, 0)
         )
         if magic != MAGIC:
             raise self._fail(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -100,12 +82,12 @@ class RecordFile:
         offset = HEADER_STRUCT.size
         if offset + 2 > size:
             raise self._fail("truncated tag")
-        (tag_length,) = struct.unpack_from("<H", mm, offset)
+        (tag_length,) = struct.unpack_from("<H", data, offset)
         offset += 2
         if offset + tag_length > size:
             raise self._fail("truncated tag")
         try:
-            self.tag = mm[offset : offset + tag_length].decode("utf-8")
+            self.tag = data[offset : offset + tag_length].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise self._fail(f"undecodable tag: {exc}") from None
         offset += tag_length
@@ -113,16 +95,16 @@ class RecordFile:
         for _ in range(field_count):
             if offset + 1 > size:
                 raise self._fail("truncated field table")
-            name_length = mm[offset]
+            name_length = data[offset]
             offset += 1
             if offset + name_length + 1 > size:
                 raise self._fail("truncated field table")
             try:
-                name = mm[offset : offset + name_length].decode("utf-8")
+                name = data[offset : offset + name_length].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise self._fail(f"undecodable field name: {exc}") from None
             offset += name_length
-            table.append((name, mm[offset]))
+            table.append((name, data[offset]))
             offset += 1
         if tuple(table) != self._fields:
             raise self._fail(
@@ -134,18 +116,18 @@ class RecordFile:
         offset += row_bytes
         if offset + _U32.size + _U32.size > size:
             raise self._fail("truncated row block")
-        (string_count,) = _U32.unpack_from(mm, offset)
+        (string_count,) = _U32.unpack_from(data, offset)
         offset += _U32.size
         strings: list[str] = []
         for _ in range(string_count):
             if offset + _U32.size > size:
                 raise self._fail("truncated string table")
-            (length,) = _U32.unpack_from(mm, offset)
+            (length,) = _U32.unpack_from(data, offset)
             offset += _U32.size
             if offset + length + _U32.size > size:
                 raise self._fail("truncated string table")
             try:
-                strings.append(mm[offset : offset + length].decode("utf-8"))
+                strings.append(data[offset : offset + length].decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise self._fail(f"undecodable interned string: {exc}") from None
             offset += length
@@ -154,8 +136,8 @@ class RecordFile:
                 f"{size - offset - _U32.size} bytes of trailing garbage after "
                 "the string table"
             )
-        (stored_crc,) = _U32.unpack_from(mm, offset)
-        computed = zlib.crc32(memoryview(mm)[:offset]) & 0xFFFFFFFF
+        (stored_crc,) = _U32.unpack_from(data, offset)
+        computed = zlib.crc32(memoryview(data)[:offset]) & 0xFFFFFFFF
         if computed != stored_crc:
             raise self._fail(
                 f"CRC mismatch: stored {stored_crc:#010x}, "
@@ -163,7 +145,7 @@ class RecordFile:
             )
         self.strings: tuple[str, ...] = tuple(strings)
         count = row_count * field_count
-        ints = np.frombuffer(mm, dtype="<i8", count=count, offset=rows_offset)
+        ints = np.frombuffer(data, dtype="<i8", count=count, offset=rows_offset)
         self._ints = ints.reshape(row_count, field_count)
         self._floats = ints.view("<f8").reshape(row_count, field_count)
         for column, (name, code) in enumerate(self._fields):
@@ -176,11 +158,6 @@ class RecordFile:
                 )
 
     # -------------------------------------------------------------- protocol
-    @property
-    def rows(self) -> np.ndarray:
-        """The packed ``(row_count, field_count)`` int64 matrix (mmap view)."""
-        return self._ints
-
     def __len__(self) -> int:
         return self._ints.shape[0]
 
@@ -216,25 +193,17 @@ class RecordFile:
         return list(self)
 
     def tobytes(self) -> bytes:
-        """The complete validated file bytes, read off the mapping.
+        """The complete validated file bytes.
 
         This is what the HTTP artefact route serves: the exact bytes the
         writer committed, guaranteed well-formed by construction, with no
         per-record dict ever materialized.
         """
-        return bytes(self._mm)
+        return self._data
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release the numpy views, the mapping and the file handle."""
-        self._ints = None
-        self._floats = None
-        if self._mm is not None:
-            self._mm.close()
-            self._mm = None
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        """Nothing to release: the file was read and closed on construction."""
 
     def __enter__(self) -> "RecordFile":
         return self

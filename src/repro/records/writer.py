@@ -1,13 +1,10 @@
-"""Append-only writer for ``.rrec`` packed binary record files.
+"""One-shot encoder for ``.rrec`` packed binary record files.
 
-:class:`RecordWriter` streams rows to disk as they arrive (a million-row
-sweep never has to sit in memory as packed bytes) and finalizes the file on
-:meth:`~RecordWriter.close`: the string-interning table is appended, the
-header's row count is patched in, and the trailing CRC-32 is computed over
-the finished bytes.  Until ``close()`` completes the file has no valid
-footer, so a crashed writer leaves behind something every reader rejects
-with :class:`~repro.records.format.RecordFormatError` -- never a silently
-short record list.
+:func:`write_records` packs the whole file in memory -- header with the real
+row count, rows, string-interning table, CRC-32 over those bytes -- and
+writes it with one call.  A file holds one scenario's records (or, for the
+CLI's ``scenario_sweep.rrec``, every requested scenario's), so the bytes are
+never more than a few kilobytes.
 
 Writes are *not* atomic against concurrent readers; callers that need that
 (the result cache) write to a temp name and ``os.replace`` into place.
@@ -29,110 +26,25 @@ from repro.records.format import (
 )
 from repro.scenarios.record import RECORD_SCHEMA_VERSION, ScenarioRecord
 
-#: Chunk size for the close-time CRC pass over the written file.
-_CRC_CHUNK = 1 << 20
 
+def _checked(record: ScenarioRecord | Mapping[str, object]) -> ScenarioRecord:
+    """``record`` as a current-schema :class:`ScenarioRecord`, or raise.
 
-class RecordWriter:
-    """Append :class:`~repro.scenarios.record.ScenarioRecord` rows to a file.
-
-    Usable as a context manager; on a clean exit the file is finalized, on
-    an exception it is left unfinalized (readers reject it).  Records must
-    carry the current ``RECORD_SCHEMA_VERSION`` -- the file-level stamp in
-    the header must be truthful for every row it covers.
+    Plain mappings are validated through
+    :meth:`~repro.scenarios.record.ScenarioRecord.from_dict`; the header's
+    schema stamp must be truthful for every row it covers.
     """
-
-    def __init__(self, path: str | Path, *, tag: str = "") -> None:
-        self.path = Path(path)
-        self.tag = tag
-        self._fields = schema_fields()
-        self._packer = row_struct()
-        self._strings: dict[str, int] = {}
-        self._rows = 0
-        self._closed = False
-        self._file = self.path.open("w+b")
-        self._file.write(encode_header(0, tag))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RecordWriter({str(self.path)!r}, rows={self._rows})"
-
-    def _intern(self, value: str) -> int:
-        index = self._strings.get(value)
-        if index is None:
-            index = len(self._strings)
-            self._strings[value] = index
-        return index
-
-    def append(self, record: ScenarioRecord | Mapping[str, object]) -> None:
-        """Pack one record and append its fixed-width row.
-
-        Plain mappings are validated through
-        :meth:`~repro.scenarios.record.ScenarioRecord.from_dict` first;
-        any value the format cannot represent (an integer outside int64, a
-        stale ``schema_version``) raises :class:`RecordFormatError`.
-        """
-        if self._closed:
-            raise RecordFormatError(f"writer for {self.path} is closed")
-        if not isinstance(record, ScenarioRecord):
-            try:
-                record = ScenarioRecord.from_dict(dict(record))
-            except (ValueError, TypeError) as exc:
-                raise RecordFormatError(f"unpackable record: {exc}") from exc
-        if record.schema_version != RECORD_SCHEMA_VERSION:
-            raise RecordFormatError(
-                f"record schema_version {record.schema_version!r} != "
-                f"current {RECORD_SCHEMA_VERSION}"
-            )
-        values = [
-            self._intern(getattr(record, name)) if code == TYPE_STR
-            else getattr(record, name)
-            for name, code in self._fields
-        ]
+    if not isinstance(record, ScenarioRecord):
         try:
-            self._file.write(self._packer.pack(*values))
-        except struct.error as exc:
-            raise RecordFormatError(
-                f"record value does not fit the packed row format: {exc}"
-            ) from exc
-        self._rows += 1
-
-    def extend(self, records: Iterable[ScenarioRecord | Mapping[str, object]]) -> None:
-        """Append every record in ``records`` in order."""
-        for record in records:
-            self.append(record)
-
-    def close(self) -> Path:
-        """Finalize the file (string table, row count, CRC); return the path."""
-        if self._closed:
-            return self.path
-        self._closed = True
-        table = [struct.pack("<I", len(self._strings))]
-        for value in self._strings:  # dict preserves first-interned order
-            encoded = value.encode("utf-8")
-            table.append(struct.pack("<I", len(encoded)) + encoded)
-        self._file.write(b"".join(table))
-        self._file.seek(0)
-        self._file.write(encode_header(self._rows, self.tag))
-        self._file.flush()
-        self._file.seek(0)
-        crc = 0
-        while chunk := self._file.read(_CRC_CHUNK):
-            crc = zlib.crc32(chunk, crc)
-        self._file.seek(0, 2)
-        self._file.write(struct.pack("<I", crc & 0xFFFFFFFF))
-        self._file.close()
-        return self.path
-
-    def __enter__(self) -> "RecordWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            # Leave the file unfinalized (no footer): readers reject it.
-            self._closed = True
-            self._file.close()
+            record = ScenarioRecord.from_dict(dict(record))
+        except (ValueError, TypeError) as exc:
+            raise RecordFormatError(f"unpackable record: {exc}") from exc
+    if record.schema_version != RECORD_SCHEMA_VERSION:
+        raise RecordFormatError(
+            f"record schema_version {record.schema_version!r} != "
+            f"current {RECORD_SCHEMA_VERSION}"
+        )
+    return record
 
 
 def write_records(
@@ -148,9 +60,33 @@ def write_records(
     encoding the same records produce byte-identical files -- the property
     the cache's content addressing and the CI artefact diffs rely on.
     ``tag`` is the header's free-form application label (the cache stamps
-    the run fingerprint there).
+    the run fingerprint there).  Any value the format cannot represent (an
+    integer outside int64, a stale ``schema_version``) raises
+    :class:`RecordFormatError` before ``path`` is opened.
     """
-    writer = RecordWriter(path, tag=tag)
-    with writer:
-        writer.extend(records)
-    return writer.path
+    path = Path(path)
+    fields = schema_fields()
+    packer = row_struct()
+    strings: dict[str, int] = {}
+    rows = []
+    for record in records:
+        record = _checked(record)
+        values = [
+            strings.setdefault(getattr(record, name), len(strings))
+            if code == TYPE_STR
+            else getattr(record, name)
+            for name, code in fields
+        ]
+        try:
+            rows.append(packer.pack(*values))
+        except struct.error as exc:
+            raise RecordFormatError(
+                f"record value does not fit the packed row format: {exc}"
+            ) from exc
+    table = [struct.pack("<I", len(strings))]
+    for value in strings:  # dict preserves first-interned order
+        encoded = value.encode("utf-8")
+        table.append(struct.pack("<I", len(encoded)) + encoded)
+    body = encode_header(len(rows), tag) + b"".join(rows) + b"".join(table)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return path

@@ -22,8 +22,8 @@ wires it to real connections plus the background
 
 Serving model: hot scenarios are O(1) content-addressed file reads
 (``GET /results/<fingerprint>`` never computes anything, and the ``.rrec``
-variant streams the memory-mapped binary artefact without materializing a
-single record dict); cold ones queue
+variant serves the binary artefact's bytes without materializing a single
+record dict); cold ones queue
 through ``POST /runs`` onto the deterministic sharded runner, and because
 results are pure functions of their fingerprinted inputs, any number of
 servers may share one ``$REPRO_CACHE_DIR``.
@@ -180,7 +180,7 @@ class ScenarioService:
         return 200, ok_envelope(payload)
 
     def _get_result_binary(self, fingerprint: str) -> "tuple[int, dict | RawResponse]":
-        """The packed ``.rrec`` artefact, streamed straight off the cache mmap."""
+        """The packed ``.rrec`` artefact, served as the cache file's exact bytes."""
         if not _FINGERPRINT.match(fingerprint):
             return 400, error_envelope(
                 "invalid_request",

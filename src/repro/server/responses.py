@@ -19,8 +19,8 @@ Envelope JSON is *strict*: serialization refuses the non-standard ``NaN``
 / ``Infinity`` literals (records encode NaN as ``null``), so every body is
 parseable by any conforming JSON client.  The one non-envelope case is
 :class:`RawResponse` -- a pre-encoded byte body with its own content type,
-used by the binary ``.rrec`` artefact route, where the payload is a
-memory-mapped file, not a JSON document.
+used by the binary ``.rrec`` artefact route, where the payload is the
+artefact file's bytes, not a JSON document.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.gates import is_path_simulable
 from repro.sim.engine import UnsupportedGateError, get_engine
 from repro.sim.fidelity import shot_fidelities
 from repro.sim.noise import NoiseModel
@@ -96,14 +95,6 @@ class QueryResult:
 
 class FeynmanPathSimulator:
     """Simulates basis-permutation circuits path by path (see module docstring)."""
-
-    def validate(self, circuit: QuantumCircuit) -> None:
-        """Raise :class:`UnsupportedGateError` if any gate cannot be simulated."""
-        for instr in circuit.gates:
-            if not is_path_simulable(instr.gate):
-                raise UnsupportedGateError(
-                    f"gate {instr.gate} is not simulable by the Feynman-path simulator"
-                )
 
     # ----------------------------------------------------------- noiseless run
     def run(

@@ -3,8 +3,11 @@
 import json
 import os
 
+import pytest
+
 from repro.cache import CACHE_SCHEMA_VERSION, ResultCache, resolve_cache
 from repro.cache.store import CACHE_DIR_ENV_VAR, default_cache_dir
+from repro.records import RecordFormatError
 from repro.scenarios.record import ScenarioRecord
 
 FP = "ab" + "0" * 62
@@ -78,6 +81,22 @@ class TestRoundTrip:
         cache.put(FP, [_record()])
         leftovers = [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
         assert leftovers == []
+
+    def test_failed_put_keeps_the_committed_artefacts(self, tmp_path):
+        """A record the binary format cannot pack aborts ``put``: the temp
+        file is removed and both committed artefacts stay as they were."""
+        cache = ResultCache(tmp_path)
+        records = [_record()]
+        cache.put(FP, records)
+        json_bytes = cache.path_for(FP).read_bytes()
+        binary_bytes = cache.binary_path_for(FP).read_bytes()
+        with pytest.raises(RecordFormatError):
+            cache.put(FP, [_record(), _record(shots=2**63)])
+        leftovers = [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
+        assert leftovers == []
+        assert cache.path_for(FP).read_bytes() == json_bytes
+        assert cache.binary_path_for(FP).read_bytes() == binary_bytes
+        assert cache.get(FP) == records
 
 
 class TestCorruptionTolerance:

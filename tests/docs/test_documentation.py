@@ -97,7 +97,7 @@ def test_architecture_doc_covers_the_contracts():
         "RECORD_FORMAT_VERSION",
         "RecordFormatError",
         "CRC-32",
-        "merge_record_files",
+        "write_records",
         "byte-identical",
     ):
         assert required in text, f"ARCHITECTURE.md no longer mentions {required}"

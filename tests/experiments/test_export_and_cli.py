@@ -222,6 +222,7 @@ class TestFormatFlag:
 
     def test_scenario_sweep_merges_shards(self, tmp_path, capsys):
         from repro.records import read_records, write_records
+        from repro.scenarios import run_scenario
 
         assert (
             main(
@@ -237,9 +238,17 @@ class TestFormatFlag:
             read_records(tmp_path / "scenario_bare-bb-m2.rrec")
         )
         assert read_records(merged) == concatenated
-        # The mmap merge is byte-identical to a serial re-encode.
+        # Byte-identical to a re-encode of the per-scenario artefacts...
         serial = write_records(tmp_path / "serial.rrec", concatenated)
         assert merged.read_bytes() == serial.read_bytes()
+        # ...and to one encode of the records the runs hold in memory.
+        in_memory = [
+            record
+            for name in ("ideal-m3", "bare-bb-m2")
+            for record in run_scenario(name, shots=8, seed=3, cache=False)
+        ]
+        direct = write_records(tmp_path / "direct.rrec", in_memory)
+        assert merged.read_bytes() == direct.read_bytes()
 
     def test_format_flag_selects_a_subset(self, tmp_path, capsys):
         assert (

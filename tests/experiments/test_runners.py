@@ -22,6 +22,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import format_table, random_memory, records_to_rows
 from repro.experiments.fig12 import HardwareConfiguration
+from repro.sim.noise import PauliChannel
 
 
 class TestCommonHelpers:
@@ -37,6 +38,15 @@ class TestCommonHelpers:
     def test_records_to_rows(self):
         records = [{"x": 1, "y": 2}, {"x": 3}]
         assert records_to_rows(records, ["x", "y"]) == [[1, 2], [3, ""]]
+
+    def test_noise_figures_share_one_error_channel_table(self):
+        from repro.experiments import fig9, fig10, fig11
+        from repro.experiments.common import ERROR_CHANNELS
+
+        for module in (fig9, fig10, fig11):
+            assert module.ERROR_CHANNELS is ERROR_CHANNELS
+        assert ERROR_CHANNELS["Z"](0.25) == PauliChannel(p_z=0.25)
+        assert ERROR_CHANNELS["X"](0.25) == PauliChannel(p_x=0.25)
 
 
 class TestTableRunners:

@@ -1,13 +1,12 @@
-"""Differential pins: binary and JSON paths agree, merge equals serial.
+"""Differential pins: binary and JSON paths agree, re-encodes are exact.
 
 Three equivalences anchor the record store:
 
 * ``decode(encode(records)) == records`` for arbitrary (hypothesis-drawn)
   records, NaN included -- and agrees with the JSON round trip.
-* The memory-mapped k-way shard merge is *byte*-identical to a serial
-  re-encode of the concatenated records, for any shard partition -- which
-  also makes it record-identical to the JSON list concatenation it
-  replaced.
+* Any split of a record list, each part encoded and decoded on its own and
+  the decoded parts re-encoded together, is *byte*-identical to one encode
+  of the whole list.
 * A scenario sweep's binary artefact is bit-identical across worker
   counts, and a warm binary-cache hit byte-matches the producing run.
 """
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import ResultCache
-from repro.records import RecordFile, merge_record_files, read_records, write_records
+from repro.records import RecordFile, read_records, write_records
 from repro.scenarios import run_scenario
 from repro.scenarios.record import ScenarioRecord
 
@@ -77,40 +76,35 @@ def test_binary_round_trip_matches_json_round_trip(tmp_path_factory, batch):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_shard_merge_is_byte_identical_to_serial_encode(tmp_path_factory, data):
-    """For ANY shard partition (empty shards included), the mmap merge's
-    output bytes equal one serial ``write_records`` of the concatenation --
-    and therefore its records equal the JSON list concatenation."""
-    tmp_path = tmp_path_factory.mktemp("merge")
+def test_split_re_encode_is_byte_identical_to_one_encode(tmp_path_factory, data):
+    """For ANY partition (empty parts included), encoding each part, decoding
+    it and re-encoding the concatenation gives one encode's bytes.
+
+    Record equality is NaN-aware and cannot tell ``-0.0`` from ``0.0``; the
+    byte comparison pins that a decode keeps every float's bits and that
+    interning depends on nothing but the concatenated list."""
+    tmp_path = tmp_path_factory.mktemp("split")
     batch = data.draw(record_lists)
-    # Draw a partition of `batch` into 1..5 contiguous shards.
-    shard_count = data.draw(st.integers(min_value=1, max_value=5))
+    part_count = data.draw(st.integers(min_value=1, max_value=5))
     cuts = sorted(
         data.draw(
             st.lists(
                 st.integers(min_value=0, max_value=len(batch)),
-                min_size=shard_count - 1,
-                max_size=shard_count - 1,
+                min_size=part_count - 1,
+                max_size=part_count - 1,
             )
         )
     )
     bounds = [0, *cuts, len(batch)]
-    shard_paths = []
-    json_merge = []
-    for index in range(shard_count):
-        chunk = batch[bounds[index] : bounds[index + 1]]
-        shard_paths.append(
-            write_records(tmp_path / f"shard-{index}.rrec", chunk)
+    decoded = []
+    for index in range(part_count):
+        part = batch[bounds[index] : bounds[index + 1]]
+        decoded.extend(
+            read_records(write_records(tmp_path / f"part-{index}.rrec", part))
         )
-        json_merge.extend(
-            json.loads(record.to_json()) for record in chunk
-        )
-    merged = merge_record_files(shard_paths, tmp_path / "merged.rrec", tag="t")
-    serial = write_records(tmp_path / "serial.rrec", batch, tag="t")
-    assert merged.read_bytes() == serial.read_bytes()
-    assert [
-        record.json_dict() for record in read_records(merged)
-    ] == [ScenarioRecord.from_dict(row).json_dict() for row in json_merge]
+    re_encoded = write_records(tmp_path / "re-encoded.rrec", decoded, tag="t")
+    once = write_records(tmp_path / "once.rrec", batch, tag="t")
+    assert re_encoded.read_bytes() == once.read_bytes()
 
 
 class TestSweepEquivalence:

@@ -1,4 +1,4 @@
-"""The ``.rrec`` container: layout, round trips, writer/reader contracts."""
+"""The ``.rrec`` container: layout, round trips, encoder/reader contracts."""
 
 import math
 import struct
@@ -10,7 +10,6 @@ from repro.records import (
     RECORD_FORMAT_VERSION,
     RecordFile,
     RecordFormatError,
-    RecordWriter,
     read_records,
     schema_fields,
     write_records,
@@ -147,46 +146,38 @@ class TestRoundTrip:
 
 
 class TestWriter:
-    def test_append_matches_write_records(self, tmp_path):
-        records = [_record(), _record(scenario="other"), _record(m=4)]
-        bulk = write_records(tmp_path / "bulk.rrec", records)
-        with RecordWriter(tmp_path / "one.rrec") as writer:
-            for record in records:
-                writer.append(record)
-        assert bulk.read_bytes() == (tmp_path / "one.rrec").read_bytes()
-
-    def test_closed_writer_refuses_appends(self, tmp_path):
-        writer = RecordWriter(tmp_path / "w.rrec")
-        writer.close()
-        with pytest.raises(RecordFormatError, match="closed"):
-            writer.append(_record())
-        assert writer.close() == tmp_path / "w.rrec"  # idempotent
-
     def test_out_of_int64_range_value_rejected(self, tmp_path):
-        with RecordWriter(tmp_path / "w.rrec") as writer:
-            with pytest.raises(RecordFormatError, match="packed row format"):
-                writer.append(_record(shots=2**63))
+        with pytest.raises(RecordFormatError, match="packed row format"):
+            write_records(tmp_path / "w.rrec", [_record(shots=2**63)])
 
     def test_stale_schema_version_rejected(self, tmp_path):
         record = _record()
         object.__setattr__(record, "schema_version", RECORD_SCHEMA_VERSION + 1)
-        with RecordWriter(tmp_path / "w.rrec") as writer:
-            with pytest.raises(RecordFormatError, match="schema_version"):
-                writer.append(record)
+        with pytest.raises(RecordFormatError, match="schema_version"):
+            write_records(tmp_path / "w.rrec", [record])
 
     def test_invalid_mapping_rejected(self, tmp_path):
-        with RecordWriter(tmp_path / "w.rrec") as writer:
-            with pytest.raises(RecordFormatError, match="unpackable record"):
-                writer.append({"surprise": 1})
+        with pytest.raises(RecordFormatError, match="unpackable record"):
+            write_records(tmp_path / "w.rrec", [{"surprise": 1}])
 
-    def test_crashed_writer_leaves_an_unreadable_file(self, tmp_path):
-        path = tmp_path / "crash.rrec"
-        with pytest.raises(RuntimeError):
-            with RecordWriter(path) as writer:
-                writer.append(_record())
-                raise RuntimeError("boom")
+    def test_unpackable_record_leaves_no_file(self, tmp_path):
+        """The file is encoded in memory first: a record that cannot be
+        packed, even after valid ones, fails before ``path`` is created."""
+        path = tmp_path / "w.rrec"
         with pytest.raises(RecordFormatError):
-            read_records(path)
+            write_records(path, [_record(), _record(shots=2**63)])
+        assert not path.exists()
+
+    def test_rewrite_replaces_a_longer_file(self, tmp_path):
+        """Writing over an existing file leaves exactly the new encode's
+        bytes: nothing of a longer earlier file survives past its end."""
+        path = tmp_path / "w.rrec"
+        write_records(path, [_record(scenario=f"s{i}") for i in range(6)])
+        records = [_record()]
+        write_records(path, records)
+        fresh = write_records(tmp_path / "fresh.rrec", records)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert read_records(path) == records
 
 
 class TestReaderProtocol:
@@ -205,18 +196,25 @@ class TestReaderProtocol:
             with pytest.raises(IndexError):
                 record_file[5]
 
-    def test_rows_matrix_shape(self, tmp_path):
-        path, records = self._path(tmp_path)
-        with RecordFile(path) as record_file:
-            assert record_file.rows.shape == (5, len(schema_fields()))
-
     def test_tobytes_returns_the_file_bytes(self, tmp_path):
         path, _ = self._path(tmp_path)
         with RecordFile(path) as record_file:
             assert record_file.tobytes() == path.read_bytes()
 
-    def test_close_releases_the_mapping(self, tmp_path):
+    def test_reader_keeps_its_bytes_after_the_file_is_replaced(self, tmp_path):
+        """The file is read once on construction: replacing or deleting it
+        afterwards changes nothing the reader serves."""
+        path, records = self._path(tmp_path)
+        original = path.read_bytes()
+        with RecordFile(path) as record_file:
+            write_records(path, [_record(scenario="replacement")])
+            assert record_file.tobytes() == original
+            assert record_file.records() == records
+            path.unlink()
+            assert record_file[-1] == records[-1]
+
+    def test_close_is_idempotent(self, tmp_path):
         path, _ = self._path(tmp_path)
         record_file = RecordFile(path)
         record_file.close()
-        record_file.close()  # idempotent
+        record_file.close()

@@ -580,7 +580,7 @@ class TestContentLength:
 
 
 class TestBinaryArtefactRoute:
-    """``GET /results/<fp>.rrec``: raw mmap-served bytes, JSON errors."""
+    """``GET /results/<fp>.rrec``: the artefact's raw bytes, JSON errors."""
 
     @pytest.fixture()
     def seeded(self, tmp_path):
