@@ -1,8 +1,8 @@
 """Content-addressed result cache for scenario runs.
 
 Because the `ShotSeeds` contract makes every scenario run a pure function of
-``(spec, seed, shots, router)``, its records can be stored and
-served by content address: :mod:`repro.cache.fingerprint` derives the
+``(spec, seed, shots)``, its records can be stored and served by content
+address: :mod:`repro.cache.fingerprint` derives the
 canonical, versioned key and :mod:`repro.cache.store` keeps the artefacts on
 disk (``$REPRO_CACHE_DIR``) with atomic writes and corruption-tolerant
 reads.  ``run_scenario(cache=...)``, the experiments CLI (``--cache`` /

@@ -1,20 +1,13 @@
 """Canonical, versioned fingerprints for scenario runs.
 
 `ShotSeeds` makes every scenario run a pure function of
-``(spec, seed, shots, router)`` -- the same inputs produce
-bit-identical records on any machine, worker count or shard size.  The
-fingerprint is the content address of that function application: a SHA-256
-over a canonical JSON serialization of the *resolved* inputs plus the cache
+``(spec, seed, shots)`` -- the same inputs produce bit-identical records on
+any machine, worker count or shard size.  The fingerprint is the content
+address of that function application: a SHA-256 over a canonical JSON
+serialization of those inputs (the spec names its router) plus the cache
 and record schema versions and the engine name
 (:data:`~repro.sim.engine.ENGINE_NAME`, kept so every committed fingerprint
 stays valid).
-
-Resolution matters: a spec with ``router=None`` means "the session default",
-which can change between sessions, so fingerprinting an unresolved spec
-would let one configuration's artefact be served for another.
-:func:`run_fingerprint` therefore refuses unresolved specs;
-:func:`repro.scenarios.run.run_scenario` pins the router *before*
-fingerprinting, and stamps the same resolved names into every record.
 """
 
 from __future__ import annotations
@@ -49,17 +42,7 @@ def canonical_spec(spec: ScenarioSpec) -> dict[str, object]:
 def canonical_run_payload(
     spec: ScenarioSpec, *, seed: int, shots: int
 ) -> dict[str, object]:
-    """The exact dict :func:`run_fingerprint` hashes (exposed for tests/docs).
-
-    Raises ``ValueError`` if the spec's router is unresolved (``None``): a
-    fingerprint must name the router that actually runs, never a session
-    default that could differ when the artefact is read back.
-    """
-    if spec.router is None:
-        raise ValueError(
-            "cannot fingerprint a spec with router=None; resolve the session "
-            "default first (run_scenario does this before consulting the cache)"
-        )
+    """The exact dict :func:`run_fingerprint` hashes (exposed for tests/docs)."""
     return {
         "cache_schema_version": CACHE_SCHEMA_VERSION,
         "record_schema_version": RECORD_SCHEMA_VERSION,

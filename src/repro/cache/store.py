@@ -92,9 +92,9 @@ class ResultCache:
         docstring).
         """
         try:
-            with RecordFile(self.binary_path_for(fingerprint)) as record_file:
-                if record_file.tag == fingerprint:
-                    return record_file.records()
+            record_file = RecordFile(self.binary_path_for(fingerprint))
+            if record_file.tag == fingerprint:
+                return record_file.records()
         except RecordFormatError:
             pass
         payload = self.get_payload(fingerprint)
@@ -111,12 +111,13 @@ class ResultCache:
         The HTTP ``.rrec`` route serves this without materializing a single
         record dict.  If the binary artefact is missing or corrupt but the
         JSON document is intact, the artefact is re-encoded from it (and
-        healed on disk) so pre-binary caches stay fully servable.
+        healed on disk) so pre-binary caches stay fully servable; the healed
+        file's bytes are returned without a second parse or CRC pass.
         """
         try:
-            with RecordFile(self.binary_path_for(fingerprint)) as record_file:
-                if record_file.tag == fingerprint:
-                    return record_file.tobytes()
+            record_file = RecordFile(self.binary_path_for(fingerprint))
+            if record_file.tag == fingerprint:
+                return record_file.tobytes()
         except RecordFormatError:
             pass
         payload = self.get_payload(fingerprint)
@@ -126,9 +127,7 @@ class ResultCache:
             records = [ScenarioRecord.from_dict(row) for row in payload["records"]]
         except (ValueError, TypeError):
             return None
-        path = self._commit_binary(fingerprint, records)
-        with RecordFile(path) as record_file:
-            return record_file.tobytes()
+        return self._commit_binary(fingerprint, records).read_bytes()
 
     def get_payload(self, fingerprint: str) -> dict | None:
         """The raw validated document for ``fingerprint``, or ``None``.
@@ -154,9 +153,8 @@ class ResultCache:
 
     def __contains__(self, fingerprint: str) -> bool:
         try:
-            with RecordFile(self.binary_path_for(fingerprint)) as record_file:
-                if record_file.tag == fingerprint:
-                    return True
+            if RecordFile(self.binary_path_for(fingerprint)).tag == fingerprint:
+                return True
         except RecordFormatError:
             pass
         return self.get_payload(fingerprint) is not None
@@ -228,9 +226,8 @@ class ResultCache:
             if fingerprint in found:
                 continue
             try:
-                with RecordFile(path) as record_file:
-                    if record_file.tag == fingerprint:
-                        found.add(fingerprint)
+                if RecordFile(path).tag == fingerprint:
+                    found.add(fingerprint)
             except RecordFormatError:
                 pass
         return sorted(found)

@@ -204,7 +204,7 @@ CLIFFORD_GATES: frozenset[str] = frozenset(
 #: (Z basis), and the frame correction is an outcome-conditioned Pauli.
 #: ``H`` is the sole *branching* member of the set: each application doubles
 #: the path count (up to the budget of
-#: :func:`repro.circuit.ir.get_max_branches`), and later ``Z``-basis
+#: :data:`repro.circuit.ir.MAX_BRANCHES`), and later ``Z``-basis
 #: measurements collapse branches again -- see the "Path branching" notes in
 #: :mod:`repro.circuit.ir`.
 PATH_SIMULABLE_GATES: frozenset[str] = REVERSIBLE_CLASSICAL_GATES | frozenset(

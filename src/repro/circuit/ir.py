@@ -47,9 +47,8 @@ projection annihilates exactly one branch of some axis, in which case the
 engine contracts that axis and the path set halves again.  Because the plan
 is a pure function of the instruction sequence, every shot collapses
 identically and the result is invariant under any sweep sharding.  Circuits
-whose branch level would exceed the configurable budget
-(:func:`get_max_branches`) raise the typed :class:`BranchBudgetError` before
-any shot executes.
+whose branch level would exceed the budget (:data:`MAX_BRANCHES`) raise the
+typed :class:`BranchBudgetError` before any shot executes.
 
 The tape is cached on the circuit (``circuit._tape``) and invalidated by
 :meth:`QuantumCircuit.append`; as a second line of defence the cache is also
@@ -133,33 +132,13 @@ class BranchBudgetError(ValueError):
     Every mid-circuit ``H`` doubles the Feynman path set until a later
     measurement collapses the branch, so unbounded branching would defeat
     the whole point of path-sum simulation.  The budget caps the number of
-    *concurrently live* branch axes; see :func:`set_max_branches`.
+    *concurrently live* branch axes; see :data:`MAX_BRANCHES`.
     """
 
 
-#: Default cap on concurrently live branch axes (path multiplier 2**budget).
-DEFAULT_MAX_BRANCHES = 10
+#: Cap on concurrently live branch axes (path multiplier ``2**MAX_BRANCHES``).
+MAX_BRANCHES = 10
 
-_MAX_BRANCHES = DEFAULT_MAX_BRANCHES
-
-
-def get_max_branches() -> int:
-    """Current branch budget: the maximum concurrently live branch level."""
-    return _MAX_BRANCHES
-
-
-def set_max_branches(budget: int) -> None:
-    """Globally set the branch budget (``DEFAULT_MAX_BRANCHES`` initially).
-
-    Raises
-    ------
-    ValueError
-        If ``budget`` is negative.
-    """
-    global _MAX_BRANCHES
-    if budget < 0:
-        raise ValueError("the branch budget cannot be negative")
-    _MAX_BRANCHES = budget
 
 # ---------------------------------------------------------------- phase tables
 #: ``i ** k`` for ``k`` in 0..3: the phase a run of ``S`` gates (or ``Y``
@@ -360,20 +339,18 @@ class GateTape:
     def require_branch_budget(self, budget: int | None = None) -> None:
         """Raise :class:`BranchBudgetError` if the tape exceeds ``budget``.
 
-        ``None`` checks against the global budget
-        (:func:`get_max_branches`).  Engines call this before executing a
-        single shot, and the scenario compiler calls it when expanding
-        fused teleportation links, so the typed error surfaces before any
-        randomness is consumed.
+        ``None`` checks against :data:`MAX_BRANCHES`, read at call time.
+        Engines call this before executing a single shot, and the scenario
+        compiler calls it when expanding fused teleportation links, so the
+        typed error surfaces before any randomness is consumed.
         """
-        limit = get_max_branches() if budget is None else budget
+        limit = MAX_BRANCHES if budget is None else budget
         if self.max_branch_level > limit:
             raise BranchBudgetError(
                 f"circuit reaches branch level {self.max_branch_level} "
                 f"(path multiplier {2 ** self.max_branch_level}) but the "
-                f"branch budget is {limit}; raise it with "
-                "repro.circuit.ir.set_max_branches or restructure the "
-                "circuit so measurements collapse branches earlier"
+                f"branch budget is {limit}; restructure the circuit so "
+                "measurements collapse branches earlier"
             )
 
     def noise_sites(self, noise: "NoiseModel") -> NoiseSiteTable:

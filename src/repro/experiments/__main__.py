@@ -8,7 +8,7 @@ Usage::
     python -m repro.experiments all --quick
     python -m repro.experiments scenario --list
     python -m repro.experiments scenario htree-swap-m3 --workers 4 --out out/
-    python -m repro.experiments scenario htree-swap-m3 --router lookahead
+    python -m repro.experiments scenario perth-m1-lookahead
     python -m repro.experiments scenario htree-swap-m3 --cache
     python -m repro.experiments scenario htree-swap-m3 --out out/ --format rrec
 
@@ -54,11 +54,6 @@ from repro.experiments.export import (
     DEFAULT_EXPORT_FORMATS,
     EXPORT_FORMATS,
     export_experiment,
-)
-from repro.hardware.router import (
-    available_routers,
-    get_default_router,
-    set_default_router,
 )
 
 
@@ -193,14 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="random seed forwarded to every runner (default: the project-wide "
         "DEFAULT_SEED, so figures are reproducible bit-for-bit)",
-    )
-    parser.add_argument(
-        "--router",
-        choices=available_routers(),
-        default=None,
-        help="SWAP router for scenario compiles whose spec leaves the router "
-        "unset (default: the greedy router; 'lookahead' is the SABRE-style "
-        "pass with fewer SWAPs)",
     )
     parser.add_argument(
         "--workers",
@@ -370,30 +357,21 @@ def main(argv: list[str] | None = None) -> int:
         resolve_formats(args, scenario=args.experiment == "scenario")
     except ValueError as exc:
         parser.error(str(exc))
-    previous_router = get_default_router()
-    if args.router is not None:
-        set_default_router(args.router)
     if args.experiment == "scenario":
-        try:
-            return run_scenarios(args)
-        finally:
-            set_default_router(previous_router)
+        return run_scenarios(args)
     run_all = args.experiment == "all"
     names = sorted(EXPERIMENTS) if run_all else [args.experiment]
     failures: list[str] = []
-    try:
-        for name in names:
-            try:
-                run_experiment(name, args)
-            except Exception as exc:
-                if not run_all:
-                    raise
-                # 'all' keeps going so one broken experiment does not hide
-                # the rest -- but the failure must surface in the exit code.
-                print(f"error: [{name}] failed: {exc}", file=sys.stderr)
-                failures.append(name)
-    finally:
-        set_default_router(previous_router)
+    for name in names:
+        try:
+            run_experiment(name, args)
+        except Exception as exc:
+            if not run_all:
+                raise
+            # 'all' keeps going so one broken experiment does not hide the
+            # rest -- but the failure must surface in the exit code.
+            print(f"error: [{name}] failed: {exc}", file=sys.stderr)
+            failures.append(name)
     if failures:
         print(
             f"error: {len(failures)} of {len(names)} experiments failed: "

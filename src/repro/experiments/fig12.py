@@ -24,7 +24,7 @@ import numpy as np
 from repro.experiments.common import format_table, random_memory, resolve_seed
 from repro.hardware.devices import DEVICES, DeviceModel
 from repro.hardware.noise_model import device_noise_model
-from repro.hardware.router import get_default_router, make_router
+from repro.hardware.router import DEFAULT_ROUTER, make_router
 from repro.qram.virtual_qram import VirtualQRAM
 from repro.sim.feynman import FeynmanPathSimulator
 from repro.sweep import ShotShard, SweepRunner
@@ -56,39 +56,30 @@ DEFAULT_CONFIGURATIONS: tuple[HardwareConfiguration, ...] = (
 
 
 def route_configuration(
-    configuration: HardwareConfiguration,
-    *,
-    seed: int | None = None,
-    router: str | None = None,
+    configuration: HardwareConfiguration, *, seed: int | None = None
 ):
     """Build and route one configuration; returns (architecture, routed circuit).
 
-    ``router`` resolves through the pluggable registry
-    (:func:`repro.hardware.router.make_router`); ``None`` uses the session
-    default, so ``python -m repro.experiments --router`` reaches the Figure 12
-    hardware study exactly like every other routed experiment.
+    Routes with :data:`~repro.hardware.router.DEFAULT_ROUTER`, the greedy
+    stand-in for the paper's SABRE pass.
     """
     device: DeviceModel = DEVICES[configuration.device_name]
     memory = random_memory(configuration.m + configuration.k, seed)
     architecture = VirtualQRAM(memory=memory, qram_width=configuration.m)
-    routed = make_router(router, device).route(architecture.build_circuit())
+    routed = make_router(DEFAULT_ROUTER, device).route(architecture.build_circuit())
     return architecture, routed
 
 
 @lru_cache(maxsize=16)
-def _fig12_bundle(configuration: HardwareConfiguration, seed: int, router: str):
+def _fig12_bundle(configuration: HardwareConfiguration, seed: int):
     """Route one configuration and precompute everything the shards share.
 
     Returns ``(routed, physical_input, physical_ideal, keep_qubits)``.
     Routing plus state mapping dominates the small fig12 workloads, so the
-    bundle is cached per process: every (configuration, eps_r, router) shard
-    that lands on a worker reuses its build.  The router name is part of the
-    key (and of the shard spec -- worker processes do not inherit the
-    session's default-router setting).
+    bundle is cached per process: every (configuration, eps_r) shard that
+    lands on a worker reuses its build.
     """
-    architecture, routed = route_configuration(
-        configuration, seed=seed, router=router
-    )
+    architecture, routed = route_configuration(configuration, seed=seed)
     logical_input = architecture.input_state()
     physical_input = routed.map_state(logical_input, final=False)
     physical_ideal = routed.map_state(
@@ -100,10 +91,8 @@ def _fig12_bundle(configuration: HardwareConfiguration, seed: int, router: str):
 
 def _fig12_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
     """Per-shard fidelities for one (configuration, eps_r) sweep point."""
-    configuration, factor, seed, router = spec
-    routed, physical_input, physical_ideal, keep = _fig12_bundle(
-        configuration, seed, router
-    )
+    configuration, factor, seed = spec
+    routed, physical_input, physical_ideal, keep = _fig12_bundle(configuration, seed)
     device = DEVICES[configuration.device_name]
     noise = device_noise_model(device, error_reduction_factor=factor)
     result = FeynmanPathSimulator().query_fidelities(
@@ -129,21 +118,17 @@ def run_fig12(
 ) -> list[dict[str, object]]:
     """Fidelity records for every (configuration, eps_r) pair, plus SWAP counts."""
     seed_value = resolve_seed(seed)
-    router = get_default_router()
     points = [
         (configuration, factor)
         for configuration in configurations
         for factor in reduction_factors
     ]
-    specs = [
-        (configuration, factor, seed_value, router)
-        for configuration, factor in points
-    ]
+    specs = [(configuration, factor, seed_value) for configuration, factor in points]
     runner = SweepRunner(workers=workers, shard_size=shard_size)
     merged = runner.map_shards(_fig12_shard, specs, shots=shots, seed=seed_value)
     records: list[dict[str, object]] = []
     for (configuration, factor), result in zip(points, merged):
-        routed, _, _, _ = _fig12_bundle(configuration, seed_value, router)
+        routed, _, _, _ = _fig12_bundle(configuration, seed_value)
         device = DEVICES[configuration.device_name]
         records.append(
             {

@@ -49,7 +49,6 @@ from repro.hardware.router import (
     get_router_class,
     make_router,
     register_router,
-    set_default_router,
 )
 from repro.hardware.lookahead import LookaheadSwapRouter
 from repro.hardware.teleport_router import TeleportSwapRouter
@@ -72,5 +71,4 @@ __all__ = [
     "make_router",
     "register_router",
     "scheduled_device_noise_model",
-    "set_default_router",
 ]

@@ -23,10 +23,9 @@ Greedy routing is not as SWAP-frugal as SABRE, but it preserves exactly what
 Figure 12 needs: a functionally correct physical circuit whose extra SWAPs
 scale with the mismatch between the QRAM's connectivity demands and the
 device, and which can be fed to the noisy Feynman-path simulator.  Routers
-resolve by name through :func:`make_router`; the module-level default
-(``"greedy-swap"``) can be swapped globally with :func:`set_default_router`,
-which is how ``python -m repro.experiments --router`` reroutes every scenario
-compile without threading a parameter through each runner.
+resolve by name through :func:`make_router`; a scenario names its router in
+:attr:`~repro.scenarios.spec.ScenarioSpec.router`, which defaults to
+:data:`DEFAULT_ROUTER`.
 """
 
 from __future__ import annotations
@@ -300,13 +299,14 @@ class GreedySwapRouter:
 
 # ===================================================================== registry
 _ROUTERS: dict[str, type] = {}
-_DEFAULT_ROUTER = "greedy-swap"
+
+#: Router of every spec that does not name one (and of Figure 12).
+DEFAULT_ROUTER = "greedy-swap"
 
 
-def register_router(router_class: type, *, aliases: tuple[str, ...] = ()) -> type:
-    """Register ``router_class`` under its ``name`` (plus ``aliases``)."""
-    for key in (router_class.name, *aliases):
-        _ROUTERS[key] = router_class
+def register_router(router_class: type) -> type:
+    """Register ``router_class`` under its ``name``."""
+    _ROUTERS[router_class.name] = router_class
     return router_class
 
 
@@ -315,41 +315,30 @@ def available_routers() -> list[str]:
     return sorted(_ROUTERS)
 
 
-def get_router_class(spec: str | type | None = None) -> type:
-    """Resolve a router name (``None`` means the current default) to its class."""
-    if isinstance(spec, type):
-        return spec
-    key = _DEFAULT_ROUTER if spec is None else spec
+def get_router_class(name: str) -> type:
+    """Resolve a registered router name to its class."""
     try:
-        return _ROUTERS[key]
+        return _ROUTERS[name]
     except KeyError:
         raise KeyError(
-            f"unknown router {key!r}; available: {available_routers()}"
+            f"unknown router {name!r}; available: {available_routers()}"
         ) from None
 
 
-def make_router(spec: str | type | None, device: DeviceModel, **options):
-    """Instantiate the router named ``spec`` (or the default) for ``device``.
+def make_router(name: str, device: DeviceModel, **options):
+    """Instantiate the router registered as ``name`` for ``device``.
 
     Unlike the engine, routers are stateful per device (they precompute the
     coupling graph and distance tables), so the registry stores classes and
     this factory builds a fresh instance; ``options`` forward to the router's
     constructor (e.g. the lookahead window size).
     """
-    return get_router_class(spec)(device, **options)
+    return get_router_class(name)(device, **options)
 
 
 def get_default_router() -> str:
-    """Name of the router used when none is specified."""
-    return _DEFAULT_ROUTER
-
-
-def set_default_router(name: str) -> None:
-    """Globally switch the default router (e.g. from the experiments CLI)."""
-    global _DEFAULT_ROUTER
-    if name not in _ROUTERS:
-        raise KeyError(f"unknown router {name!r}; available: {available_routers()}")
-    _DEFAULT_ROUTER = name
+    """Name of the router used when a spec names none (:data:`DEFAULT_ROUTER`)."""
+    return DEFAULT_ROUTER
 
 
 register_router(GreedySwapRouter)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.hardware.devices import DeviceModel
+from repro.hardware.router import DEFAULT_ROUTER, make_router
 from repro.mapping.htree import HTreeEmbedding
 
 #: Grid coordinate type re-exported for chain lookups.
@@ -84,16 +85,13 @@ class HTreeDevice:
             return tuple(reversed(chain))
         return None
 
-    def route(self, circuit: QuantumCircuit, *, router: str | None = None):
+    def route(self, circuit: QuantumCircuit, *, router: str = DEFAULT_ROUTER):
         """Route ``circuit`` onto this device from its cluster layout.
 
         ``router`` names a registered router
-        (:func:`repro.hardware.router.make_router`); ``None`` uses the
-        session default.  Returns a
+        (:func:`repro.hardware.router.make_router`).  Returns a
         :class:`~repro.hardware.router.RoutedCircuit`.
         """
-        from repro.hardware.router import make_router
-
         return make_router(router, self.device).route(circuit, self.initial_layout)
 
 

@@ -308,7 +308,7 @@ def expand_teleport_links(
     The Bell-pair ``H`` gates branch the path set, so fused expansions
     require the bounded-branching engine support of :mod:`repro.sim.engine`
     and are subject to the branch budget of
-    :func:`repro.circuit.ir.get_max_branches`.
+    :data:`repro.circuit.ir.MAX_BRANCHES`.
     """
     positions = embedding.logical_positions(circuit)
     layout = htree_device(embedding, circuit, calibration=calibration, name=name)

@@ -41,8 +41,9 @@ class RecordFile:
     """A validated ``.rrec`` file of scenario records, held as bytes.
 
     Sequence protocol: ``len(rf)``, ``rf[i]`` (negative indices and slices
-    included), iteration.  Also usable as a context manager; :attr:`strings`
-    is the file's interning table and :meth:`tobytes` its exact bytes.
+    included), iteration.  The file is read and closed on construction;
+    :attr:`strings` is its interning table and :meth:`tobytes` its exact
+    bytes.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -201,18 +202,7 @@ class RecordFile:
         """
         return self._data
 
-    # ------------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        """Nothing to release: the file was read and closed on construction."""
-
-    def __enter__(self) -> "RecordFile":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def read_records(path: str | Path) -> list[ScenarioRecord]:
     """Decode a ``.rrec`` file into records (validates, reads, closes)."""
-    with RecordFile(path) as record_file:
-        return record_file.records()
+    return RecordFile(path).records()

@@ -25,7 +25,7 @@ Mapping strategies
 
 ``htree`` + ``swap``
     Place the circuit on the executable H-tree device
-    (:func:`repro.mapping.device.htree_device`) and route it with the greedy
+    (:func:`repro.mapping.device.htree_device`) and route it with the spec's
     SWAP router: every communication SWAP becomes a real gate and incurs the
     device's two-qubit noise, and the longer schedule accrues more idle
     noise.
@@ -64,16 +64,15 @@ Mapping strategies
     Route onto a named sparse backend -- the Figure 12 methodology, now
     composable with idle noise and sweeps.
 
-Both swap-routed mappings resolve their router through the registry of
-:mod:`repro.hardware.router` (``spec.router``, or the session default when
-the spec leaves it ``None``): ``"greedy-swap"`` reproduces the historical
-behaviour bit for bit, ``"lookahead"`` routes SABRE-style with fewer SWAPs
-and a searched initial layout.
+Both swap-routed mappings resolve ``spec.router`` through the registry of
+:mod:`repro.hardware.router`: ``"greedy-swap"`` (the default) reproduces the
+historical behaviour bit for bit, ``"lookahead"`` routes SABRE-style with
+fewer SWAPs and a searched initial layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from repro.circuit.circuit import QuantumCircuit
@@ -82,7 +81,7 @@ from repro.circuit.scheduling import circuit_depth
 from repro.experiments.common import random_memory
 from repro.hardware.devices import DEVICES, DeviceModel, grid_device
 from repro.hardware.noise_model import scheduled_device_noise_model
-from repro.hardware.router import get_default_router, make_router
+from repro.hardware.router import make_router
 from repro.mapping.device import htree_device
 from repro.mapping.dual_rail import encode_dual_rail, rail_pair
 from repro.mapping.grid import Grid2D
@@ -272,24 +271,14 @@ def _teleport_link_sites(
     return tuple(sites)
 
 
+@lru_cache(maxsize=32)
 def compile_scenario(spec: ScenarioSpec, seed: int) -> CompiledScenario:
     """Build, embed and route one scenario (memoised per process).
 
-    A spec with ``router=None`` is first pinned to the *current* default
-    router, so the memoised result can never go stale when the session
-    default changes (and ``CompiledScenario.spec.router`` always names the
-    router that actually ran).  The cache is what lets every
-    ``(sweep point, shot shard)`` work unit landing on a pool worker reuse
-    the routed circuit and precomputed states, mirroring the Figure 12
-    bundle pattern.
+    The cache is what lets every ``(sweep point, shot shard)`` work unit
+    landing on a pool worker reuse the routed circuit and precomputed
+    states, mirroring the Figure 12 bundle pattern.
     """
-    if spec.router is None:
-        spec = replace(spec, router=get_default_router())
-    return _compile_resolved(spec, seed)
-
-
-@lru_cache(maxsize=32)
-def _compile_resolved(spec: ScenarioSpec, seed: int) -> CompiledScenario:
     architecture = _build_architecture(spec, seed)
     logical = architecture.build_circuit()
     logical_input = architecture.input_state()
@@ -389,9 +378,7 @@ def _compile_resolved(spec: ScenarioSpec, seed: int) -> CompiledScenario:
     if spec.mapping == "htree":
         embedding = HTreeEmbedding(tree_depth=spec.qram_width)
         layout = htree_device(embedding, logical, calibration=calibration)
-        routed = make_router(spec.router, layout.device).route(
-            logical, layout.initial_layout
-        )
+        routed = layout.route(logical, router=spec.router)
     else:  # mapping == "device"
         routed = make_router(spec.router, calibration).route(logical)
 

@@ -34,9 +34,9 @@ class ScenarioRecord:
     """One sweep point of one scenario run, fully self-describing.
 
     Every configuration axis that influenced the numbers is stamped in --
-    including the *resolved* ``engine`` and ``router`` names (never ``None``
-    or a session default left implicit), so a record pulled out of the cache
-    or served over HTTP is interpretable without the session that made it.
+    including the ``engine`` and ``router`` names -- so a record pulled out
+    of the cache or served over HTTP is interpretable without the session
+    that made it.
 
     The class is a read-only mapping over its field names: ``record[key]``,
     ``key in record``, ``iter(record)``, ``len(record)``, ``record.get(key)``

@@ -11,25 +11,22 @@ pools work under both ``fork`` and ``spawn`` start methods for registered
 and ad-hoc specs alike.
 
 Because of that determinism, a run is a pure function of
-``(spec, seed, shots, router)`` -- so :func:`run_scenario` first resolves
-the session-default router into a concrete name (stamped, with the engine's
-:data:`~repro.sim.engine.ENGINE_NAME`, into every
-:class:`~repro.scenarios.record.ScenarioRecord`), derives the run's content
-address (:func:`repro.cache.run_fingerprint`), and consults the result cache
-when one is configured: a warm hit returns the stored records without
-executing anything or consuming any randomness, provably bit-identical to
-the fresh run it replaces.
+``(spec, seed, shots)`` -- the spec names its router, which is stamped, with
+the engine's :data:`~repro.sim.engine.ENGINE_NAME`, into every
+:class:`~repro.scenarios.record.ScenarioRecord` -- so :func:`run_scenario`
+derives the run's content address (:func:`repro.cache.run_fingerprint`) and
+consults the result cache when one is configured: a warm hit returns the
+stored records without executing anything or consuming any randomness,
+provably bit-identical to the fresh run it replaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.experiments.common import format_table, resolve_seed
-from repro.hardware.router import get_default_router
 from repro.scenarios.compile import CompiledScenario, compile_scenario
 from repro.scenarios.record import ScenarioRecord
 from repro.scenarios.spec import ScenarioSpec, get_scenario
@@ -84,10 +81,8 @@ def _point_record(
         routing=spec.routing if spec.mapping == "htree" else (
             "swap" if spec.mapping == "device" else "-"
         ),
-        # The resolved router is stamped even where the mapping never
-        # invokes it: records (and the cache fingerprint built from the same
-        # resolved spec) must be self-describing, never "whatever the
-        # session default happened to be".
+        # The spec's router is stamped even where the mapping never invokes
+        # it, so records are self-describing like the fingerprint.
         router=spec.router,
         device=compiled.device.name,
         num_qubits=compiled.circuit.num_qubits,
@@ -117,8 +112,7 @@ def resolve_run(
 ) -> tuple[ScenarioSpec, int, int, str, str]:
     """Pin every defaulted run input and derive the run's content address.
 
-    Returns ``(spec, seed, shots, engine, fingerprint)`` with the spec's
-    router resolved to a concrete registered name and ``engine`` the
+    Returns ``(spec, seed, shots, engine, fingerprint)`` with ``engine`` the
     stamped :data:`~repro.sim.engine.ENGINE_NAME` -- the exact inputs the
     sweep executes, the records describe and the cache keys on.  Raises
     ``KeyError`` for an unknown scenario.
@@ -128,11 +122,6 @@ def resolve_run(
     from repro.cache.fingerprint import run_fingerprint
 
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    if spec.router is None:
-        # Resolve the session-default router here: the spec is pickled into
-        # pool workers, and a spawned worker's module-global default would
-        # silently fall back to the greedy router.
-        spec = replace(spec, router=get_default_router())
     seed_value = resolve_seed(seed)
     shot_count = spec.shots if shots is None else shots
     fingerprint = run_fingerprint(spec, seed=seed_value, shots=shot_count)

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.hardware.devices import DEVICES
+from repro.hardware.router import DEFAULT_ROUTER, available_routers
+
 ARCHITECTURES: tuple[str, ...] = ("virtual", "bucket-brigade", "fanout")
 MAPPINGS: tuple[str, ...] = ("none", "htree", "device", "dual-rail")
 ROUTINGS: tuple[str, ...] = (
@@ -59,16 +62,15 @@ class ScenarioSpec:
         entanglement-swapping link (Bell pairs + Bell-state measurements),
         which branches the path set through the bounded-``H`` support of the
         Feynman engine and is subject to the branch budget of
-        :func:`repro.circuit.ir.get_max_branches`.  ``mapping="device"``
+        :data:`repro.circuit.ir.MAX_BRANCHES`.  ``mapping="device"``
         always swap-routes; ``mapping="none"`` ignores this field.
     router:
         Which registered router resolves blocked gates (see
         :mod:`repro.hardware.router`): ``"greedy-swap"``, ``"lookahead"``
         or ``"lookahead-teleport"`` (SWAPs plus measurement-based teleport
-        relocations through free vertices).  ``None`` uses the session
-        default
-        (:func:`~repro.hardware.router.get_default_router`, the CLI
-        ``--router`` override).  Ignored unless the mapping swap-routes.
+        relocations through free vertices); defaults to
+        :data:`~repro.hardware.router.DEFAULT_ROUTER`.  Ignored (but still
+        recorded and fingerprinted) unless the mapping swap-routes.
     device:
         Name in :data:`repro.hardware.devices.DEVICES` supplying topology
         (for ``mapping="device"``) and/or calibration.  ``None`` uses the
@@ -100,7 +102,7 @@ class ScenarioSpec:
     sqc_width: int = 0
     mapping: str = "none"
     routing: str = "swap"
-    router: str | None = None
+    router: str = DEFAULT_ROUTER
     device: str | None = None
     error_reduction_factors: tuple[float, ...] = (1.0, 10.0, 100.0)
     idle_error: float | None = 0.0
@@ -108,9 +110,6 @@ class ScenarioSpec:
     shots: int = 200
 
     def __post_init__(self) -> None:
-        from repro.hardware.devices import DEVICES
-        from repro.hardware.router import available_routers
-
         if not self.name:
             raise ValueError("scenario name must be non-empty")
         if self.architecture not in ARCHITECTURES:
@@ -126,7 +125,7 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown routing {self.routing!r}; choose from {ROUTINGS}"
             )
-        if self.router is not None and self.router not in available_routers():
+        if self.router not in available_routers():
             raise ValueError(
                 f"unknown router {self.router!r}; "
                 f"available: {available_routers()}"

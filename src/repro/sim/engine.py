@@ -72,7 +72,7 @@ splits into an amplitude-weighted pair (``1/sqrt(2)`` each, sign flipped on
 the upper branch when the pre-branch bit was 1), with the newest branch
 always the innermost stride-1 pairing.  The per-shot path count is therefore
 dynamic: ``n_paths`` rises by a factor of two per ``H`` (bounded by the
-typed budget of :func:`repro.circuit.ir.get_max_branches`, enforced before
+typed budget of :data:`repro.circuit.ir.MAX_BRANCHES`, enforced before
 any shot executes) and falls again at ``Z``-basis measurements whose
 compile-time collapse plan (:attr:`~repro.circuit.ir.GateTape.collapse_strides`)
 proves the true-marginal projection annihilates exactly one branch of a live

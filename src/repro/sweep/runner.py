@@ -145,14 +145,13 @@ class SweepRunner:
         Forked workers see interpreter state a spawned worker would lose:
         ``sys.path`` tweaks (``PYTHONPATH=src`` runs, pytest's rootdir
         insertion -- spawn cannot even unpickle a worker function defined in
-        a test module), plus process-global configuration such as the
-        default router.  ``fork`` is also the stdlib default on
-        Linux (the platform CI runs), so this adds no risk beyond that
-        default; the known caveat is the usual one -- forking a heavily
-        multi-threaded parent is unsafe -- which the sweep workloads avoid.
-        Platforms without ``fork`` use their default start method, which is
-        why specs carry the resolved router explicitly instead of relying on
-        inherited globals.
+        a test module) and scenarios registered at run time.  ``fork`` is
+        also the stdlib default on Linux (the platform CI runs), so this adds
+        no risk beyond that default; the known caveat is the usual one --
+        forking a heavily multi-threaded parent is unsafe -- which the sweep
+        workloads avoid.  Platforms without ``fork`` use their default start
+        method; every work unit carries its full spec, so results do not
+        depend on inherited state.
         """
         methods = multiprocessing.get_all_start_methods()
         if "fork" in methods:

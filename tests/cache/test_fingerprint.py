@@ -2,12 +2,10 @@
 
 A fingerprint must change when -- and only when -- an input that can change
 the run's records changes: any spec field, the seed, the shot count, the
-resolved router, the engine stamp, or either schema version.
+router, the engine stamp, or either schema version.
 """
 
 from dataclasses import replace
-
-import pytest
 
 from repro.cache import fingerprint as fp_module
 from repro.cache.fingerprint import (
@@ -15,7 +13,8 @@ from repro.cache.fingerprint import (
     canonical_spec,
     run_fingerprint,
 )
-from repro.scenarios import ScenarioSpec, get_scenario
+from repro.hardware.router import available_routers
+from repro.scenarios import ScenarioSpec, get_scenario, iter_scenarios
 
 SPEC = ScenarioSpec(
     name="fp-spec",
@@ -54,13 +53,6 @@ def test_fingerprint_ignores_nothing_but_is_name_sensitive():
     assert _fp(spec=renamed) != _fp()
 
 
-def test_unresolved_router_is_refused():
-    unresolved = ScenarioSpec(name="no-router", description="x", qram_width=1)
-    assert unresolved.router is None
-    with pytest.raises(ValueError, match="router=None"):
-        run_fingerprint(unresolved, seed=7, shots=16)
-
-
 def test_schema_versions_are_mixed_in(monkeypatch):
     base = _fp()
     monkeypatch.setattr(fp_module, "CACHE_SCHEMA_VERSION", 999)
@@ -95,3 +87,10 @@ def test_canonical_payload_names_resolved_inputs():
     assert payload["spec"]["router"] == "greedy-swap"
     assert "cache_schema_version" in payload
     assert "record_schema_version" in payload
+
+
+def test_every_builtin_names_a_registered_router():
+    """A spec always names its router: no builtin leaves it to a default."""
+    routers = set(available_routers())
+    for spec in iter_scenarios():
+        assert canonical_spec(spec)["router"] in routers, spec.name

@@ -89,13 +89,8 @@ class TestKeying:
         assert len(cache.fingerprints()) == 2
 
     def test_fingerprint_matches_resolve_run(self, cache):
-        from dataclasses import replace
-
-        from repro.hardware.router import get_default_router
-
         run_scenario("ideal-m3", shots=SHOTS, seed=SEED, workers=1, cache=cache)
-        spec = replace(get_scenario("ideal-m3"), router=get_default_router())
-        expected = run_fingerprint(spec, seed=SEED, shots=SHOTS)
+        expected = run_fingerprint(get_scenario("ideal-m3"), seed=SEED, shots=SHOTS)
         assert cache.fingerprints() == [expected]
 
     def test_records_stamp_resolved_engine_and_router(self, cache):

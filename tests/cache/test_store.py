@@ -189,9 +189,9 @@ class TestBinaryBackend:
 
         cache = ResultCache(tmp_path)
         cache.put(FP, self._records())
-        with RecordFile(cache.binary_path_for(FP)) as record_file:
-            assert record_file.tag == FP
-            assert record_file.records() == self._records()
+        record_file = RecordFile(cache.binary_path_for(FP))
+        assert record_file.tag == FP
+        assert record_file.records() == self._records()
 
     def test_binary_survives_json_corruption(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -234,6 +234,30 @@ class TestBinaryBackend:
         cache.binary_path_for(FP).unlink()
         assert cache.get_binary(FP) == expected
         assert cache.binary_path_for(FP).is_file()
+
+    def test_healed_bytes_are_served_without_a_second_parse(
+        self, tmp_path, monkeypatch
+    ):
+        """The heal returns the file it committed; the only ``RecordFile``
+        built is the failed primary read of the corrupt artefact."""
+        from repro.cache import store
+        from repro.records import RecordFile
+
+        cache = ResultCache(tmp_path)
+        cache.put(FP, self._records())
+        expected = cache.binary_path_for(FP).read_bytes()
+        cache.binary_path_for(FP).write_bytes(b"\x00" * 64)
+        opened = []
+
+        class CountingRecordFile(RecordFile):
+            def __init__(self, path):
+                opened.append(path)
+                super().__init__(path)
+
+        monkeypatch.setattr(store, "RecordFile", CountingRecordFile)
+        served = cache.get_binary(FP)
+        assert served == cache.binary_path_for(FP).read_bytes() == expected
+        assert opened == [cache.binary_path_for(FP)]
 
 
 class TestCount:

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.circuit import QuantumCircuit
-from repro.hardware.router import get_default_router, set_default_router
 from repro.sim import GateNoiseModel, PauliChannel
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -48,12 +47,8 @@ def _seeded_namespace() -> dict:
 
 def _execute_blocks(path: Path) -> int:
     namespace = _seeded_namespace()
-    previous_router = get_default_router()
-    try:
-        for block in python_blocks(path):
-            exec(compile(block, str(path), "exec"), namespace)  # noqa: S102
-    finally:
-        set_default_router(previous_router)
+    for block in python_blocks(path):
+        exec(compile(block, str(path), "exec"), namespace)  # noqa: S102
     return len(python_blocks(path))
 
 

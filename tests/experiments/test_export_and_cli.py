@@ -155,45 +155,28 @@ class TestCommandLine:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
-    def test_router_flag_selects_router_and_restores_default(self, capsys):
-        from repro.hardware import get_default_router
+    @pytest.mark.parametrize("router", ["lookahead", "greedy-swap", "oracle"])
+    def test_router_flag_is_not_an_option(self, router, capsys):
+        # A scenario names its router in its spec; no flag overrides it.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["scenario", "perth-m1", "--router", router])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --router" in capsys.readouterr().err
 
-        previous = get_default_router()
-        assert (
-            main(
-                [
-                    "scenario",
-                    "perth-m1",
-                    "--shots",
-                    "8",
-                    "--seed",
-                    "3",
-                    "--router",
-                    "lookahead",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "router=lookahead" in out
-        assert get_default_router() == previous
-
-    def test_router_flag_reduces_extra_swaps(self, capsys):
-        base = ["scenario", "perth-m1", "--shots", "8", "--seed", "3"]
-        assert main(base) == 0
+    def test_lookahead_scenario_records_its_router(self, capsys):
+        base = ["--shots", "8", "--seed", "3"]
+        assert main(["scenario", "perth-m1", *base]) == 0
         greedy_out = capsys.readouterr().out
-        assert main(base + ["--router", "lookahead"]) == 0
+        assert main(["scenario", "perth-m1-lookahead", *base]) == 0
         lookahead_out = capsys.readouterr().out
 
         def swaps(out: str) -> int:
             marker = "extra_swaps="
             return int(out.split(marker)[1].split()[0])
 
+        assert "router=greedy-swap" in greedy_out
+        assert "router=lookahead" in lookahead_out
         assert swaps(lookahead_out) <= swaps(greedy_out)
-
-    def test_unknown_router_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["scenario", "perth-m1", "--router", "oracle"])
 
 
 class TestFormatFlag:

@@ -12,9 +12,9 @@ from repro.hardware import (
     get_router_class,
     ibm_perth_like,
     make_router,
-    set_default_router,
 )
 from repro.hardware.devices import DeviceModel, grid_device
+from repro.hardware.router import DEFAULT_ROUTER
 from repro.scenarios import BUILTIN_SCENARIOS, compile_scenario, get_scenario
 from repro.sim import FeynmanPathSimulator, PathState
 
@@ -41,26 +41,19 @@ class TestRouterRegistry:
         assert {"greedy-swap", "lookahead"} <= set(available_routers())
 
     def test_default_is_greedy(self):
-        assert get_default_router() == "greedy-swap"
-        assert get_router_class(None) is GreedySwapRouter
+        assert get_default_router() == DEFAULT_ROUTER == "greedy-swap"
+        assert get_router_class(DEFAULT_ROUTER) is GreedySwapRouter
 
-    def test_get_router_class_resolves_names_and_classes(self):
+    def test_get_router_class_resolves_names(self):
         assert get_router_class("lookahead") is LookaheadSwapRouter
-        assert get_router_class(LookaheadSwapRouter) is LookaheadSwapRouter
 
     def test_unknown_router_rejected(self):
         with pytest.raises(KeyError, match="available"):
             get_router_class("oracle")
-        with pytest.raises(KeyError, match="available"):
-            set_default_router("oracle")
-
-    def test_set_default_router_roundtrip(self):
-        set_default_router("lookahead")
-        try:
-            assert get_default_router() == "lookahead"
-            assert get_router_class(None) is LookaheadSwapRouter
-        finally:
-            set_default_router("greedy-swap")
+        # The registry takes names only: neither a class nor None resolves.
+        for key in (LookaheadSwapRouter, None):
+            with pytest.raises(KeyError, match="available"):
+                get_router_class(key)
 
     def test_make_router_binds_device_and_options(self):
         device = ibm_perth_like()

@@ -150,8 +150,8 @@ class TestSweepEquivalence:
         assert status == 200
         assert isinstance(raw, RawResponse)
         assert raw.body == cache.binary_path_for(fingerprint).read_bytes()
-        with RecordFile(cache.binary_path_for(fingerprint)) as record_file:
-            assert record_file.tobytes() == raw.body
+        record_file = RecordFile(cache.binary_path_for(fingerprint))
+        assert record_file.tobytes() == raw.body
 
 
 def test_nan_records_agree_across_both_serializations(tmp_path):

@@ -110,8 +110,8 @@ class TestRoundTrip:
 
     def test_tag_round_trips(self, tmp_path):
         path = write_records(tmp_path / "t.rrec", [_record()], tag="fp-123")
-        with RecordFile(path) as record_file:
-            assert record_file.tag == "fp-123"
+        record_file = RecordFile(path)
+        assert record_file.tag == "fp-123"
 
     def test_bytes_are_a_pure_function_of_records_and_tag(self, tmp_path):
         records = [_record(), _record(fidelity=0.9)]
@@ -187,34 +187,28 @@ class TestReaderProtocol:
 
     def test_sequence_protocol(self, tmp_path):
         path, records = self._path(tmp_path)
-        with RecordFile(path) as record_file:
-            assert len(record_file) == 5
-            assert record_file[0] == records[0]
-            assert record_file[-1] == records[-1]
-            assert record_file[1:3] == records[1:3]
-            assert list(record_file) == records
-            with pytest.raises(IndexError):
-                record_file[5]
+        record_file = RecordFile(path)
+        assert len(record_file) == 5
+        assert record_file[0] == records[0]
+        assert record_file[-1] == records[-1]
+        assert record_file[1:3] == records[1:3]
+        assert list(record_file) == records
+        with pytest.raises(IndexError):
+            record_file[5]
 
     def test_tobytes_returns_the_file_bytes(self, tmp_path):
         path, _ = self._path(tmp_path)
-        with RecordFile(path) as record_file:
-            assert record_file.tobytes() == path.read_bytes()
+        record_file = RecordFile(path)
+        assert record_file.tobytes() == path.read_bytes()
 
     def test_reader_keeps_its_bytes_after_the_file_is_replaced(self, tmp_path):
         """The file is read once on construction: replacing or deleting it
         afterwards changes nothing the reader serves."""
         path, records = self._path(tmp_path)
         original = path.read_bytes()
-        with RecordFile(path) as record_file:
-            write_records(path, [_record(scenario="replacement")])
-            assert record_file.tobytes() == original
-            assert record_file.records() == records
-            path.unlink()
-            assert record_file[-1] == records[-1]
-
-    def test_close_is_idempotent(self, tmp_path):
-        path, _ = self._path(tmp_path)
         record_file = RecordFile(path)
-        record_file.close()
-        record_file.close()
+        write_records(path, [_record(scenario="replacement")])
+        assert record_file.tobytes() == original
+        assert record_file.records() == records
+        path.unlink()
+        assert record_file[-1] == records[-1]

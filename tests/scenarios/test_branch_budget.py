@@ -1,7 +1,7 @@
 """Typed branch-budget failures on every surface that can hit them.
 
-A circuit whose live path branching exceeds the configurable budget
-(:func:`repro.circuit.ir.get_max_branches`) must fail the same way
+A circuit whose live path branching exceeds the budget
+(:data:`repro.circuit.ir.MAX_BRANCHES`) must fail the same way
 everywhere: the typed :class:`~repro.circuit.ir.BranchBudgetError` at
 compile time, the same error re-raised by the engines at run time (the
 memoised compile cache must never smuggle an over-budget tape past a
@@ -44,14 +44,9 @@ def fused_probe(tag: str):
 
 
 @pytest.fixture
-def zero_budget():
-    """Clamp the global branch budget to 0 for one test, then restore it."""
-    previous = ir.get_max_branches()
-    ir.set_max_branches(0)
-    try:
-        yield
-    finally:
-        ir.set_max_branches(previous)
+def zero_budget(monkeypatch):
+    """Clamp the branch budget to 0 for one test."""
+    monkeypatch.setattr(ir, "MAX_BRANCHES", 0)
 
 
 @pytest.fixture
@@ -68,15 +63,17 @@ class TestBudgetApi:
     def test_error_is_a_typed_value_error(self):
         assert issubclass(BranchBudgetError, ValueError)
 
-    def test_negative_budget_rejected_zero_allowed(self):
-        previous = ir.get_max_branches()
-        try:
-            with pytest.raises(ValueError, match="cannot be negative"):
-                ir.set_max_branches(-1)
-            ir.set_max_branches(0)
-            assert ir.get_max_branches() == 0
-        finally:
-            ir.set_max_branches(previous)
+    def test_budget_is_read_at_call_time(self, monkeypatch):
+        """``require_branch_budget`` checks the constant as it is when called;
+        an explicit ``budget=`` overrides it."""
+        tape = ir.compile_circuit(compile_scenario(fused_probe("api"), SEED).circuit)
+        assert ir.MAX_BRANCHES == 10
+        assert 1 <= tape.max_branch_level <= ir.MAX_BRANCHES
+        tape.require_branch_budget()
+        monkeypatch.setattr(ir, "MAX_BRANCHES", 0)
+        with pytest.raises(BranchBudgetError, match="branch budget is 0"):
+            tape.require_branch_budget()
+        tape.require_branch_budget(budget=tape.max_branch_level)
 
 
 class TestCompileAndRunTime:
@@ -85,7 +82,7 @@ class TestCompileAndRunTime:
         with pytest.raises(BranchBudgetError, match="branch budget"):
             compile_scenario(fused_probe("compile"), SEED)
 
-    def test_cached_compile_still_fails_at_run_time(self):
+    def test_cached_compile_still_fails_at_run_time(self, monkeypatch):
         """Engines re-check the budget: the memoised compile is no bypass.
 
         The compile cache is keyed on the spec, not the budget, so a tape
@@ -96,13 +93,9 @@ class TestCompileAndRunTime:
         """
         spec = fused_probe("runtime")
         compile_scenario(spec, SEED)  # warm the memoised compile, default budget
-        previous = ir.get_max_branches()
-        ir.set_max_branches(0)
-        try:
-            with pytest.raises(BranchBudgetError, match="branch budget"):
-                run_scenario(spec, shots=2, seed=SEED, workers=1)
-        finally:
-            ir.set_max_branches(previous)
+        monkeypatch.setattr(ir, "MAX_BRANCHES", 0)
+        with pytest.raises(BranchBudgetError, match="branch budget"):
+            run_scenario(spec, shots=2, seed=SEED, workers=1)
 
     def test_cache_never_stores_failed_runs(self, zero_budget, tmp_path):
         """A run that dies on the budget leaves the result cache empty."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hardware.router import DEFAULT_ROUTER
 from repro.scenarios import (
     BUILTIN_SCENARIOS,
     ScenarioSpec,
@@ -34,11 +35,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="router"):
             ScenarioSpec(name="x", description="d", router="oracle")
 
+    def test_none_router_rejected(self):
+        # There is no session default for None to stand for.
+        with pytest.raises(ValueError, match="unknown router None"):
+            ScenarioSpec(name="x", description="d", router=None)
+
     def test_registered_routers_accepted(self):
         for router in ("greedy-swap", "lookahead"):
             spec = ScenarioSpec(name="x", description="d", router=router)
             assert spec.router == router
-        assert ScenarioSpec(name="x", description="d").router is None
+        assert ScenarioSpec(name="x", description="d").router == DEFAULT_ROUTER
 
     def test_device_mapping_needs_device(self):
         with pytest.raises(ValueError, match="named device"):

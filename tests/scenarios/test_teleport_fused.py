@@ -22,7 +22,7 @@ branching through the whole stack.  The acceptance properties:
 import numpy as np
 import pytest
 
-from repro.circuit.ir import compile_circuit, get_max_branches
+from repro.circuit.ir import MAX_BRANCHES, compile_circuit
 from repro.circuit.scheduling import idle_slack
 from repro.scenarios import available_scenarios, get_scenario, run_scenario
 from repro.scenarios.compile import compile_scenario
@@ -62,7 +62,7 @@ class TestCompile:
     def test_fused_circuit_branches_within_budget(self, fused):
         tape = compile_circuit(fused.circuit)
         assert tape.max_branch_level >= 1
-        assert tape.max_branch_level <= get_max_branches()
+        assert tape.max_branch_level <= MAX_BRANCHES
 
     def test_same_link_budget_as_sequential_hops(self, fused, executed):
         """Fusion rearranges the hops in time, it does not add link work."""

@@ -15,6 +15,7 @@ import urllib.request
 import pytest
 
 from repro.cache import ResultCache
+from repro.hardware.router import available_routers
 from repro.scenarios import available_scenarios, resolve_run, run_scenario
 from repro.server import API_PREFIX, API_VERSION, ScenarioServer, ScenarioService
 from repro.server.app import CONNECTION_TIMEOUT_S, MAX_BODY_BYTES, MAX_SUBMIT_SHOTS
@@ -104,6 +105,17 @@ class TestScenarioListing:
         status, body = _request(server, f"{API_PREFIX}/scenarios/ideal-m3")
         assert status == 200
         assert body["data"]["spec"]["qram_width"] == 3
+        assert body["data"]["spec"]["router"] == "greedy-swap"
+
+    def test_listing_names_a_registered_router_per_scenario(self, server):
+        status, body = _request(server, f"{API_PREFIX}/scenarios")
+        assert status == 200
+        routers = {
+            entry["name"]: entry["spec"]["router"]
+            for entry in body["data"]["scenarios"]
+        }
+        assert set(routers.values()) <= set(available_routers())
+        assert routers["perth-m1-lookahead"] == "lookahead"
 
     def test_unknown_scenario_404s(self, server):
         status, body = _request(server, f"{API_PREFIX}/scenarios/not-a-scenario")
@@ -604,9 +616,9 @@ class TestBinaryArtefactRoute:
         service, fingerprint = seeded
         _, raw = service.handle_get(f"{API_PREFIX}/results/{fingerprint}.rrec")
         path = service.cache.binary_path_for(fingerprint)
-        with RecordFile(path) as record_file:
-            assert record_file.records() == service.cache.get(fingerprint)
-            assert record_file.tag == fingerprint
+        record_file = RecordFile(path)
+        assert record_file.records() == service.cache.get(fingerprint)
+        assert record_file.tag == fingerprint
 
     def test_errors_stay_json_envelopes(self, seeded):
         service, _ = seeded

@@ -352,7 +352,7 @@ class TestEngineErrors:
         assert np.allclose(np.abs(out.amplitudes), 1 / np.sqrt(2))
 
     def test_feynman_engine_rejects_over_budget_branching(self):
-        circuit = QuantumCircuit(ir.get_max_branches() + 1)
+        circuit = QuantumCircuit(ir.MAX_BRANCHES + 1)
         for qubit in range(circuit.num_qubits):
             circuit.h(qubit)
         state = PathState.from_basis_assignments([({}, 1.0)], circuit.num_qubits)
