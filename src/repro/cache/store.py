@@ -10,7 +10,10 @@ artefact can never be served under another address.  The JSON document --
 the cache schema version, its own fingerprint, and the record rows in
 ``ScenarioRecord.json_dict()`` form (strict JSON: NaN encodes as
 ``null``) -- is kept for compatibility: pre-binary caches still hit, and
-the HTTP results route still serves the exact committed document.
+the HTTP results route serves the exact committed document.  It does not
+re-encode it: :meth:`ResultCache.get_payload` returns the file's bytes
+with their parse, and the route splices those bytes into its envelope
+(:func:`repro.server.responses.encode_ok`).
 
 Durability contract:
 
@@ -22,8 +25,10 @@ Durability contract:
   last rename wins.
 * **Corruption-tolerant reads.**  Anything unexpected -- a
   :class:`~repro.records.format.RecordFormatError` from the binary reader
-  (truncation, bit flips, stale schema, CRC mismatch), unparseable JSON, a
-  schema-version or fingerprint/tag mismatch, record rows that fail
+  (truncation, bit flips, stale schema, CRC mismatch), unparseable JSON
+  (including the non-standard ``NaN``/``Infinity`` literals and nesting
+  past the parser's recursion limit), a schema-version or
+  fingerprint/tag mismatch, record rows that fail
   ``ScenarioRecord.from_dict`` validation -- reads as a *miss*, never an
   exception: a corrupt ``.rrec`` falls back to the JSON document, and only
   when both fail does the caller re-run and overwrite.  A cache can
@@ -41,7 +46,12 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.cache.fingerprint import CACHE_SCHEMA_VERSION
-from repro.records import RecordFile, RecordFormatError, write_records
+from repro.records import (
+    RecordFile,
+    RecordFormatError,
+    encode_records,
+    write_records,
+)
 from repro.scenarios.record import ScenarioRecord
 
 #: Environment variable naming the cache root.  ``run_scenario(cache=None)``
@@ -55,6 +65,11 @@ DEFAULT_CACHE_DIR = Path.home() / ".cache" / "repro-qram"
 
 #: A committed artefact's file name: the fingerprint plus either backend's suffix.
 _ARTEFACT_NAME = re.compile(r"([0-9a-f]{64})\.(?:json|rrec)")
+
+
+def _reject_constant(name: str) -> object:
+    """``parse_constant`` hook: ``NaN`` and the infinities are not JSON."""
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def default_cache_dir() -> Path:
@@ -97,22 +112,17 @@ class ResultCache:
                 return record_file.records()
         except RecordFormatError:
             pass
-        payload = self.get_payload(fingerprint)
-        if payload is None:
-            return None
-        try:
-            return [ScenarioRecord.from_dict(row) for row in payload["records"]]
-        except (ValueError, TypeError):
-            return None
+        return self._document_records(fingerprint)
 
     def get_binary(self, fingerprint: str) -> bytes | None:
         """The validated ``.rrec`` artefact bytes for ``fingerprint``, or ``None``.
 
         The HTTP ``.rrec`` route serves this without materializing a single
         record dict.  If the binary artefact is missing or corrupt but the
-        JSON document is intact, the artefact is re-encoded from it (and
-        healed on disk) so pre-binary caches stay fully servable; the healed
-        file's bytes are returned without a second parse or CRC pass.
+        JSON document is intact, the artefact is re-encoded from it and
+        healed on disk, so pre-binary caches stay fully servable; the
+        encoded bytes are committed and returned as they are, never read
+        back.
         """
         try:
             record_file = RecordFile(self.binary_path_for(fingerprint))
@@ -120,26 +130,37 @@ class ResultCache:
                 return record_file.tobytes()
         except RecordFormatError:
             pass
-        payload = self.get_payload(fingerprint)
-        if payload is None:
+        records = self._document_records(fingerprint)
+        if records is None:
             return None
         try:
-            records = [ScenarioRecord.from_dict(row) for row in payload["records"]]
-        except (ValueError, TypeError):
+            blob = encode_records(records, tag=fingerprint)
+        except RecordFormatError:
+            # A document row the packed format cannot hold (an integer
+            # outside int64) has no binary artefact.
             return None
-        return self._commit_binary(fingerprint, records).read_bytes()
+        path = self.binary_path_for(fingerprint)
+        with self._committing(fingerprint, path) as (handle, _):
+            handle.write(blob)
+        return blob
 
-    def get_payload(self, fingerprint: str) -> dict | None:
-        """The raw validated document for ``fingerprint``, or ``None``.
+    def get_payload(self, fingerprint: str) -> tuple[bytes, dict] | None:
+        """``fingerprint``'s committed JSON document as ``(blob, payload)``.
 
-        The HTTP results endpoint serves this directly, so the bytes a
-        client receives are exactly the bytes ``put`` committed.
+        ``blob`` is the file's exact bytes and ``payload`` their parse; the
+        pair is ``None`` when the document is absent, is not UTF-8 strict
+        JSON (a ``NaN``/``Infinity`` literal or nesting past the parser's
+        recursion limit included), or fails the schema-version, fingerprint
+        or ``records`` checks.  The HTTP results route splices ``blob`` into
+        its envelope, so a client receives exactly what ``put`` committed.
         """
-        path = self.path_for(fingerprint)
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+            blob = self.path_for(fingerprint).read_bytes()
+            text = blob.decode("utf-8")
+            payload = json.loads(text, parse_constant=_reject_constant)
+        except (OSError, ValueError, RecursionError):
+            # ValueError covers bad UTF-8, malformed JSON, the non-standard
+            # constants and integers past the interpreter's digit limit.
             return None
         if not isinstance(payload, dict):
             return None
@@ -149,7 +170,17 @@ class ResultCache:
             return None
         if not isinstance(payload.get("records"), list):
             return None
-        return payload
+        return blob, payload
+
+    def _document_records(self, fingerprint: str) -> list[ScenarioRecord] | None:
+        """The JSON document's rows as records, or ``None`` on any miss."""
+        document = self.get_payload(fingerprint)
+        if document is None:
+            return None
+        try:
+            return [ScenarioRecord.from_dict(row) for row in document[1]["records"]]
+        except (ValueError, TypeError):
+            return None
 
     def __contains__(self, fingerprint: str) -> bool:
         try:
@@ -179,15 +210,6 @@ class ResultCache:
                 pass
             raise
 
-    def _commit_binary(
-        self, fingerprint: str, records: list[ScenarioRecord]
-    ) -> Path:
-        """Atomically write the ``.rrec`` artefact, tag = fingerprint."""
-        path = self.binary_path_for(fingerprint)
-        with self._committing(fingerprint, path) as (_, temp_name):
-            write_records(temp_name, records, tag=fingerprint)
-        return path
-
     def put(self, fingerprint: str, records: list[ScenarioRecord]) -> Path:
         """Atomically commit ``records`` under ``fingerprint``.
 
@@ -199,7 +221,11 @@ class ResultCache:
         artefacts -- the property the CI warm/cold payload diff asserts end
         to end.  JSON is strict: NaN values encode as ``null``.
         """
-        self._commit_binary(fingerprint, records)
+        # Encoded onto the temp path by ``write_records``: perfbench's
+        # ``records.encode`` span times that call and sizes its file.
+        binary_path = self.binary_path_for(fingerprint)
+        with self._committing(fingerprint, binary_path) as (_, temp_name):
+            write_records(temp_name, records, tag=fingerprint)
         document = {
             "schema_version": CACHE_SCHEMA_VERSION,
             "fingerprint": fingerprint,

@@ -6,8 +6,9 @@ packed rows with string interning for the categorical columns, and a
 whole-file CRC-32) is the binary artefact the result cache, the scenario
 CLI and the HTTP ``.rrec`` route share:
 
-* :func:`~repro.records.writer.write_records` -- one-shot encoding,
-  byte-deterministic for a given record sequence;
+* :func:`~repro.records.writer.encode_records` /
+  :func:`~repro.records.writer.write_records` -- one-shot encoding to bytes
+  or to a file, byte-deterministic for a given record sequence;
 * :class:`~repro.records.reader.RecordFile` / :func:`read_records` --
   reads the file once and validates every structural invariant (including
   the CRC) before the first row decodes;
@@ -26,13 +27,14 @@ from repro.records.format import (
     schema_fields,
 )
 from repro.records.reader import RecordFile, read_records
-from repro.records.writer import write_records
+from repro.records.writer import encode_records, write_records
 
 __all__ = [
     "MAGIC",
     "RECORD_FORMAT_VERSION",
     "RecordFile",
     "RecordFormatError",
+    "encode_records",
     "read_records",
     "schema_fields",
     "write_records",

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import fields
+from functools import cache
 
 from repro.scenarios.record import RECORD_SCHEMA_VERSION, ScenarioRecord
 
@@ -87,12 +88,14 @@ class RecordFormatError(ValueError):
     """
 
 
+@cache
 def schema_fields() -> tuple[tuple[str, int], ...]:
     """The current record schema as ``(field_name, type_code)`` pairs.
 
     Derived from the :class:`~repro.scenarios.record.ScenarioRecord`
     dataclass in declaration order, so the binary field table can never
-    drift from the JSON schema it mirrors.
+    drift from the JSON schema it mirrors.  Computed once per process: the
+    dataclass cannot change after import.
     """
     table = []
     for field in fields(ScenarioRecord):
@@ -106,8 +109,13 @@ def schema_fields() -> tuple[tuple[str, int], ...]:
     return tuple(table)
 
 
+@cache
 def encode_field_table() -> bytes:
-    """Serialize :func:`schema_fields` into the on-disk field-table bytes."""
+    """Serialize :func:`schema_fields` into the on-disk field-table bytes.
+
+    A valid file's field table is exactly these bytes, so the reader
+    validates it with one slice comparison.
+    """
     chunks = []
     for name, code in schema_fields():
         encoded = name.encode("utf-8")
@@ -136,6 +144,7 @@ def encode_header(row_count: int, tag: str = "") -> bytes:
     )
 
 
+@cache
 def row_struct() -> struct.Struct:
     """The packer for one row: ``q`` per int/str field, ``d`` per float."""
     codes = "".join(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from functools import cache
 from pathlib import Path
 from typing import Iterator
 
@@ -30,11 +31,21 @@ from repro.records.format import (
     TYPE_FLOAT,
     TYPE_STR,
     RecordFormatError,
+    encode_field_table,
     schema_fields,
 )
 from repro.scenarios.record import RECORD_SCHEMA_VERSION, ScenarioRecord
 
 _U32 = struct.Struct("<I")
+
+
+@cache
+def _string_columns() -> np.ndarray:
+    """Row-block column indices of the schema's ``str`` fields, in order."""
+    codes = np.array([code for _, code in schema_fields()])
+    columns = np.flatnonzero(codes == TYPE_STR)
+    columns.setflags(write=False)
+    return columns
 
 
 class RecordFile:
@@ -92,26 +103,13 @@ class RecordFile:
         except UnicodeDecodeError as exc:
             raise self._fail(f"undecodable tag: {exc}") from None
         offset += tag_length
-        table: list[tuple[str, int]] = []
-        for _ in range(field_count):
-            if offset + 1 > size:
-                raise self._fail("truncated field table")
-            name_length = data[offset]
-            offset += 1
-            if offset + name_length + 1 > size:
-                raise self._fail("truncated field table")
-            try:
-                name = data[offset : offset + name_length].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise self._fail(f"undecodable field name: {exc}") from None
-            offset += name_length
-            table.append((name, data[offset]))
-            offset += 1
-        if tuple(table) != self._fields:
-            raise self._fail(
-                f"field table {table!r} does not match the current "
-                f"record schema {self._fields!r}"
-            )
+        expected = encode_field_table()
+        if field_count == len(self._fields) and (
+            data[offset : offset + len(expected)] == expected
+        ):
+            offset += len(expected)
+        else:
+            raise self._field_table_error(field_count, offset)
         row_bytes = row_count * FIELD_WIDTH * field_count
         rows_offset = offset
         offset += row_bytes
@@ -149,14 +147,46 @@ class RecordFile:
         ints = np.frombuffer(data, dtype="<i8", count=count, offset=rows_offset)
         self._ints = ints.reshape(row_count, field_count)
         self._floats = ints.view("<f8").reshape(row_count, field_count)
-        for column, (name, code) in enumerate(self._fields):
-            if code != TYPE_STR or row_count == 0:
-                continue
-            indices = self._ints[:, column]
-            if ((indices < 0) | (indices >= len(strings))).any():
+        # One pass over every string column: a negative index reads as a
+        # huge unsigned one, so a single bound catches both ends.
+        columns = _string_columns()
+        if row_count and columns.size:
+            indices = self._ints[:, columns].view("<u8")
+            bad = (indices >= len(strings)).any(axis=0)
+            if bad.any():
+                name = self._fields[columns[bad.argmax()]][0]
                 raise self._fail(
                     f"string column {name!r} holds an out-of-range intern index"
                 )
+
+    def _field_table_error(self, field_count: int, offset: int) -> RecordFormatError:
+        """Name what is wrong with a field table that is not the expected bytes.
+
+        A table that decodes to the current schema has exactly the bytes of
+        :func:`~repro.records.format.encode_field_table`, so every table
+        that reaches this decode is truncated, undecodable or mismatched.
+        """
+        data = self._data
+        size = len(data)
+        table: list[tuple[str, int]] = []
+        for _ in range(field_count):
+            if offset + 1 > size:
+                return self._fail("truncated field table")
+            name_length = data[offset]
+            offset += 1
+            if offset + name_length + 1 > size:
+                return self._fail("truncated field table")
+            try:
+                name = data[offset : offset + name_length].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return self._fail(f"undecodable field name: {exc}")
+            offset += name_length
+            table.append((name, data[offset]))
+            offset += 1
+        return self._fail(
+            f"field table {table!r} does not match the current "
+            f"record schema {self._fields!r}"
+        )
 
     # -------------------------------------------------------------- protocol
     def __len__(self) -> int:

@@ -1,10 +1,10 @@
 """One-shot encoder for ``.rrec`` packed binary record files.
 
-:func:`write_records` packs the whole file in memory -- header with the real
-row count, rows, string-interning table, CRC-32 over those bytes -- and
-writes it with one call.  A file holds one scenario's records (or, for the
-CLI's ``scenario_sweep.rrec``, every requested scenario's), so the bytes are
-never more than a few kilobytes.
+:func:`encode_records` packs the whole file in memory -- header with the
+real row count, rows, string-interning table, CRC-32 over those bytes -- and
+:func:`write_records` writes those bytes with one call.  A file holds one
+scenario's records (or, for the CLI's ``scenario_sweep.rrec``, every
+requested scenario's), so the bytes are never more than a few kilobytes.
 
 Writes are *not* atomic against concurrent readers; callers that need that
 (the result cache) write to a temp name and ``os.replace`` into place.
@@ -47,13 +47,12 @@ def _checked(record: ScenarioRecord | Mapping[str, object]) -> ScenarioRecord:
     return record
 
 
-def write_records(
-    path: str | Path,
+def encode_records(
     records: Iterable[ScenarioRecord | Mapping[str, object]],
     *,
     tag: str = "",
-) -> Path:
-    """Write ``records`` to ``path`` as a finalized ``.rrec`` file.
+) -> bytes:
+    """The complete ``.rrec`` file bytes for ``records``.
 
     The empty list is legal (a zero-row file round-trips to an empty list);
     the bytes are a pure function of ``(records, tag)``, so two processes
@@ -62,9 +61,8 @@ def write_records(
     ``tag`` is the header's free-form application label (the cache stamps
     the run fingerprint there).  Any value the format cannot represent (an
     integer outside int64, a stale ``schema_version``) raises
-    :class:`RecordFormatError` before ``path`` is opened.
+    :class:`RecordFormatError`.
     """
-    path = Path(path)
     fields = schema_fields()
     packer = row_struct()
     strings: dict[str, int] = {}
@@ -88,5 +86,20 @@ def write_records(
         encoded = value.encode("utf-8")
         table.append(struct.pack("<I", len(encoded)) + encoded)
     body = encode_header(len(rows), tag) + b"".join(rows) + b"".join(table)
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def write_records(
+    path: str | Path,
+    records: Iterable[ScenarioRecord | Mapping[str, object]],
+    *,
+    tag: str = "",
+) -> Path:
+    """Write :func:`encode_records`' bytes for ``records`` to ``path``.
+
+    Encoding finishes before ``path`` is opened, so a record the format
+    cannot represent raises :class:`RecordFormatError` and leaves no file.
+    """
+    path = Path(path)
+    path.write_bytes(encode_records(records, tag=tag))
     return path

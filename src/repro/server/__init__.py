@@ -2,7 +2,8 @@
 
 ``python -m repro.server`` serves the scenario registry and the
 content-addressed result cache (:mod:`repro.cache`) over a stdlib-only
-``ThreadingHTTPServer``: hot scenarios are O(1) cached lookups
+HTTP server with a capped pool of reused handler threads: hot scenarios
+are O(1) cached lookups
 (``GET /api/v1/results/<fingerprint>``), cold ones queue through
 ``POST /api/v1/runs`` onto the deterministic sharded
 :class:`~repro.sweep.SweepRunner` and are polled at

@@ -15,13 +15,16 @@ Route table (all JSON, all wrapped in the envelope of
 
 The split below keeps the logic testable and the transport thin:
 :class:`ScenarioService` maps ``(method, path, body)`` to
-``(http status, envelope dict)`` with no socket in sight, and the
-:class:`~http.server.ThreadingHTTPServer`-based :class:`ScenarioServer`
-wires it to real connections plus the background
-:class:`~repro.server.jobs.JobWorker`.
+``(http status, envelope dict)`` with no socket in sight, and
+:class:`ScenarioServer` wires it to real connections plus the background
+:class:`~repro.server.jobs.JobWorker`.  Connections run on at most
+:data:`HANDLER_THREADS` reused daemon threads, started on demand and
+retired after :data:`CONNECTION_TIMEOUT_S` idle, and every socket wait is
+bounded by the same timeout.
 
 Serving model: hot scenarios are O(1) content-addressed file reads
-(``GET /results/<fingerprint>`` never computes anything, and the ``.rrec``
+(``GET /results/<fingerprint>`` never computes anything: it splices the
+committed JSON document's bytes into the envelope, and the ``.rrec``
 variant serves the binary artefact's bytes without materializing a single
 record dict); cold ones queue
 through ``POST /runs`` onto the deterministic sharded runner, and because
@@ -31,10 +34,13 @@ servers may share one ``$REPRO_CACHE_DIR``.
 
 from __future__ import annotations
 
+import collections
 import json
 import re
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from repro.cache.fingerprint import CACHE_SCHEMA_VERSION, canonical_spec
 from repro.cache.store import ResultCache, resolve_cache
@@ -47,8 +53,10 @@ from repro.server.jobs import JobTable, JobWorker
 from repro.server.responses import (
     API_PREFIX,
     API_VERSION,
+    JSON_CONTENT_TYPE,
     RawResponse,
     encode,
+    encode_ok,
     error_envelope,
     ok_envelope,
 )
@@ -69,6 +77,10 @@ MAX_BODY_BYTES = 64 * 1024
 #: body slower than its ``Content-Length`` -- before the server drops it
 #: and frees its handler thread.
 CONNECTION_TIMEOUT_S = 30.0
+
+#: Most handler threads a server runs, and so most connections it serves at
+#: once; later connections wait, in accept order, for a thread to free up.
+HANDLER_THREADS = 16
 
 
 class ScenarioService:
@@ -163,6 +175,7 @@ class ScenarioService:
         )
 
     def _get_result(self, fingerprint: str) -> "tuple[int, dict | RawResponse]":
+        """The committed document spliced into an ok envelope (or ``.rrec``)."""
         if fingerprint.endswith(".rrec"):
             return self._get_result_binary(fingerprint[: -len(".rrec")])
         if not _FINGERPRINT.match(fingerprint):
@@ -170,14 +183,14 @@ class ScenarioService:
                 "invalid_request",
                 "a result fingerprint is 64 lowercase hex characters",
             )
-        payload = self.cache.get_payload(fingerprint)
-        if payload is None:
+        document = self.cache.get_payload(fingerprint)
+        if document is None:
             return 404, error_envelope(
                 "not_found",
                 f"no cached result {fingerprint}; submit it via "
                 f"POST {API_PREFIX}/runs",
             )
-        return 200, ok_envelope(payload)
+        return 200, RawResponse(encode_ok(document[0]), JSON_CONTENT_TYPE)
 
     def _get_result_binary(self, fingerprint: str) -> "tuple[int, dict | RawResponse]":
         """The packed ``.rrec`` artefact, served as the cache file's exact bytes."""
@@ -343,7 +356,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             content_type = payload.content_type
         else:
             blob = encode(payload)
-            content_type = "application/json; charset=utf-8"
+            content_type = JSON_CONTENT_TYPE
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(blob)))
@@ -360,6 +373,99 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Silence per-request stderr chatter (tests and CI run many)."""
+
+
+class _PooledHTTPServer(HTTPServer):
+    """An HTTP server whose connections run on reused, capped handler threads.
+
+    The listener hands each accepted connection to an idle handler thread.
+    When none is idle it starts one, up to :data:`HANDLER_THREADS`; past
+    that the connection waits, in accept order, for the first thread that
+    finishes.  A thread idle for :data:`CONNECTION_TIMEOUT_S` retires, so a
+    quiet server holds no handler thread and a client that opens one
+    connection at a time is served by one or two reused threads.  The
+    threads are daemons, so they never hold up interpreter exit, and
+    :meth:`server_close` stops them.
+    """
+
+    #: Listen backlog.  socketserver's default of 5 drops the handshake of
+    #: a burst past six connections, and those clients stall ~1 s for the
+    #: SYN-ACK retransmit before the listener ever sees them.
+    request_queue_size = 64
+
+    def __init__(self, server_address, handler_class) -> None:
+        super().__init__(server_address, handler_class)
+        self._ready = threading.Condition()
+        self._pending: collections.deque = collections.deque()
+        self._threads: set[threading.Thread] = set()
+        self._idle = 0
+        self._serving: set[socket.socket] = set()
+        self._closed = False
+
+    def process_request(self, request, client_address) -> None:
+        """Queue an accepted connection for a handler thread."""
+        with self._ready:
+            if self._closed:
+                self.shutdown_request(request)
+                return
+            self._pending.append((request, client_address))
+            spare = len(self._pending) <= self._idle
+            if not spare and len(self._threads) < HANDLER_THREADS:
+                thread = threading.Thread(
+                    target=self._handle_connections,
+                    name="repro-http-handler",
+                    daemon=True,
+                )
+                self._threads.add(thread)
+                thread.start()
+            else:
+                self._ready.notify()
+
+    def _handle_connections(self) -> None:
+        """Serve queued connections until idle for the timeout or closed."""
+        while True:
+            with self._ready:
+                self._idle += 1
+                self._ready.wait_for(
+                    lambda: self._pending or self._closed, CONNECTION_TIMEOUT_S
+                )
+                self._idle -= 1
+                if not self._pending:
+                    self._threads.discard(threading.current_thread())
+                    return
+                request, client_address = self._pending.popleft()
+                self._serving.add(request)
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                with self._ready:
+                    self._serving.discard(request)
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener, drop queued connections, stop every thread.
+
+        A connection mid-request has its socket shut down, so its handler's
+        next read or write ends it.
+        """
+        super().server_close()
+        with self._ready:
+            self._closed = True
+            pending, self._pending = self._pending, collections.deque()
+            for request in self._serving:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+            threads = list(self._threads)
+            self._ready.notify_all()
+        for request, _ in pending:
+            self.shutdown_request(request)
+        deadline = time.monotonic() + 10.0
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
 class ScenarioServer:
@@ -388,7 +494,7 @@ class ScenarioServer:
         )
         self.service.worker = worker
         handler = type("BoundHandler", (_RequestHandler,), {"service": self.service})
-        self.httpd = ThreadingHTTPServer((host, port), handler)
+        self.httpd = _PooledHTTPServer((host, port), handler)
         self._thread = threading.Thread(
             target=self.httpd.serve_forever, name="repro-http", daemon=True
         )
@@ -411,7 +517,7 @@ class ScenarioServer:
         self.httpd.serve_forever()
 
     def close(self) -> None:
-        """Shut the listener down and join the worker thread."""
+        """Shut the listener down, stop the handler threads, join the worker."""
         self.httpd.shutdown()
         self.httpd.server_close()
         if self._thread.is_alive():

@@ -17,10 +17,12 @@ freely.  The envelope's ``api_version`` matches the route prefix
 
 Envelope JSON is *strict*: serialization refuses the non-standard ``NaN``
 / ``Infinity`` literals (records encode NaN as ``null``), so every body is
-parseable by any conforming JSON client.  The one non-envelope case is
-:class:`RawResponse` -- a pre-encoded byte body with its own content type,
-used by the binary ``.rrec`` artefact route, where the payload is the
-artefact file's bytes, not a JSON document.
+parseable by any conforming JSON client.  A route may also answer with
+:class:`RawResponse` -- a pre-encoded byte body with its own content type.
+The binary ``.rrec`` artefact route serves the artefact file's bytes that
+way, and the JSON results route serves an envelope that
+:func:`encode_ok` spliced around the committed document's own bytes, the
+same bytes ``encode(ok_envelope(document))`` would produce.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ API_VERSION = "v1"
 
 #: Route prefix all endpoints live under.
 API_PREFIX = f"/api/{API_VERSION}"
+
+#: Content type of every envelope.
+JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
 
 def ok_envelope(data: object) -> dict[str, object]:
@@ -72,3 +77,20 @@ def encode(payload: dict[str, object]) -> bytes:
     return (
         json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     ).encode("utf-8")
+
+
+def encode_ok(data: bytes) -> bytes:
+    """``encode(ok_envelope(value))`` from ``value``'s own canonical JSON bytes.
+
+    ``data`` is ``json.dumps(value, sort_keys=True, indent=2,
+    allow_nan=False)``, optionally newline-terminated.  One level deeper in
+    the envelope, the same encoder only indents every line after the first
+    by two more spaces: a JSON string holds no raw newline, so that is a
+    byte substitution, not a re-encode.  Any strict JSON value's bytes
+    splice into a strict JSON envelope that parses back to ``value``.
+    """
+    nested = data.strip().replace(b"\n", b"\n  ")
+    return (
+        b'{\n  "api_version": "' + API_VERSION.encode("ascii") + b'",\n'
+        b'  "data": ' + nested + b',\n  "status": "ok"\n}\n'
+    )

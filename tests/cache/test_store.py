@@ -166,6 +166,30 @@ class TestCorruptionTolerance:
         cache.path_for(FP).write_text(json.dumps(payload))
         assert cache.get(FP) is None
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_constant_is_a_miss(self, tmp_path, literal):
+        """``json.loads`` accepts these literals; strict JSON does not."""
+        cache = self._commit_json_only(tmp_path)
+        path = cache.path_for(FP)
+        text = path.read_text()
+        assert '"fidelity": 0.5' in text
+        path.write_text(text.replace('"fidelity": 0.5', f'"fidelity": {literal}'))
+        assert cache.get_payload(FP) is None
+        assert cache.get(FP) is None
+        assert cache.get_binary(FP) is None
+        assert FP not in cache
+        assert cache.fingerprints() == []
+
+    def test_deep_nesting_is_a_miss_not_a_recursion_error(self, tmp_path):
+        cache = self._commit_json_only(tmp_path)
+        depth = 200_000
+        cache.path_for(FP).write_text("[" * depth + "]" * depth)
+        assert cache.get_payload(FP) is None
+        assert cache.get(FP) is None
+        assert cache.get_binary(FP) is None
+        assert FP not in cache
+        assert cache.fingerprints() == []
+
     def test_corrupt_neighbour_does_not_hide_good_documents(self, tmp_path):
         cache = self._commit_json_only(tmp_path)
         cache.put(OTHER_FP, [_record()])
@@ -258,6 +282,43 @@ class TestBinaryBackend:
         served = cache.get_binary(FP)
         assert served == cache.binary_path_for(FP).read_bytes() == expected
         assert opened == [cache.binary_path_for(FP)]
+
+    def test_heal_returns_the_committed_bytes_without_reading_them_back(
+        self, tmp_path, monkeypatch
+    ):
+        """The only read of the binary path is the failed primary read."""
+        from pathlib import Path
+
+        cache = ResultCache(tmp_path)
+        cache.put(FP, self._records())
+        expected = cache.binary_path_for(FP).read_bytes()
+        cache.binary_path_for(FP).unlink()
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting_read_bytes(path):
+            reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        served = cache.get_binary(FP)
+        monkeypatch.undo()
+        assert reads.count(cache.binary_path_for(FP)) == 1
+        assert served == cache.binary_path_for(FP).read_bytes() == expected
+
+    def test_document_the_binary_format_cannot_hold_is_a_binary_miss(
+        self, tmp_path
+    ):
+        """A JSON row past int64 has no ``.rrec``: a miss, never an error."""
+        cache = ResultCache(tmp_path)
+        cache.put(FP, self._records())
+        cache.binary_path_for(FP).unlink()
+        payload = json.loads(cache.path_for(FP).read_text())
+        payload["records"][0]["shots"] = 2**70
+        cache.path_for(FP).write_text(json.dumps(payload))
+        assert cache.get(FP)[0].shots == 2**70
+        assert cache.get_binary(FP) is None
+        assert not cache.binary_path_for(FP).exists()
 
 
 class TestCount:

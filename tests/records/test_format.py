@@ -2,6 +2,7 @@
 
 import math
 import struct
+import zlib
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.records import (
     RECORD_FORMAT_VERSION,
     RecordFile,
     RecordFormatError,
+    encode_records,
     read_records,
     schema_fields,
     write_records,
@@ -20,6 +22,7 @@ from repro.records.format import (
     TYPE_FLOAT,
     TYPE_INT,
     TYPE_STR,
+    encode_field_table,
     encode_header,
     row_struct,
 )
@@ -212,3 +215,69 @@ class TestReaderProtocol:
         assert record_file.records() == records
         path.unlink()
         assert record_file[-1] == records[-1]
+
+
+class TestValidationMessages:
+    """Every field-table and intern-index fault keeps its own message."""
+
+    TAG = "t" * 8
+
+    def _blob(self, tmp_path) -> bytes:
+        records = [_record(), _record(router="lookahead", scenario="x")]
+        return write_records(tmp_path / "v.rrec", records, tag=self.TAG).read_bytes()
+
+    @staticmethod
+    def _reject(tmp_path, blob: bytes, message: str) -> None:
+        path = tmp_path / "mutant.rrec"
+        path.write_bytes(blob)
+        with pytest.raises(RecordFormatError, match=message):
+            RecordFile(path)
+
+    @staticmethod
+    def _with_crc(body: bytes) -> bytes:
+        return body + struct.pack("<I", zlib.crc32(body))
+
+    def _table_offset(self) -> int:
+        return HEADER_STRUCT.size + 2 + len(self.TAG)
+
+    def test_renamed_field_is_a_schema_mismatch(self, tmp_path):
+        blob = bytearray(self._blob(tmp_path))
+        blob[self._table_offset() + 1] ^= 0x01  # first field name's first byte
+        message = "does not match the current record schema"
+        self._reject(tmp_path, bytes(blob), message)
+
+    def test_undecodable_field_name(self, tmp_path):
+        blob = bytearray(self._blob(tmp_path))
+        blob[self._table_offset() + 1] = 0xFF
+        self._reject(tmp_path, bytes(blob), "undecodable field name")
+
+    def test_truncated_field_table(self, tmp_path):
+        blob = self._blob(tmp_path)
+        truncated = blob[: self._table_offset() + 12]
+        self._reject(tmp_path, truncated, "truncated field table")
+
+    def test_extra_field_count_is_a_field_table_fault(self, tmp_path):
+        blob = self._blob(tmp_path)
+        count = len(schema_fields()) + 1
+        mutated = blob[:8] + struct.pack("<H", count) + blob[10:]
+        self._reject(tmp_path, mutated, "field table")
+
+    @pytest.mark.parametrize("index", [2**40, -1])
+    def test_out_of_range_intern_index_names_its_column(self, tmp_path, index):
+        blob = self._blob(tmp_path)
+        fields = schema_fields()
+        column = [name for name, _ in fields].index("router")
+        rows = self._table_offset() + len(encode_field_table())
+        offset = rows + FIELD_WIDTH * (len(fields) + column)  # second row
+        body = blob[:-4]
+        mutated = body[:offset] + struct.pack("<q", index) + body[offset + 8 :]
+        self._reject(
+            tmp_path,
+            self._with_crc(mutated),
+            "string column 'router' holds an out-of-range intern index",
+        )
+
+    def test_write_records_writes_exactly_the_encoded_bytes(self, tmp_path):
+        records = [_record(), _record(fidelity=math.nan)]
+        path = write_records(tmp_path / "w.rrec", records, tag=self.TAG)
+        assert path.read_bytes() == encode_records(records, tag=self.TAG)

@@ -230,15 +230,18 @@ class TestNaNCanonicalJson:
 
     def test_nan_round_trips_through_the_server_results_route(self, tmp_path):
         from repro.server.app import ScenarioService
-        from repro.server.responses import encode
+
+        def reject(constant):
+            raise AssertionError(f"served body holds a {constant} literal")
 
         fingerprint = "ab" * 32
         service = ScenarioService(cache=str(tmp_path))
         service.cache.put(fingerprint, [self._nan_record()])
-        status, envelope = service.handle_get(f"/api/v1/results/{fingerprint}")
+        status, raw = service.handle_get(f"/api/v1/results/{fingerprint}")
         assert status == 200
-        blob = encode(envelope)  # allow_nan=False: raises if NaN leaked
-        row = json.loads(blob)["data"]["records"][0]
+        # Strict parse: a NaN/Infinity literal in the body fails the test.
+        envelope = json.loads(raw.body, parse_constant=reject)
+        row = envelope["data"]["records"][0]
         assert row["fidelity"] is None
 
     def test_nan_aware_equality_and_hash(self):

@@ -8,6 +8,7 @@ directly, without a socket.
 
 import http.client
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -18,7 +19,12 @@ from repro.cache import ResultCache
 from repro.hardware.router import available_routers
 from repro.scenarios import available_scenarios, resolve_run, run_scenario
 from repro.server import API_PREFIX, API_VERSION, ScenarioServer, ScenarioService
-from repro.server.app import CONNECTION_TIMEOUT_S, MAX_BODY_BYTES, MAX_SUBMIT_SHOTS
+from repro.server.app import (
+    CONNECTION_TIMEOUT_S,
+    HANDLER_THREADS,
+    MAX_BODY_BYTES,
+    MAX_SUBMIT_SHOTS,
+)
 from repro.server.jobs import JobTable
 from repro.server.responses import encode, error_envelope, ok_envelope
 from repro.sim.engine import ENGINE_NAME
@@ -308,9 +314,10 @@ class TestErrorModel:
         run_scenario("ideal-m3", shots=8, seed=2, workers=1, cache=cache)
         service = ScenarioService(cache=cache)
         fingerprint = cache.fingerprints()[0]
-        status, body = service.handle_get(f"{API_PREFIX}/results/{fingerprint}")
+        status, raw = service.handle_get(f"{API_PREFIX}/results/{fingerprint}")
         assert status == 200
-        assert body["data"]["records"]
+        assert raw.content_type == "application/json; charset=utf-8"
+        assert json.loads(raw.body)["data"]["records"]
 
 
 class TestWarmPath:
@@ -539,6 +546,154 @@ class TestIdleConnections:
             assert threading.active_count() <= baseline
             status, body = _request(live, f"{API_PREFIX}/health")
             assert (status, body["status"]) == (200, "ok")
+
+
+class TestHandlerThreads:
+    """Connections share at most ``HANDLER_THREADS`` reused handler threads."""
+
+    @staticmethod
+    def _handler_threads():
+        return {
+            thread
+            for thread in threading.enumerate()
+            if thread.name == "repro-http-handler"
+        }
+
+    def test_silent_connections_past_the_cap_wait_for_a_thread(
+        self, tmp_path, monkeypatch
+    ):
+        import select
+        import socket
+
+        import repro.server.app as app_module
+
+        monkeypatch.setattr(app_module, "CONNECTION_TIMEOUT_S", 0.2)
+        with ScenarioServer(port=0, cache=str(tmp_path), workers=1) as live:
+            host, port = live.httpd.server_address[:2]
+            baseline = threading.active_count()
+            sockets = [
+                socket.create_connection((host, port), timeout=10)
+                for _ in range(HANDLER_THREADS + 2)
+            ]
+            waiting = set(sockets)
+            peak = baseline
+            deadline = time.monotonic() + 10.0
+            try:
+                while waiting and time.monotonic() < deadline:
+                    peak = max(peak, threading.active_count())
+                    readable, _, _ = select.select(list(waiting), [], [], 0.005)
+                    for raw in readable:
+                        # Closed by the server after the timeout, no reply.
+                        assert raw.recv(1024) == b""
+                        waiting.discard(raw)
+            finally:
+                for raw in sockets:
+                    raw.close()
+            assert not waiting
+            assert peak == baseline + HANDLER_THREADS
+            status, body = _request(live, f"{API_PREFIX}/health")
+            assert (status, body["status"]) == (200, "ok")
+            deadline = time.monotonic() + 10.0
+            while threading.active_count() > baseline and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert threading.active_count() <= baseline
+
+    def test_one_connection_at_a_time_reuses_its_threads(self, server):
+        host, port = server.httpd.server_address[:2]
+        seen = set()
+        for _ in range(20):
+            connection = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                connection.request(
+                    "GET", f"{API_PREFIX}/health", headers={"Connection": "close"}
+                )
+                assert connection.getresponse().read()
+            finally:
+                connection.close()
+            seen |= self._handler_threads()
+        # One or two in steady state.  A thread still closing its last
+        # socket when the next connection arrives is passed over, so a
+        # loaded host may start one more; one per connection would be 20.
+        assert 1 <= len(seen) <= 4
+        assert all(thread.daemon for thread in seen)
+
+    def test_concurrent_clients_all_get_answers_within_the_cap(self, tmp_path):
+        """Stress the hand-off with a tiny switch interval: no connection is
+        lost in the queue, the cap holds, and every thread ends idle."""
+        import sys
+
+        clients, requests = 24, 10
+        failures = []
+        peak = []
+
+        def client(host, port):
+            for _ in range(requests):
+                connection = http.client.HTTPConnection(host, port, timeout=30)
+                try:
+                    connection.request(
+                        "GET", f"{API_PREFIX}/health", headers={"Connection": "close"}
+                    )
+                    response = connection.getresponse()
+                    if response.status != 200 or not response.read():
+                        failures.append(response.status)
+                except (OSError, http.client.HTTPException) as exc:
+                    failures.append(exc)
+                finally:
+                    connection.close()
+                peak.append(len(self._handler_threads()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ScenarioServer(port=0, cache=str(tmp_path), workers=1) as live:
+                host, port = live.httpd.server_address[:2]
+                others = len(self._handler_threads())
+                threads = [
+                    threading.Thread(target=client, args=(host, port))
+                    for _ in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                # A handler may still be closing its last socket; it then
+                # waits, idle, for the next connection.
+                httpd = live.httpd
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    with httpd._ready:
+                        settled = httpd._idle == len(httpd._threads)
+                    if settled:
+                        break
+                    time.sleep(0.01)
+                with httpd._ready:
+                    assert not httpd._pending
+                    assert httpd._idle == len(httpd._threads) <= HANDLER_THREADS
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert max(peak) - others <= HANDLER_THREADS
+
+    def test_close_stops_threads_holding_keep_alive_connections(self, tmp_path):
+        before = threading.active_count()
+        others = self._handler_threads()
+        live = ScenarioServer(port=0, cache=str(tmp_path), workers=1).start()
+        host, port = live.httpd.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.request("GET", f"{API_PREFIX}/health")
+            assert connection.getresponse().read()
+            assert len(self._handler_threads() - others) == 1
+            # The handler now waits up to CONNECTION_TIMEOUT_S for a next
+            # request; close() must not leave it there.
+            start = time.monotonic()
+            live.close()
+            assert time.monotonic() - start < 5.0
+        finally:
+            connection.close()
+        assert not self._handler_threads() - others
+        assert threading.active_count() <= before
 
 
 class TestContentLength:

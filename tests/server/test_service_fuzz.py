@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.cache import ResultCache
 from repro.scenarios import available_scenarios, resolve_run, run_scenario
 from repro.server import API_PREFIX, API_VERSION, ScenarioService
-from repro.server.responses import RawResponse, encode
+from repro.server.responses import JSON_CONTENT_TYPE, RawResponse, encode
 from repro.sim.engine import ENGINE_NAME
 
 #: Every error slug a service handler may answer with.  (``payload_too_large``
@@ -114,11 +114,18 @@ paths = (
 )
 
 
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
 def _check_answer(status, payload) -> None:
     if isinstance(payload, RawResponse):
         assert status == 200
         assert isinstance(payload.body, bytes)
-        return
+        if payload.content_type != JSON_CONTENT_TYPE:
+            return
+        # A spliced results envelope: strict JSON, no NaN literals.
+        payload = json.loads(payload.body, parse_constant=_reject_constant)
     assert status in (200, 202, 400, 404, 405)
     envelope = json.loads(encode(payload))  # strict JSON, no NaN literals
     assert envelope["api_version"] == API_VERSION
