@@ -202,10 +202,12 @@ class NoiseSiteTable:
     yields (gates in instruction order, each gate's channels in model order,
     trivial channels skipped, then the model's end-of-circuit sites), so a
     shot's uniforms (:func:`repro.sim.seeding.draw_shot_randomness`, through
-    :meth:`codes_from_uniforms`) map to the sites a sequential insertion of
+    :meth:`events_from_uniforms`) map to the sites a sequential insertion of
     the sampled Paulis would use -- the test suite's dense oracle does
-    exactly that.  End-of-circuit sites carry ``gate_index == -1`` and
-    ``group_index == num_groups``.
+    exactly that.  A draw returns only the sampled errors, as packed
+    site-major events (see :meth:`events_from_uniforms`), never a dense
+    ``(n_sites, shots)`` code block.  End-of-circuit sites carry
+    ``gate_index == -1`` and ``group_index == num_groups``.
     """
 
     gate_index: np.ndarray  # (n_sites,) int32: index into GateTape.gates
@@ -263,22 +265,26 @@ class NoiseSiteTable:
             object.__setattr__(self, "_threshold_cache", tuple(table))
         return self._threshold_cache
 
-    def codes_from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
-        """Map one uniform per site to its Pauli code: int8, ``uniforms``' shape.
+    def events_from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
+        """The error events of a ``(shots, n_sites)`` uniform block, packed.
 
-        ``uniforms`` has shape ``(..., n_sites)``.  Site ``i`` of every row
-        gets ``(u >= t0) + (u >= t1) + (u >= t2)`` over its channel's
-        thresholds, which equals ``searchsorted(thresholds, u, side="right")``
-        because the thresholds are sorted.  A whole block of shots is thus
-        three vector comparisons, summed in a one-byte code array that
-        callers widen to int64.
+        Site ``i`` of shot ``s`` draws code ``(u >= t0) + (u >= t1) + (u >=
+        t2)`` over its channel's thresholds, which equals
+        ``searchsorted(thresholds, u, side="right")`` because the thresholds
+        are sorted.  Errors are rare, so one ``u >= t0`` pass finds the hits
+        and only those get the other two comparisons.  Each hit is packed
+        into one int64, ``((site * shots + s) << 2) | code``, and the array
+        is sorted: site-major, then shot.  Every code is 1-3, so no event
+        is zero and ``np.count_nonzero(events) == events.size``.
         """
         t0, t1, t2 = self._thresholds()
-        codes = np.greater_equal(uniforms, t0).view(np.int8)
-        above = np.empty(uniforms.shape, dtype=bool)
-        codes += np.greater_equal(uniforms, t1, out=above)
-        codes += np.greater_equal(uniforms, t2, out=above)
-        return codes
+        # The 1-D scan of the fresh hit mask is ~3x faster than a 2-D nonzero.
+        shot, site = np.divmod(np.flatnonzero(uniforms >= t0), self.n_sites)
+        hit = uniforms[shot, site]
+        code = 1 + (hit >= t1[site]) + (hit >= t2[site])
+        events = ((site * uniforms.shape[0] + shot) << 2) | code
+        events.sort()
+        return events
 
 
 # ------------------------------------------------------------------------ tape

@@ -300,7 +300,7 @@ class GreedySwapRouter:
 # ===================================================================== registry
 _ROUTERS: dict[str, type] = {}
 
-#: Router of every spec that does not name one (and of Figure 12).
+#: Default value of ``ScenarioSpec.router``, and the router of Figure 12.
 DEFAULT_ROUTER = "greedy-swap"
 
 
@@ -337,7 +337,12 @@ def make_router(name: str, device: DeviceModel, **options):
 
 
 def get_default_router() -> str:
-    """Name of the router used when a spec names none (:data:`DEFAULT_ROUTER`)."""
+    """Name of the default router, :data:`DEFAULT_ROUTER`.
+
+    Every spec names its router; this is the value
+    :attr:`ScenarioSpec.router <repro.scenarios.ScenarioSpec.router>`
+    defaults to, and the router Figure 12 uses.
+    """
     return DEFAULT_ROUTER
 
 

@@ -498,6 +498,9 @@ class ScenarioServer:
         self._thread = threading.Thread(
             target=self.httpd.serve_forever, name="repro-http", daemon=True
         )
+        #: Whether a serve loop was begun: ``httpd.shutdown()`` waits for
+        #: one to end, so without it ``close()`` would block forever.
+        self._loop_started = False
 
     @property
     def url(self) -> str:
@@ -508,17 +511,24 @@ class ScenarioServer:
     def start(self) -> "ScenarioServer":
         """Start the listener thread and the job worker; returns ``self``."""
         self.service.worker.start()
+        self._loop_started = True
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         """Blocking serve loop for ``python -m repro.server``."""
         self.service.worker.start()
+        self._loop_started = True
         self.httpd.serve_forever()
 
     def close(self) -> None:
-        """Shut the listener down, stop the handler threads, join the worker."""
-        self.httpd.shutdown()
+        """Shut the listener down, stop the handler threads, join the worker.
+
+        Safe on a server that never started: only a serve loop that
+        :meth:`start` or :meth:`serve_forever` began is shut down.
+        """
+        if self._loop_started:
+            self.httpd.shutdown()
         self.httpd.server_close()
         if self._thread.is_alive():
             self._thread.join(timeout=10.0)

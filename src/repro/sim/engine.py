@@ -5,8 +5,9 @@ One engine, :class:`TapeFeynmanEngine` (named :data:`ENGINE_NAME`,
 circuit -- "what state does it produce?" and "what are the per-shot
 trajectories under Monte-Carlo Pauli noise?".  It executes the fused
 :class:`~repro.circuit.ir.GateTape` group by group with integer-opcode
-dispatch, draws **all** Pauli codes for a shot batch up front from the
-tape's noise-site table, and applies the (sparse) error events per shot.
+dispatch, draws **all** error events for a shot batch up front from the
+tape's noise-site table (sparse, one packed int64 per non-identity Pauli
+code), and applies them per shot.
 Shots run stacked and **bit-sliced** (a noiseless :meth:`~TapeFeynmanEngine.run`
 is one shot of the same executor): one Python ``int`` per qubit holds that
 qubit's bit in every (shot, path) column, so a ``SWAP`` is a list swap and
@@ -347,13 +348,13 @@ class TapeFeynmanEngine:
         if sites is not None and sites.tape is not None:
             tape = sites.tape  # re-fused around an off-operand site
         n_measurements = tape.num_measurements
-        codes = measure_uniforms = None
+        events = measure_uniforms = None
         if sites is not None or n_measurements:
-            codes, measure_uniforms = draw_shot_randomness(
+            events, measure_uniforms = draw_shot_randomness(
                 sites, seeds, shots, n_measurements
             )
         return _execute_stacked_shots(
-            tape, state, shots, sites, codes, measure_uniforms
+            tape, state, shots, sites, events, measure_uniforms
         )
 
 
@@ -362,7 +363,7 @@ def _execute_stacked_shots(
     state: PathState,
     shots: int,
     sites: NoiseSiteTable | None,
-    codes: np.ndarray | None,
+    events: np.ndarray | None,
     measure_uniforms: np.ndarray | None,
 ) -> tuple[PackedBits, np.ndarray, np.ndarray | None]:
     """Execute the fused tape over a full shot-stacked block of bit-sliced rows.
@@ -381,8 +382,10 @@ def _execute_stacked_shots(
     amplitudes are bit-identical to a NumPy-bool execution.
 
     This is the Feynman engine's only executor: a noiseless run is one
-    shot without sites.  ``codes`` holds the pre-drawn Pauli codes
-    (``(n_sites, shots)``), ``measure_uniforms`` the pre-drawn measurement
+    shot without sites.  ``events`` holds the pre-drawn error events of
+    :func:`~repro.sim.seeding.draw_shot_randomness`: one sorted int64
+    ``((site * shots + shot) << 2) | code`` per non-identity Pauli code,
+    site-major.  ``measure_uniforms`` holds the pre-drawn measurement
     uniforms.  Returns ``(bits, amps, outcomes)``: ``bits`` is the final
     rows and width as a :class:`~repro.sim.paths.PackedBits` of shape
     ``(shots * n_paths, n_qubits)``, left packed so that
@@ -402,10 +405,9 @@ def _execute_stacked_shots(
     amps = np.tile(state.amplitudes, shots).astype(complex)
 
     if sites is not None:
-        # One flat scan in site-major order, split into (site, shot) pairs.
-        flat = np.flatnonzero(codes)
-        site_rows, event_shot = np.divmod(flat, shots)
-        event_code = codes.ravel()[flat].tolist()
+        # The packed events are site-major: split into (site, shot, code).
+        site_rows, event_shot = np.divmod(events >> 2, shots)
+        event_code = (events & 3).tolist()
         event_qubit = sites.qubit[site_rows].tolist()
         event_shot = event_shot.tolist()
         # Group indices are non-decreasing in site order, so the event

@@ -24,8 +24,11 @@ shot's generator yields one uniform per noise site, in noise-site order, and
 each uniform becomes a Pauli code by comparison against its site's
 cumulative thresholds (:attr:`repro.sim.noise.PauliChannel.thresholds`).
 :func:`draw_shot_randomness` draws a shot's uniforms in one generator call
-and maps a whole window of shots to codes in one vector pass, so any
-sharding of the shot range reproduces the unsharded run exactly.
+and turns a whole window's site uniforms into its error events in one
+threshold pass.  Errors are rare, so the events are returned sparse: one
+sorted int64 per non-identity code, ``((site * shots + shot) << 2) | code``,
+site-major (the order the executor applies them in).  Any sharding of the
+shot range reproduces the unsharded run exactly.
 
 The formula above is the definition (:meth:`ShotSeeds.sequence` and
 :meth:`ShotSeeds.generator` build it literally, and the tests compare
@@ -113,7 +116,7 @@ def draw_shot_randomness(
     shots: int,
     n_measurements: int = 0,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Draw every shot's seeded randomness up front: ``(codes, uniforms)``.
+    """Draw every shot's seeded randomness up front: ``(events, uniforms)``.
 
     This is the single implementation of the per-shot random-stream contract
     (the Feynman engine delegates here): each shot's generator is consumed in
@@ -128,29 +131,29 @@ def draw_shot_randomness(
     ``generator.random`` call for all ``n_measurements + n_sites`` uniforms,
     which consumes the stream exactly like separate calls for the
     measurement and site parts (the bit generator spends one 64-bit word per
-    double).  The site uniforms of the whole window then become codes in one
-    vectorised threshold comparison
-    (:meth:`~repro.circuit.ir.NoiseSiteTable.codes_from_uniforms`).
+    double).  The site uniforms of the whole window then become error events
+    in one threshold pass
+    (:meth:`~repro.circuit.ir.NoiseSiteTable.events_from_uniforms`).
 
-    Returns ``codes`` of shape ``(n_sites, shots)`` (``None`` without a site
-    table) and ``uniforms`` of shape ``(n_measurements, shots)`` (``None``
-    without measurements); both are laid out shot-per-column so downstream
-    consumers can vectorise across the shot axis.
+    Returns ``events``, a sorted 1-D int64 array with one entry
+    ``((site * shots + shot) << 2) | code`` per non-identity code (``code``
+    is 1-3, so every entry is non-zero; ``None`` without a site table), and
+    ``uniforms`` of shape ``(n_measurements, shots)`` (``None`` without
+    measurements), laid out shot-per-column so downstream consumers can
+    vectorise across the shot axis.
     """
     n_sites = sites.n_sites if sites is not None else 0
     block = np.empty((shots, n_measurements + n_sites))
     if block.size:
         for shot, generator in enumerate(_window_generators(seeds, shots)):
             generator.random(out=block[shot])
-    codes = None
+    events = None
     if sites is not None:
-        codes = np.ascontiguousarray(
-            sites.codes_from_uniforms(block[:, n_measurements:]).T, dtype=np.int64
-        )
+        events = sites.events_from_uniforms(block[:, n_measurements:])
     uniforms = (
         np.ascontiguousarray(block[:, :n_measurements].T) if n_measurements else None
     )
-    return codes, uniforms
+    return events, uniforms
 
 
 # NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and

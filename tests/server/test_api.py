@@ -695,6 +695,15 @@ class TestHandlerThreads:
         assert not self._handler_threads() - others
         assert threading.active_count() <= before
 
+    def test_close_without_start_returns(self, tmp_path):
+        """No serve loop ever ran, so there is none for close() to wait on."""
+        idle = ScenarioServer(port=0, cache=str(tmp_path), workers=1)
+        closer = threading.Thread(target=idle.close, daemon=True)
+        closer.start()
+        closer.join(timeout=5.0)
+        assert not closer.is_alive()
+        assert idle.httpd.socket.fileno() == -1  # the listener is closed
+
 
 class TestContentLength:
     """``do_POST`` validates ``Content-Length`` before reading a byte."""

@@ -5,11 +5,13 @@ permutation gates into integer operations.  Its contract is byte identity
 with the NumPy-bool block execution it replaced: the same bits, the same
 ``amps.tobytes()`` and the same recorded outcomes for any tape, any
 pre-drawn randomness and any block width.  The NumPy-bool executor is kept
-below, verbatim, as the reference, together with the frame helpers it used;
-a hypothesis property runs both over random tapes that use every opcode
-(fused multi-gate groups, ``Z``/``X`` measurements, ``CPAULI`` frames with
-and without active shots, ``H`` branching with collapse strides) and random
-error codes that include end-of-circuit events.
+below as the reference, together with the frame helpers it used; it reads a
+dense code block, which the executor gets as packed events
+(:func:`tests.events.pack_events`).  A hypothesis property runs both over
+random tapes that use every opcode (fused multi-gate groups, ``Z``/``X``
+measurements, ``CPAULI`` frames with and without active shots, ``H``
+branching with collapse strides) and random error codes that include
+end-of-circuit events.
 """
 
 import numpy as np
@@ -39,6 +41,7 @@ from repro.sim.engine import (
     _unpack_rows,
 )
 from repro.sim.noise import PAULI_X, PAULI_Y, PAULI_Z, PauliChannel
+from tests.events import pack_events
 
 #: ``(shots, n_paths)`` pairs whose initial block widths straddle the 64-bit
 #: word boundaries (1, 63, 64, 65) and reach a wide block (2048).
@@ -289,7 +292,9 @@ class TestBitSlicedExecutor:
         """Bits, amplitude bytes and outcomes equal the NumPy-bool executor's."""
         tape, state, shots, sites, codes, uniforms = case
         expected = _reference_execute(tape, state, shots, sites, codes, uniforms)
-        actual = _execute_stacked_shots(tape, state, shots, sites, codes, uniforms)
+        actual = _execute_stacked_shots(
+            tape, state, shots, sites, pack_events(codes), uniforms
+        )
         _assert_identical(expected, actual)
 
     @settings(max_examples=40, deadline=None)
@@ -345,7 +350,9 @@ class TestBitSlicedExecutor:
         codes = rng.choice(4, size=(n_sites, shots), p=(0.9, 0.03, 0.03, 0.04))
         uniforms = rng.random((tape.num_measurements, shots))
         expected = _reference_execute(tape, state, shots, sites, codes, uniforms)
-        actual = _execute_stacked_shots(tape, state, shots, sites, codes, uniforms)
+        actual = _execute_stacked_shots(
+            tape, state, shots, sites, pack_events(codes), uniforms
+        )
         _assert_identical(expected, actual)
 
     def test_fixed_outcome_z_measure_clears_negative_zeros(self):

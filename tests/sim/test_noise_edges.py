@@ -21,6 +21,7 @@ from repro.sim.noise import (
     PauliChannel,
 )
 from repro.sim.seeding import draw_shot_randomness
+from tests.events import densify
 
 
 def one_channel_table(channel: PauliChannel, size: int) -> NoiseSiteTable:
@@ -39,32 +40,39 @@ def reference_codes(channel: PauliChannel, uniforms: np.ndarray) -> np.ndarray:
     return np.searchsorted(channel.thresholds, uniforms, side="right")
 
 
+def draw_codes(table: NoiseSiteTable, seeds: ShotSeeds, shots: int, **kwargs):
+    """``draw_shot_randomness`` with its events laid out as a dense code block."""
+    events, uniforms = draw_shot_randomness(table, seeds, shots, **kwargs)
+    return densify(events, table.n_sites, shots), uniforms
+
+
 class TestSeededDrawEdges:
     SEEDS = ShotSeeds(seed=5, point_index=1)
 
     def test_p_total_zero_is_always_identity(self):
-        codes, _ = draw_shot_randomness(
+        events, _ = draw_shot_randomness(
             one_channel_table(PauliChannel(), 1000), self.SEEDS, 3
         )
-        assert codes.shape == (1000, 3)
-        assert np.all(codes == PAULI_I)
+        assert events.size == 0
 
     def test_p_total_one_never_draws_identity(self):
         channel = PauliChannel(p_x=0.3, p_y=0.3, p_z=0.4)
         assert channel.p_total == pytest.approx(1.0)
-        codes, _ = draw_shot_randomness(one_channel_table(channel, 1000), self.SEEDS, 3)
+        codes, _ = draw_codes(one_channel_table(channel, 1000), self.SEEDS, 3)
         assert not np.any(codes == PAULI_I)
         assert set(np.unique(codes)) <= {PAULI_X, PAULI_Y, PAULI_Z}
 
     def test_pure_z_channel_at_probability_one(self):
         table = one_channel_table(PauliChannel(p_z=1.0), 500)
-        codes, _ = draw_shot_randomness(table, self.SEEDS, 2)
+        codes, _ = draw_codes(table, self.SEEDS, 2)
         assert np.all(codes == PAULI_Z)
 
     def test_empty_table_draws_no_codes(self):
         table = one_channel_table(PauliChannel(p_x=0.5), 0)
-        codes, uniforms = draw_shot_randomness(table, self.SEEDS, 4, n_measurements=2)
-        assert codes.shape == (0, 4)
+        events, uniforms = draw_shot_randomness(
+            table, self.SEEDS, 4, n_measurements=2
+        )
+        assert events.size == 0
         for shot in range(4):
             expected = self.SEEDS.generator(shot).random(2)
             np.testing.assert_array_equal(uniforms[:, shot], expected)
@@ -72,7 +80,7 @@ class TestSeededDrawEdges:
     def test_consumes_exactly_one_uniform_per_site(self):
         """The seeded-mode contract: measurement uniforms, then one per site."""
         channel = PauliChannel(p_x=0.2, p_z=0.1)
-        codes, uniforms = draw_shot_randomness(
+        codes, uniforms = draw_codes(
             one_channel_table(channel, 17), self.SEEDS, 3, n_measurements=2
         )
         for shot in range(3):
@@ -103,8 +111,8 @@ class TestEmptySiteWindows:
         circuit.add("CX", 0, 1)
         table = compile_circuit(circuit).noise_sites(NoiselessModel())
         assert table.n_sites == 0
-        codes, _ = draw_shot_randomness(table, ShotSeeds(seed=3), 5)
-        assert codes.shape == (0, 5)
+        events, _ = draw_shot_randomness(table, ShotSeeds(seed=3), 5)
+        assert events.size == 0
 
     def test_gateless_circuit_yields_empty_table(self):
         circuit = QuantumCircuit(3)
@@ -113,16 +121,16 @@ class TestEmptySiteWindows:
             GateNoiseModel(PauliChannel(p_x=0.5))
         )
         assert table.n_sites == 0
-        codes, _ = draw_shot_randomness(table, ShotSeeds(seed=1), 2)
-        assert codes.shape == (0, 2)
+        events, _ = draw_shot_randomness(table, ShotSeeds(seed=1), 2)
+        assert events.size == 0
 
     def test_manual_empty_table_draws(self):
         empty = np.empty(0, dtype=np.int32)
         table = NoiseSiteTable(
             gate_index=empty, qubit=empty, group_index=empty, channels=()
         )
-        codes, uniforms = draw_shot_randomness(table, ShotSeeds(seed=2), 8)
-        assert codes.shape == (0, 8)
+        events, uniforms = draw_shot_randomness(table, ShotSeeds(seed=2), 8)
+        assert events.size == 0 and events.dtype == np.int64
         assert uniforms is None
 
 

@@ -27,6 +27,7 @@ from repro.sim import (
 )
 from repro.sim.paths import PathState
 from repro.sim.seeding import as_shot_seeds, draw_shot_randomness
+from tests.events import densify
 from tests.oracle import assert_tape_matches_oracle
 
 DEPOL = GateNoiseModel(PauliChannel.depolarizing(0.05))
@@ -177,8 +178,8 @@ class TestSeededDraw:
         return _compiled().tape.noise_sites(GateNoiseModel(channel))
 
     def _codes(self, sites, shots: int, seed: int) -> np.ndarray:
-        codes, _ = draw_shot_randomness(sites, ShotSeeds(seed=seed), shots)
-        return codes
+        events, _ = draw_shot_randomness(sites, ShotSeeds(seed=seed), shots)
+        return densify(events, sites.n_sites, shots)
 
     def test_deterministic_under_equal_seeds(self):
         sites = self._sites(PauliChannel.depolarizing(0.05))

@@ -25,6 +25,7 @@ from repro.circuit.ir import compile_circuit
 from repro.sim import FeynmanPathSimulator, PathState, ShotSeeds
 from repro.sim.noise import GateNoiseModel, PauliChannel
 from repro.sim.seeding import draw_shot_randomness
+from tests.events import densify
 
 SEED = 20260808
 SHOTS = 3
@@ -42,7 +43,8 @@ GOLDEN_UNIFORMS = np.array(
 )
 
 #: Noise-site codes, shape ``(num_sites, shots)`` -- drawn AFTER the
-#: uniforms, one row per (gate, qubit) error site in tape order.
+#: uniforms, one row per (gate, qubit) error site in tape order.  The draw
+#: returns them as packed events; :func:`tests.events.densify` lays them out.
 GOLDEN_CODES = np.array(
     [
         [2, 0, 0],
@@ -98,11 +100,11 @@ class TestRandomStreamGolden:
         """Measurement uniforms first, then site codes, exact golden values."""
         tape = compile_circuit(_branching_circuit())
         sites = tape.noise_sites(_noise())
-        codes, uniforms = draw_shot_randomness(
+        events, uniforms = draw_shot_randomness(
             sites, ShotSeeds(seed=SEED), SHOTS, tape.num_measurements
         )
         assert uniforms.shape == (tape.num_measurements, SHOTS)
-        assert codes.shape == (len(sites.gate_index), SHOTS)
+        codes = densify(events, len(sites.gate_index), SHOTS)
         np.testing.assert_array_equal(
             uniforms,
             GOLDEN_UNIFORMS,
@@ -148,11 +150,11 @@ class TestRandomStreamGolden:
         """
         tape = compile_circuit(_branching_circuit())
         sites = tape.noise_sites(_noise())
-        codes_a, uniforms_a = draw_shot_randomness(
+        events_a, uniforms_a = draw_shot_randomness(
             sites, ShotSeeds(seed=SEED), SHOTS, tape.num_measurements
         )
-        codes_b, uniforms_b = draw_shot_randomness(
+        events_b, uniforms_b = draw_shot_randomness(
             sites, ShotSeeds(seed=SEED), SHOTS, tape.num_measurements
         )
         np.testing.assert_array_equal(uniforms_a, uniforms_b)
-        np.testing.assert_array_equal(codes_a, codes_b)
+        np.testing.assert_array_equal(events_a, events_b)

@@ -111,8 +111,8 @@ class TestWindowDraw:
         self, seed, point_index, start, shots, width
     ):
         seeds = ShotSeeds(seed=seed, point_index=point_index, start=start)
-        codes, uniforms = draw_shot_randomness(None, seeds, shots, width)
-        assert codes is None
+        events, uniforms = draw_shot_randomness(None, seeds, shots, width)
+        assert events is None
         np.testing.assert_array_equal(
             uniforms, _per_shot_reference(seeds, shots, width)
         )
@@ -125,8 +125,8 @@ class TestWindowDraw:
         table = NoiseSiteTable(
             gate_index=empty, qubit=empty, group_index=empty, channels=()
         )
-        codes, uniforms = draw_shot_randomness(table, seeds, shots)
-        assert codes.shape == (0, shots) and codes.dtype == np.int64
+        events, uniforms = draw_shot_randomness(table, seeds, shots)
+        assert events.shape == (0,) and events.dtype == np.int64
         assert uniforms is None
 
 
