@@ -60,7 +60,9 @@ which every builder in the library respects.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -207,7 +209,9 @@ class NoiseSiteTable:
     exactly that.  A draw returns only the sampled errors, as packed
     site-major events (see :meth:`events_from_uniforms`), never a dense
     ``(n_sites, shots)`` code block.  End-of-circuit sites carry
-    ``gate_index == -1`` and ``group_index == num_groups``.
+    ``gate_index == -1`` and ``group_index == num_groups``.  The per-site
+    :attr:`thresholds` the draw compares against are built on first use
+    and kept with the table, which :meth:`GateTape.noise_sites` memoises.
     """
 
     gate_index: np.ndarray  # (n_sites,) int32: index into GateTape.gates
@@ -218,52 +222,27 @@ class NoiseSiteTable:
     #: sits inside a fused run (see :meth:`GateTape.noise_sites`); ``None``
     #: means the tape that built the table, which then runs unchanged.
     tape: "GateTape | None" = field(default=None, repr=False, compare=False)
-    _run_cache: tuple | None = field(
-        default=None, repr=False, compare=False
-    )  # lazily computed (start, stop, channel) runs
-    _threshold_cache: tuple | None = field(
-        default=None, repr=False, compare=False
-    )  # lazily computed per-site (t0, t1, t2) threshold arrays
 
     @property
     def n_sites(self) -> int:
         """Number of error sites in the table."""
         return len(self.channels)
 
-    def _channel_runs(self) -> tuple:
-        """Maximal runs of consecutive equal channels: ``(start, stop, channel)``.
-
-        Computed once per table (the table itself is memoized per noise
-        model) so every per-shot draw walks a handful of runs instead of
-        comparing channels site by site.
-        """
-        if self._run_cache is None:
-            runs: list[tuple[int, int, "PauliChannel"]] = []
-            start = 0
-            n = self.n_sites
-            channels = self.channels
-            while start < n:
-                channel = channels[start]
-                stop = start + 1
-                while stop < n and channels[stop] == channel:
-                    stop += 1
-                runs.append((start, stop, channel))
-                start = stop
-            object.__setattr__(self, "_run_cache", tuple(runs))
-        return self._run_cache
-
-    def _thresholds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @cached_property
+    def thresholds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every site's :attr:`PauliChannel.thresholds`: three ``(n_sites,)`` arrays.
 
-        Filled once per table from the channel runs, so building them costs
-        one threshold evaluation per run rather than per site.
+        Built once per table (the table itself is memoised per noise model)
+        from the runs of consecutive equal channels, so it costs one
+        threshold evaluation per run rather than per site.
         """
-        if self._threshold_cache is None:
-            table = np.empty((3, self.n_sites))
-            for start, stop, channel in self._channel_runs():
-                table[:, start:stop] = np.array(channel.thresholds)[:, None]
-            object.__setattr__(self, "_threshold_cache", tuple(table))
-        return self._threshold_cache
+        table = np.empty((3, self.n_sites))
+        start = 0
+        for channel, run in itertools.groupby(self.channels):
+            stop = start + sum(1 for _ in run)
+            table[:, start:stop] = np.array(channel.thresholds)[:, None]
+            start = stop
+        return tuple(table)
 
     def events_from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
         """The error events of a ``(shots, n_sites)`` uniform block, packed.
@@ -277,7 +256,7 @@ class NoiseSiteTable:
         is sorted: site-major, then shot.  Every code is 1-3, so no event
         is zero and ``np.count_nonzero(events) == events.size``.
         """
-        t0, t1, t2 = self._thresholds()
+        t0, t1, t2 = self.thresholds
         # The 1-D scan of the fresh hit mask is ~3x faster than a 2-D nonzero.
         shot, site = np.divmod(np.flatnonzero(uniforms >= t0), self.n_sites)
         hit = uniforms[shot, site]
@@ -316,16 +295,6 @@ class GateTape:
     #: Peak of :attr:`branch_levels` (0 for branch-free circuits).
     max_branch_level: int = 0
     _site_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    #: ``id(noise) -> (noise, table)``: the entry keeps the model alive, so
-    #: its id cannot be recycled while the entry exists.
-    _site_cache_by_id: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __getstate__(self) -> dict:
-        # Object ids mean nothing in another process (or a copy): a pickled
-        # tape ships without its identity-keyed site cache.
-        state = self.__dict__.copy()
-        state["_site_cache_by_id"] = {}
-        return state
 
     @property
     def num_gates(self) -> int:
@@ -372,23 +341,17 @@ class GateTape:
         tape runs.
 
         The table only depends on the (hashable, frozen) noise model, so
-        repeated Monte-Carlo calls over a sweep reuse it.  The same model
-        object is found by identity first: hashing a large frozen model
-        costs more than the lookup saves, and the shards of a sweep point
-        share one model object.  An equal but distinct model still finds
-        the table through the value-keyed entry.
+        repeated Monte-Carlo calls over a sweep reuse it.  The memo is keyed
+        by value: the figure sweeps build a fresh but equal model in every
+        shot shard, and each finds the table its point's first shard built.
+        An unhashable custom model gets a fresh table on every call.
         """
-        entry = self._site_cache_by_id.get(id(noise))
-        if entry is not None:
-            return entry[1]
         try:
             cached = self._site_cache.get(noise)
         except TypeError:  # unhashable custom model: recompute every call
             return self._build_noise_sites(noise)
         if cached is None:
-            cached = self._build_noise_sites(noise)
-            self._site_cache[noise] = cached
-        self._site_cache_by_id[id(noise)] = (noise, cached)
+            cached = self._site_cache[noise] = self._build_noise_sites(noise)
         return cached
 
     def _build_noise_sites(self, noise: "NoiseModel") -> NoiseSiteTable:

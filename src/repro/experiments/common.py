@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.qram.base import QRAMArchitecture
+from repro.qram.bucket_brigade import BucketBrigadeQRAM
 from repro.qram.memory import ClassicalMemory
-from repro.sim.noise import PauliChannel
+from repro.qram.select_swap import SelectSwapQRAM
+from repro.qram.virtual_qram import VirtualQRAM
+from repro.sim.noise import GateNoiseModel, PauliChannel
+from repro.sweep import ShotShard
 
 #: Seed used by every experiment unless the caller overrides it, so that the
 #: numbers quoted in EXPERIMENTS.md are reproducible bit-for-bit.
@@ -17,6 +23,14 @@ DEFAULT_SEED = 2023
 ERROR_CHANNELS = {
     "Z": PauliChannel.phase_flip,
     "X": PauliChannel.bit_flip,
+}
+
+
+#: The architectures the gate-noise figures compare, by record label.
+ARCHITECTURE_BUILDERS = {
+    "ours": VirtualQRAM,
+    "bb": BucketBrigadeQRAM,
+    "ss": SelectSwapQRAM,
 }
 
 
@@ -40,6 +54,32 @@ def random_memory(
 ) -> ClassicalMemory:
     """Uniformly random memory, the workload used throughout the evaluation."""
     return ClassicalMemory.random(address_width, rng=experiment_rng(seed), p_one=p_one)
+
+
+@lru_cache(maxsize=64)
+def _architecture(
+    name: str, address_width: int, qram_width: int, seed: int
+) -> QRAMArchitecture:
+    """Process-local build cache: every shard of a design point, and every
+    (error, eps) point sharing it, reuses one compiled circuit."""
+    memory = random_memory(address_width, seed)
+    return ARCHITECTURE_BUILDERS[name](memory=memory, qram_width=qram_width)
+
+
+def gate_noise_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
+    """Per-shot fidelities of one shard of a gate-noise sweep point (Figs. 9--11).
+
+    ``spec`` is ``(architecture, address_width, qram_width, error, epsilon,
+    seed)``: the architecture label of :data:`ARCHITECTURE_BUILDERS`, the
+    memory's address width, the QRAM width (smaller when the rest is paged
+    through the SQC), the :data:`ERROR_CHANNELS` label, its rate and the
+    memory seed.  The shot stream comes from ``shard``, keyed on the point's
+    index in the sweep, never on ``spec``.
+    """
+    name, address_width, qram_width, error_name, epsilon, seed = spec
+    architecture = _architecture(name, address_width, qram_width, seed)
+    noise = GateNoiseModel(ERROR_CHANNELS[error_name](epsilon))
+    return architecture.run_query(noise, shard.shots, rng=shard.seeds()).fidelities
 
 
 def format_table(

@@ -10,41 +10,18 @@ for larger ``m`` require proportionally larger ``eps_r`` to saturate.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
-
 from repro.analysis.fidelity import qram_x_fidelity_bound, qram_z_fidelity_bound
 from repro.experiments.common import (
-    ERROR_CHANNELS,
     format_table,
-    random_memory,
+    gate_noise_shard,
     resolve_seed,
 )
-from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.noise import GateNoiseModel
-from repro.sweep import ShotShard, SweepRunner
+from repro.sweep import SweepRunner
 
 DEFAULT_WIDTHS: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
 DEFAULT_REDUCTION_FACTORS: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0, 1000.0)
 DEFAULT_BASE_EPSILON = 1e-3
 DEFAULT_SHOTS = 1024
-
-@lru_cache(maxsize=64)
-def _fig10_architecture(m: int, seed: int) -> VirtualQRAM:
-    """Process-local build cache: every (error, factor) point of a width
-    shares one compiled circuit, in workers and in the serial path alike."""
-    return VirtualQRAM(memory=random_memory(m, seed), qram_width=m)
-
-
-def _fig10_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
-    """Per-shard fidelities for one (error, width, reduction factor) point."""
-    error_name, m, epsilon, seed = spec
-    architecture = _fig10_architecture(m, seed)
-    noise = GateNoiseModel(ERROR_CHANNELS[error_name](epsilon))
-    result = architecture.run_query(noise, shard.shots, rng=shard.seeds())
-    return result.fidelities
-
 
 def run_fig10(
     widths: tuple[int, ...] = DEFAULT_WIDTHS,
@@ -66,11 +43,11 @@ def run_fig10(
         for factor in reduction_factors
     ]
     specs = [
-        (error_name, m, base_epsilon / factor, seed_value)
+        ("ours", m, m, error_name, base_epsilon / factor, seed_value)
         for error_name, m, factor in points
     ]
     runner = SweepRunner(workers=workers, shard_size=shard_size)
-    merged = runner.map_shards(_fig10_shard, specs, shots=shots, seed=seed_value)
+    merged = runner.map_shards(gate_noise_shard, specs, shots=shots, seed=seed_value)
     records: list[dict[str, object]] = []
     for (error_name, m, factor), result in zip(points, merged):
         epsilon = base_epsilon / factor

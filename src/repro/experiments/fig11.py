@@ -11,41 +11,19 @@ the physical QRAM as large as the hardware allows.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
-
 from repro.analysis.fidelity import virtual_x_fidelity_bound, virtual_z_fidelity_bound
 from repro.experiments.common import (
-    ERROR_CHANNELS,
     format_table,
-    random_memory,
+    gate_noise_shard,
     resolve_seed,
 )
-from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.noise import GateNoiseModel
-from repro.sweep import ShotShard, SweepRunner
+from repro.sweep import SweepRunner
 
 DEFAULT_QRAM_WIDTHS: tuple[int, ...] = (1, 2, 3, 4)
 DEFAULT_SQC_WIDTHS: tuple[int, ...] = (0, 1, 2, 3)
 DEFAULT_REDUCTION_FACTORS: tuple[float, ...] = (1.0, 10.0, 100.0)
 DEFAULT_BASE_EPSILON = 1e-3
 DEFAULT_SHOTS = 512
-
-@lru_cache(maxsize=64)
-def _fig11_architecture(m: int, k: int, seed: int) -> VirtualQRAM:
-    """Process-local build cache keyed on the (m, k) design point."""
-    return VirtualQRAM(memory=random_memory(m + k, seed), qram_width=m)
-
-
-def _fig11_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
-    """Per-shard fidelities for one (m, k, error, factor) sweep point."""
-    m, k, error_name, epsilon, seed = spec
-    architecture = _fig11_architecture(m, k, seed)
-    noise = GateNoiseModel(ERROR_CHANNELS[error_name](epsilon))
-    result = architecture.run_query(noise, shard.shots, rng=shard.seeds())
-    return result.fidelities
-
 
 def run_fig11(
     qram_widths: tuple[int, ...] = DEFAULT_QRAM_WIDTHS,
@@ -69,11 +47,11 @@ def run_fig11(
         for factor in reduction_factors
     ]
     specs = [
-        (m, k, error_name, base_epsilon / factor, seed_value)
+        ("ours", m + k, m, error_name, base_epsilon / factor, seed_value)
         for m, k, error_name, factor in points
     ]
     runner = SweepRunner(workers=workers, shard_size=shard_size)
-    merged = runner.map_shards(_fig11_shard, specs, shots=shots, seed=seed_value)
+    merged = runner.map_shards(gate_noise_shard, specs, shots=shots, seed=seed_value)
     records: list[dict[str, object]] = []
     for (m, k, error_name, factor), result in zip(points, merged):
         epsilon = base_epsilon / factor

@@ -17,47 +17,16 @@ change wall-clock time but never the records.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
-
 from repro.experiments.common import (
-    ERROR_CHANNELS,
     format_table,
-    random_memory,
+    gate_noise_shard,
     resolve_seed,
 )
-from repro.qram.base import QRAMArchitecture
-from repro.qram.bucket_brigade import BucketBrigadeQRAM
-from repro.qram.select_swap import SelectSwapQRAM
-from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.noise import GateNoiseModel
-from repro.sweep import ShotShard, SweepRunner
+from repro.sweep import SweepRunner
 
 DEFAULT_WIDTHS: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
 DEFAULT_EPSILON = 1e-3
 DEFAULT_SHOTS = 1024
-
-ARCHITECTURE_BUILDERS = {
-    "ours": VirtualQRAM,
-    "bb": BucketBrigadeQRAM,
-    "ss": SelectSwapQRAM,
-}
-
-@lru_cache(maxsize=64)
-def _fig9_architecture(name: str, m: int, seed: int) -> QRAMArchitecture:
-    """Process-local architecture cache: shards of a point share one build."""
-    return ARCHITECTURE_BUILDERS[name](memory=random_memory(m, seed), qram_width=m)
-
-
-def _fig9_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
-    """Per-shard fidelities for one (architecture, error, width) sweep point."""
-    name, error_name, m, epsilon, seed = spec
-    architecture = _fig9_architecture(name, m, seed)
-    noise = GateNoiseModel(ERROR_CHANNELS[error_name](epsilon))
-    result = architecture.run_query(noise, shard.shots, rng=shard.seeds())
-    return result.fidelities
-
 
 def run_fig9(
     widths: tuple[int, ...] = DEFAULT_WIDTHS,
@@ -73,15 +42,15 @@ def run_fig9(
     """Fidelity records for every (architecture, error channel, width) triple."""
     seed_value = resolve_seed(seed)
     specs = [
-        (name, error_name, m, epsilon, seed_value)
+        (name, m, m, error_name, epsilon, seed_value)
         for m in widths
         for name in architectures
         for error_name in errors
     ]
     runner = SweepRunner(workers=workers, shard_size=shard_size)
-    merged = runner.map_shards(_fig9_shard, specs, shots=shots, seed=seed_value)
+    merged = runner.map_shards(gate_noise_shard, specs, shots=shots, seed=seed_value)
     records: list[dict[str, object]] = []
-    for (name, error_name, m, point_epsilon, _), result in zip(specs, merged):
+    for (name, m, _, error_name, point_epsilon, _), result in zip(specs, merged):
         records.append(
             {
                 "architecture": name,

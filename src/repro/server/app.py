@@ -19,7 +19,8 @@ The split below keeps the logic testable and the transport thin:
 :class:`ScenarioServer` wires it to real connections plus the background
 :class:`~repro.server.jobs.JobWorker`.  Connections run on at most
 :data:`HANDLER_THREADS` reused daemon threads, started on demand and
-retired after :data:`CONNECTION_TIMEOUT_S` idle, and every socket wait is
+retired after :data:`CONNECTION_TIMEOUT_S` idle; at most
+:data:`MAX_PENDING_CONNECTIONS` more wait for one, and every socket wait is
 bounded by the same timeout.
 
 Serving model: hot scenarios are O(1) content-addressed file reads
@@ -81,6 +82,11 @@ CONNECTION_TIMEOUT_S = 30.0
 #: Most handler threads a server runs, and so most connections it serves at
 #: once; later connections wait, in accept order, for a thread to free up.
 HANDLER_THREADS = 16
+
+#: Most accepted connections that wait for a handler thread.  Each holds a
+#: socket (a file descriptor), so past this many the server closes a new
+#: connection at once, unanswered, instead of queueing it.
+MAX_PENDING_CONNECTIONS = 64
 
 
 class ScenarioService:
@@ -381,11 +387,12 @@ class _PooledHTTPServer(HTTPServer):
     The listener hands each accepted connection to an idle handler thread.
     When none is idle it starts one, up to :data:`HANDLER_THREADS`; past
     that the connection waits, in accept order, for the first thread that
-    finishes.  A thread idle for :data:`CONNECTION_TIMEOUT_S` retires, so a
-    quiet server holds no handler thread and a client that opens one
-    connection at a time is served by one or two reused threads.  The
-    threads are daemons, so they never hold up interpreter exit, and
-    :meth:`server_close` stops them.
+    finishes, unless :data:`MAX_PENDING_CONNECTIONS` already wait: then it
+    is closed at once, unanswered.  A thread idle for
+    :data:`CONNECTION_TIMEOUT_S` retires, so a quiet server holds no handler
+    thread and a client that opens one connection at a time is served by
+    one or two reused threads.  The threads are daemons, so they never hold
+    up interpreter exit, and :meth:`server_close` stops them.
     """
 
     #: Listen backlog.  socketserver's default of 5 drops the handshake of
@@ -403,9 +410,11 @@ class _PooledHTTPServer(HTTPServer):
         self._closed = False
 
     def process_request(self, request, client_address) -> None:
-        """Queue an accepted connection for a handler thread."""
+        """Queue an accepted connection for a handler thread, or close it
+        when the server is closed or its waiting queue is full."""
         with self._ready:
-            if self._closed:
+            held = len(self._pending) + len(self._serving)
+            if self._closed or held >= HANDLER_THREADS + MAX_PENDING_CONNECTIONS:
                 self.shutdown_request(request)
                 return
             self._pending.append((request, client_address))

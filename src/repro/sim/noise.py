@@ -22,7 +22,7 @@ Figures 9-11 are all instances of the same class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -282,12 +282,14 @@ class ScheduledNoiseModel(NoiseModel):
 
     Because the site tables are plain nested tuples the model stays hashable,
     so the gate tape's per-model :class:`~repro.circuit.ir.NoiseSiteTable`
-    memoization keeps working.
+    memoization keeps working.  The hash covers ``base`` only, so hashing
+    costs nothing per gate of the circuit; equality still compares the site
+    tables, so models that differ only in their sites merely share a bucket.
     """
 
     base: NoiseModel
-    gate_sites: tuple[tuple[tuple[int, PauliChannel], ...], ...]
-    final_sites: tuple[tuple[int, PauliChannel], ...] = ()
+    gate_sites: tuple[tuple[tuple[int, PauliChannel], ...], ...] = field(hash=False)
+    final_sites: tuple[tuple[int, PauliChannel], ...] = field(default=(), hash=False)
 
     def gate_error_channels(self, instr: Instruction) -> list[tuple[int, PauliChannel]]:
         """Raises: position-dependent models need the indexed protocol."""

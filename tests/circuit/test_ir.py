@@ -1,7 +1,8 @@
 """Tests for the compiled gate-tape IR (:mod:`repro.circuit.ir`)."""
 
+import gc
 import pickle
-from dataclasses import dataclass
+import weakref
 
 import numpy as np
 
@@ -157,35 +158,46 @@ class TestNoiseSites:
         noise = GateNoiseModel(PauliChannel.bit_flip(1e-3))
         assert tape.noise_sites(noise) is tape.noise_sites(noise)
 
-    def test_site_lookup_hashes_a_shared_model_once(self):
-        """Repeat lookups of one model object skip the value hash."""
-        hashes = []
-
-        @dataclass(frozen=True, eq=True)
-        class CountingModel(GateNoiseModel):
-            def __hash__(self):
-                hashes.append(1)
-                return hash(self.channel)
-
+    def test_fresh_equal_models_share_one_entry_and_stay_collectable(self):
+        """Every shot shard of a sweep point builds a fresh but equal model:
+        all of them find one value-keyed table, and the memo keeps none of
+        the discarded models alive."""
         tape = compile_circuit(_example_circuit())
-        noise = CountingModel(PauliChannel.bit_flip(1e-3))
-        table = tape.noise_sites(noise)  # builds and stores: hashes here
-        hashes.clear()
-        for _ in range(5):
+        first = GateNoiseModel(PauliChannel.bit_flip(1e-3))
+        table = tape.noise_sites(first)
+        discarded = []
+        for _ in range(20):
+            noise = GateNoiseModel(PauliChannel.bit_flip(1e-3))
             assert tape.noise_sites(noise) is table
-        assert not hashes
-        # A fresh but equal model still finds the table by value.
-        assert tape.noise_sites(CountingModel(PauliChannel.bit_flip(1e-3))) is table
+            discarded.append(weakref.ref(noise))
+        del noise
+        gc.collect()
+        assert len(tape._site_cache) == 1
+        assert [ref() for ref in discarded] == [None] * 20
 
-    def test_pickled_tape_drops_the_identity_cache(self):
-        """Object ids do not survive a pickle, so neither does the id cache."""
-        tape = compile_circuit(_example_circuit())
-        noise = GateNoiseModel(PauliChannel.bit_flip(1e-3))
-        table = tape.noise_sites(noise)
-        clone = pickle.loads(pickle.dumps(tape))
-        assert clone._site_cache_by_id == {}
-        assert tape._site_cache_by_id  # the original keeps its entry
-        assert np.array_equal(clone.noise_sites(noise).qubit, table.qubit)
+    def test_scheduled_model_hash_skips_its_site_tables(self):
+        """Hashing a scheduled model costs nothing per site: only its base
+        is hashed, so a channel that refuses to hash is never asked."""
+
+        class RefusesHash(PauliChannel):
+            def __hash__(self):
+                raise AssertionError("a site channel was hashed")
+
+        channel = RefusesHash(p_x=0.5)
+        base = GateNoiseModel(PauliChannel.bit_flip(1e-3))
+
+        def model() -> ScheduledNoiseModel:
+            return ScheduledNoiseModel(
+                base=base, gate_sites=(((2, channel),),), final_sites=((1, channel),)
+            )
+
+        assert hash(model()) == hash(ScheduledNoiseModel(base=base, gate_sites=()))
+        circuit = QuantumCircuit(3)
+        circuit.x(0)
+        tape = compile_circuit(circuit)
+        table = tape.noise_sites(model())
+        assert tape.noise_sites(model()) is table
+        assert table.qubit.tolist() == [0, 2, 1]
 
 
 class _ExtraSites(NoiseModel):

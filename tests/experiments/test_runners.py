@@ -39,14 +39,28 @@ class TestCommonHelpers:
         records = [{"x": 1, "y": 2}, {"x": 3}]
         assert records_to_rows(records, ["x", "y"]) == [[1, 2], [3, ""]]
 
-    def test_noise_figures_share_one_error_channel_table(self):
-        from repro.experiments import fig9, fig10, fig11
-        from repro.experiments.common import ERROR_CHANNELS
+    def test_noise_figures_share_one_shard_worker(self):
+        from repro.experiments import common, fig9, fig10, fig11
 
         for module in (fig9, fig10, fig11):
-            assert module.ERROR_CHANNELS is ERROR_CHANNELS
-        assert ERROR_CHANNELS["Z"](0.25) == PauliChannel(p_z=0.25)
-        assert ERROR_CHANNELS["X"](0.25) == PauliChannel(p_x=0.25)
+            assert module.gate_noise_shard is common.gate_noise_shard
+        assert common.ERROR_CHANNELS["Z"](0.25) == PauliChannel(p_z=0.25)
+        assert common.ERROR_CHANNELS["X"](0.25) == PauliChannel(p_x=0.25)
+
+    def test_shards_of_a_point_share_one_build_and_site_table(self):
+        from repro.circuit.ir import compile_circuit
+        from repro.experiments import common
+        from repro.sweep import SweepRunner
+
+        spec = ("ours", 3, 2, "Z", 1e-2, 11)
+        shards = SweepRunner(shard_size=4).shards(16, seed=5, point_index=0)
+        for shard in shards:
+            assert common.gate_noise_shard(spec, shard).shape == (shard.shots,)
+        architecture = common._architecture("ours", 3, 2, 11)
+        assert architecture.memory.address_width == 3
+        assert architecture.qram_width == 2
+        tape = compile_circuit(architecture.compiled_query().circuit)
+        assert len(tape._site_cache) == 1
 
 
 class TestTableRunners:

@@ -62,7 +62,7 @@ class TestNoiseModelMemo:
                 getattr(cached, column), getattr(rebuilt, column)
             )
         assert cached.channels == rebuilt.channels
-        for ours, theirs in zip(cached._thresholds(), rebuilt._thresholds()):
+        for ours, theirs in zip(cached.thresholds, rebuilt.thresholds):
             np.testing.assert_array_equal(ours, theirs)
 
     def test_equality_ignores_the_memo(self, idle_scenario):

@@ -8,6 +8,7 @@ directly, without a socket.
 
 import http.client
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -674,6 +675,60 @@ class TestHandlerThreads:
             sys.setswitchinterval(interval)
         assert failures == []
         assert max(peak) - others <= HANDLER_THREADS
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="counts open fds via procfs"
+    )
+    def test_connections_past_the_pending_cap_are_closed_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        import select
+        import socket
+
+        import repro.server.app as app_module
+
+        monkeypatch.setattr(app_module, "MAX_PENDING_CONNECTIONS", 2)
+        overflow = 3
+        threads_before = threading.active_count()
+        fds_before = len(os.listdir("/proc/self/fd"))
+        live = ScenarioServer(port=0, cache=str(tmp_path), workers=1).start()
+        host, port = live.httpd.server_address[:2]
+        sockets = [
+            socket.create_connection((host, port), timeout=10)
+            for _ in range(HANDLER_THREADS + 2 + overflow)
+        ]
+        closed = set()
+        try:
+            # Every connection stays silent and CONNECTION_TIMEOUT_S is 30 s,
+            # so only the cap can close one within this window.
+            deadline = time.monotonic() + 5.0
+            while len(closed) < overflow and time.monotonic() < deadline:
+                readable, _, _ = select.select(
+                    [raw for raw in sockets if raw not in closed], [], [], 0.05
+                )
+                for raw in readable:
+                    assert raw.recv(1024) == b""  # closed unanswered
+                    closed.add(raw)
+            # Nothing else is dropped while the held ones stay silent.
+            readable, _, _ = select.select(
+                [raw for raw in sockets if raw not in closed], [], [], 0.2
+            )
+            assert len(closed) == overflow and not readable
+            with live.httpd._ready:
+                held = len(live.httpd._serving) + len(live.httpd._pending)
+            assert held == HANDLER_THREADS + 2
+        finally:
+            live.close()
+            for raw in sockets:
+                raw.close()
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and (
+            threading.active_count() > threads_before
+            or len(os.listdir("/proc/self/fd")) > fds_before
+        ):
+            time.sleep(0.01)
+        assert threading.active_count() <= threads_before
+        assert len(os.listdir("/proc/self/fd")) <= fds_before
 
     def test_close_stops_threads_holding_keep_alive_connections(self, tmp_path):
         before = threading.active_count()

@@ -118,8 +118,8 @@ class TestThresholds:
 
     def test_table_caches_per_site_thresholds(self):
         table = site_table([EDGE_CHANNELS[5]] * 3 + [EDGE_CHANNELS[9]] * 2)
-        rows = table._thresholds()
-        assert table._thresholds() is rows
+        rows = table.thresholds
+        assert table.thresholds is rows
         np.testing.assert_array_equal(
             np.stack(rows).T,
             [EDGE_CHANNELS[5].thresholds] * 3 + [EDGE_CHANNELS[9].thresholds] * 2,
