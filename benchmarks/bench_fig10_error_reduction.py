@@ -19,7 +19,7 @@ def bench_fig10_both_panels(run_once):
     records = run_once(run_fig10, WIDTHS, FACTORS, shots=SHOTS)
     emit(
         "Figure 10 (fidelity vs error reduction factor)",
-        fig10_report(WIDTHS, FACTORS, shots=SHOTS),
+        fig10_report(records),
     )
 
     def fidelity(error: str, m: int, factor: float) -> float:

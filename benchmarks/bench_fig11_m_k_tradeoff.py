@@ -21,7 +21,7 @@ def bench_fig11_grid(run_once):
     )
     emit(
         "Figure 11 (m/k trade-off grids)",
-        fig11_report(QRAM_WIDTHS, SQC_WIDTHS, FACTORS, shots=SHOTS),
+        fig11_report(records),
     )
 
     decay = k_versus_m_decay(records, error="Z", factor=1.0)

@@ -16,7 +16,7 @@ SHOTS = 200
 
 def bench_fig12_device_study(run_once):
     records = run_once(run_fig12, DEFAULT_CONFIGURATIONS, FACTORS, shots=SHOTS)
-    emit("Figure 12 (device noise study)", fig12_report(DEFAULT_CONFIGURATIONS, FACTORS, shots=SHOTS))
+    emit("Figure 12 (device noise study)", fig12_report(records))
 
     def fidelity(label: str, factor: float) -> float:
         return next(
@@ -37,14 +37,29 @@ def bench_fig12_device_study(run_once):
 
 
 def bench_fig12_swap_overhead_only(run_once):
-    """Routing cost of the four configurations (the SWAP counts under the legend)."""
-    from repro.experiments.fig12 import route_configuration
+    """Routing cost of the four configurations (the SWAP counts under the legend).
+
+    Times building and routing each configuration's circuit, nothing else,
+    then checks the counts against the scenario compile Figure 12 runs on.
+    """
+    from repro.experiments.common import DEFAULT_SEED, random_memory
+    from repro.experiments.fig12 import configuration_spec
+    from repro.hardware.devices import DEVICES
+    from repro.hardware.router import make_router
+    from repro.scenarios import compile_scenario
+    from repro.scenarios.spec import ARCHITECTURES
+
+    specs = {c.label: configuration_spec(c) for c in DEFAULT_CONFIGURATIONS}
 
     def route_all():
         counts = {}
-        for configuration in DEFAULT_CONFIGURATIONS:
-            _, routed = route_configuration(configuration)
-            counts[configuration.label] = routed.swap_count
+        for label, spec in specs.items():
+            architecture = ARCHITECTURES[spec.architecture](
+                memory=random_memory(spec.memory_width, DEFAULT_SEED),
+                qram_width=spec.qram_width,
+            )
+            router = make_router(spec.router, DEVICES[spec.device])
+            counts[label] = router.route(architecture.build_circuit()).swap_count
         return counts
 
     counts = run_once(route_all)
@@ -53,3 +68,5 @@ def bench_fig12_swap_overhead_only(run_once):
         "\n".join(f"{label}: {count} SWAPs" for label, count in counts.items()),
     )
     assert counts["m=2,k=1"] > counts["m=1,k=1"]
+    for label, spec in specs.items():
+        assert counts[label] == compile_scenario(spec, DEFAULT_SEED).extra_swaps

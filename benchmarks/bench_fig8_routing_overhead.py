@@ -14,7 +14,7 @@ def bench_fig8_full_sweep(run_once):
     """The full m = 1..9 sweep of the paper's figure."""
     records = run_once(run_fig8, tuple(range(1, 10)))
     assert all(record["topological_minor"] for record in records)
-    emit("Figure 8 (m = 1..9)", fig8_report(tuple(range(1, 10))))
+    emit("Figure 8 (m = 1..9)", fig8_report(records))
 
     by_m = {record["m"]: record for record in records}
     # Teleportation wins for every width where routing is needed at all.
@@ -30,4 +30,4 @@ def bench_fig8_unused_qubit_fraction(run_once):
     records = run_once(run_fig8, (4, 6, 8))
     for record in records:
         assert 0.15 <= record["unused_fraction"] <= 0.30
-    emit("Figure 8 layout statistics", fig8_report((4, 6, 8)))
+    emit("Figure 8 layout statistics", fig8_report(records))

@@ -21,7 +21,7 @@ SHOTS = 256
 def bench_fig9_full_comparison(run_once):
     """All architectures, both error channels, m = 1..6."""
     records = run_once(run_fig9, WIDTHS, shots=SHOTS)
-    emit("Figure 9 (eps = 1e-3)", fig9_report(WIDTHS, shots=SHOTS))
+    emit("Figure 9 (eps = 1e-3)", fig9_report(records))
 
     def fidelity(arch: str, error: str, m: int) -> float:
         return next(

@@ -15,14 +15,14 @@ def bench_table1_small_configuration(run_once):
     """Table 1 at (m=3, k=2): formulas vs measured circuits."""
     records = run_once(run_table1, 3, 2)
     assert len(records) == 15
-    emit("Table 1 (m=3, k=2)", table1_report(m=3, k=2))
+    emit("Table 1 (m=3, k=2)", table1_report(records))
 
 
 def bench_table1_paper_scale_configuration(run_once):
     """Table 1 at (m=5, k=3): a 256-cell memory on a 32-cell QRAM."""
     records = run_once(run_table1, 5, 3)
     assert all(record["measured"] > 0 for record in records)
-    emit("Table 1 (m=5, k=3)", table1_report(m=5, k=3))
+    emit("Table 1 (m=5, k=3)", table1_report(records))
 
 
 def bench_table1_headline_savings(run_once):

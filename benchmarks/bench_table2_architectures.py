@@ -15,7 +15,7 @@ def bench_table2_small_configurations(run_once):
     """Table 2 at (m=2, k=1) and (m=3, k=2)."""
     records = run_once(run_table2, [(2, 1), (3, 2)])
     assert {record["architecture"] for record in records} == {"SQC+BB", "SQC+SS", "Ours"}
-    emit("Table 2 (small configurations)", table2_report([(2, 1), (3, 2)]))
+    emit("Table 2 (small configurations)", table2_report(records))
 
 
 def bench_table2_paper_scale_configuration(run_once):
@@ -32,7 +32,7 @@ def bench_table2_paper_scale_configuration(run_once):
         if r["architecture"] == "SQC+BB" and r["metric"] == "t_count"
     )
     assert ours_t < bb_t
-    emit("Table 2 (m=4, k=3)", table2_report([(4, 3)]))
+    emit("Table 2 (m=4, k=3)", table2_report(records))
 
 
 def bench_table2_advantage_vs_pages(run_once):

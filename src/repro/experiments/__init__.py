@@ -1,9 +1,12 @@
 """Experiment runners: one module per table/figure of the paper's evaluation.
 
 Every runner returns a list of plain-dict records (easy to assert on in tests
-and to benchmark) and has a ``*_report`` companion producing the same data as
-a formatted text table, which is what the benchmark harness prints so the
-regenerated rows/series can be compared against the paper side by side.
+and to benchmark) and has a ``*_report`` companion that renders those records
+as a formatted text table, which is what the benchmark harness prints so the
+regenerated rows/series can be compared against the paper side by side.  A
+report takes only the records it is given and reads its axes from them; it
+never produces records itself, so render a subset to get a smaller table
+(and no records render as ``""``).
 
 | Paper artefact | Runner |
 | -------------- | ------ |

@@ -55,25 +55,26 @@ from repro.experiments.export import (
     EXPORT_FORMATS,
     export_experiment,
 )
+from repro.sweep import resolve_workers
 
 
-# Each wrapper runs its sweep exactly once and renders the report from the
-# same records, so a CLI invocation pays for one Monte-Carlo pass, not two.
+# Each wrapper runs its sweep once; the report renders the records it is
+# handed and never runs anything itself.
 def _table1(args) -> tuple[str, list[dict]]:
     records = run_table1(args.m, args.k, seed=args.seed, workers=args.workers)
-    return table1_report(m=args.m, k=args.k, records=records), records
+    return table1_report(records), records
 
 
 def _table2(args) -> tuple[str, list[dict]]:
     configurations = [(2, 1), (3, 2)] if args.quick else [(2, 1), (3, 2), (4, 3)]
     records = run_table2(configurations, seed=args.seed, workers=args.workers)
-    return table2_report(configurations, records=records), records
+    return table2_report(records), records
 
 
 def _fig8(args) -> tuple[str, list[dict]]:
     widths = tuple(range(1, 7)) if args.quick else tuple(range(1, 10))
     records = run_fig8(widths, seed=args.seed, workers=args.workers)
-    return fig8_report(widths, records=records), records
+    return fig8_report(records), records
 
 
 def _fig9(args) -> tuple[str, list[dict]]:
@@ -86,7 +87,7 @@ def _fig9(args) -> tuple[str, list[dict]]:
         workers=args.workers,
         shard_size=args.shard_size,
     )
-    return fig9_report(widths, shots=shots, records=records), records
+    return fig9_report(records), records
 
 
 def _fig10(args) -> tuple[str, list[dict]]:
@@ -99,7 +100,7 @@ def _fig10(args) -> tuple[str, list[dict]]:
         workers=args.workers,
         shard_size=args.shard_size,
     )
-    return fig10_report(widths, shots=shots, records=records), records
+    return fig10_report(records), records
 
 
 def _fig11(args) -> tuple[str, list[dict]]:
@@ -114,7 +115,7 @@ def _fig11(args) -> tuple[str, list[dict]]:
         workers=args.workers,
         shard_size=args.shard_size,
     )
-    return fig11_report(qram_widths, sqc_widths, shots=shots, records=records), records
+    return fig11_report(records), records
 
 
 def _fig12(args) -> tuple[str, list[dict]]:
@@ -125,7 +126,7 @@ def _fig12(args) -> tuple[str, list[dict]]:
         workers=args.workers,
         shard_size=args.shard_size,
     )
-    return fig12_report(shots=shots, records=records), records
+    return fig12_report(records), records
 
 
 EXPERIMENTS: dict[str, Callable] = {
@@ -353,6 +354,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.names and args.experiment != "scenario":
         parser.error("positional scenario names are only valid with 'scenario'")
+    try:
+        # An unset --workers falls back to $REPRO_SWEEP_WORKERS: a bad value
+        # there is a usage error here, not a traceback inside the first sweep.
+        resolve_workers(args.workers)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         resolve_formats(args, scenario=args.experiment == "scenario")
     except ValueError as exc:

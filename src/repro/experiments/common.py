@@ -105,6 +105,15 @@ def format_table(
     return "\n".join(lines)
 
 
+def axis(records: Iterable[Mapping[str, object]], key: str) -> list[object]:
+    """The distinct values of ``key`` across ``records``, in first-seen order.
+
+    Every runner nests its loops in argument order, so a report reading its
+    axes back from the records lists them in the order they were requested.
+    """
+    return list(dict.fromkeys(record[key] for record in records))
+
+
 def records_to_rows(
     records: Iterable[Mapping[str, object]], columns: Sequence[str]
 ) -> list[list[object]]:

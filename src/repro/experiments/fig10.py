@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.analysis.fidelity import qram_x_fidelity_bound, qram_z_fidelity_bound
 from repro.experiments.common import (
+    axis,
     format_table,
     gate_noise_shard,
     resolve_seed,
@@ -22,6 +23,10 @@ DEFAULT_WIDTHS: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
 DEFAULT_REDUCTION_FACTORS: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0, 1000.0)
 DEFAULT_BASE_EPSILON = 1e-3
 DEFAULT_SHOTS = 1024
+
+#: The figure's panel caption for each error channel.
+_PANELS = {"Z": "left panel: phase flip", "X": "right panel: bit flip"}
+
 
 def run_fig10(
     widths: tuple[int, ...] = DEFAULT_WIDTHS,
@@ -72,30 +77,18 @@ def run_fig10(
     return records
 
 
-def fig10_report(
-    widths: tuple[int, ...] = DEFAULT_WIDTHS,
-    reduction_factors: tuple[float, ...] = DEFAULT_REDUCTION_FACTORS,
-    *,
-    base_epsilon: float = DEFAULT_BASE_EPSILON,
-    shots: int = DEFAULT_SHOTS,
-    seed: int | None = None,
-    records: list[dict[str, object]] | None = None,
-) -> str:
-    """Human-readable Figure 10 series (one table per error channel)."""
-    if records is None:
-        records = run_fig10(
-            widths,
-            reduction_factors,
-            base_epsilon=base_epsilon,
-            shots=shots,
-            seed=seed,
-        )
+def fig10_report(records: list[dict[str, object]]) -> str:
+    """Human-readable Figure 10 series of ``records`` (from :func:`run_fig10`).
+
+    One table per error channel, one column per width.
+    """
+    widths = axis(records, "m")
     lines = []
-    for error_name, panel in (("Z", "left panel: phase flip"), ("X", "right panel: bit flip")):
-        lines.append(f"Figure 10 reproduction ({panel})")
+    for error_name in axis(records, "error"):
+        lines.append(f"Figure 10 reproduction ({_PANELS[error_name]})")
         headers = ["eps_r"] + [f"m={m}" for m in widths]
         rows = []
-        for factor in reduction_factors:
+        for factor in axis(records, "error_reduction_factor"):
             row: list[object] = [factor]
             for m in widths:
                 entry = next(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.analysis.fidelity import virtual_x_fidelity_bound, virtual_z_fidelity_bound
 from repro.experiments.common import (
+    axis,
     format_table,
     gate_noise_shard,
     resolve_seed,
@@ -76,23 +77,16 @@ def run_fig11(
     return records
 
 
-def fig11_report(
-    qram_widths: tuple[int, ...] = DEFAULT_QRAM_WIDTHS,
-    sqc_widths: tuple[int, ...] = DEFAULT_SQC_WIDTHS,
-    reduction_factors: tuple[float, ...] = DEFAULT_REDUCTION_FACTORS,
-    *,
-    shots: int = DEFAULT_SHOTS,
-    seed: int | None = None,
-    records: list[dict[str, object]] | None = None,
-) -> str:
-    """Human-readable Figure 11 grids (one per error channel and eps_r)."""
-    if records is None:
-        records = run_fig11(
-            qram_widths, sqc_widths, reduction_factors, shots=shots, seed=seed
-        )
+def fig11_report(records: list[dict[str, object]]) -> str:
+    """Human-readable Figure 11 grids of ``records`` (from :func:`run_fig11`).
+
+    One ``m`` by ``k`` grid per error channel and eps_r.
+    """
+    qram_widths = axis(records, "m")
+    sqc_widths = axis(records, "k")
     lines = []
-    for error_name in ("Z", "X"):
-        for factor in reduction_factors:
+    for error_name in axis(records, "error"):
+        for factor in axis(records, "error_reduction_factor"):
             lines.append(
                 f"Figure 11 reproduction ({error_name} error, eps_r={factor:g})"
             )

@@ -12,22 +12,21 @@ scaled by an error-reduction factor ``eps_r``.  The observations to reproduce:
 * at ``eps_r = 1000`` (error rates ~1e-5, e.g. via small-distance error
   correction) the query fidelity exceeds 0.98;
 * larger configurations need more SWAPs and correspondingly better hardware.
+
+Each configuration is the scenario layer's ``device`` mapping
+(:func:`configuration_spec`): :func:`~repro.scenarios.compile.compile_scenario`
+builds, routes and maps its states, and every ``(configuration, eps_r)``
+point runs on :func:`~repro.scenarios.run.scenario_shard`, the worker
+:func:`~repro.scenarios.run.run_scenario` shards over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-import numpy as np
-
-from repro.experiments.common import format_table, random_memory, resolve_seed
-from repro.hardware.devices import DEVICES, DeviceModel
-from repro.hardware.noise_model import device_noise_model
-from repro.hardware.router import DEFAULT_ROUTER, make_router
-from repro.qram.virtual_qram import VirtualQRAM
-from repro.sim.feynman import FeynmanPathSimulator
-from repro.sweep import ShotShard, SweepRunner
+from repro.experiments.common import axis, format_table, resolve_seed
+from repro.scenarios.spec import ScenarioSpec
+from repro.sweep import SweepRunner
 
 DEFAULT_REDUCTION_FACTORS: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0, 1000.0)
 DEFAULT_SHOTS = 200
@@ -55,56 +54,27 @@ DEFAULT_CONFIGURATIONS: tuple[HardwareConfiguration, ...] = (
 )
 
 
-def route_configuration(
-    configuration: HardwareConfiguration, *, seed: int | None = None
-):
-    """Build and route one configuration; returns (architecture, routed circuit).
+def configuration_spec(configuration: HardwareConfiguration) -> ScenarioSpec:
+    """The scenario that routes one configuration onto its device.
 
-    Routes with :data:`~repro.hardware.router.DEFAULT_ROUTER`, the greedy
-    stand-in for the paper's SABRE pass.
+    ``mapping="device"`` with the spec's default router (the greedy stand-in
+    for the paper's SABRE pass), no idle noise and no readout folding: the
+    plain device gate noise of Appendix A.  The spec's factor grid is the
+    figure's default and only describes it: :func:`run_fig12` hands each
+    point its own ``eps_r``, so one compile serves every grid.
     """
-    device: DeviceModel = DEVICES[configuration.device_name]
-    memory = random_memory(configuration.m + configuration.k, seed)
-    architecture = VirtualQRAM(memory=memory, qram_width=configuration.m)
-    routed = make_router(DEFAULT_ROUTER, device).route(architecture.build_circuit())
-    return architecture, routed
-
-
-@lru_cache(maxsize=16)
-def _fig12_bundle(configuration: HardwareConfiguration, seed: int):
-    """Route one configuration and precompute everything the shards share.
-
-    Returns ``(routed, physical_input, physical_ideal, keep_qubits)``.
-    Routing plus state mapping dominates the small fig12 workloads, so the
-    bundle is cached per process: every (configuration, eps_r) shard that
-    lands on a worker reuses its build.
-    """
-    architecture, routed = route_configuration(configuration, seed=seed)
-    logical_input = architecture.input_state()
-    physical_input = routed.map_state(logical_input, final=False)
-    physical_ideal = routed.map_state(
-        architecture.ideal_output(logical_input), final=True
+    return ScenarioSpec(
+        name=f"fig12-{configuration.label}",
+        description=(
+            f"Figure 12 {configuration.label} routed onto "
+            f"{configuration.device_name}"
+        ),
+        qram_width=configuration.m,
+        sqc_width=configuration.k,
+        mapping="device",
+        device=configuration.device_name,
+        error_reduction_factors=DEFAULT_REDUCTION_FACTORS,
     )
-    keep = routed.physical_qubits(architecture.kept_qubits(), final=True)
-    return routed, physical_input, physical_ideal, keep
-
-
-def _fig12_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
-    """Per-shard fidelities for one (configuration, eps_r) sweep point."""
-    configuration, factor, seed = spec
-    routed, physical_input, physical_ideal, keep = _fig12_bundle(configuration, seed)
-    device = DEVICES[configuration.device_name]
-    noise = device_noise_model(device, error_reduction_factor=factor)
-    result = FeynmanPathSimulator().query_fidelities(
-        routed.circuit,
-        physical_input,
-        noise,
-        shard.shots,
-        keep_qubits=keep,
-        ideal_output=physical_ideal,
-        rng=shard.seeds(),
-    )
-    return result.fidelities
 
 
 def run_fig12(
@@ -117,26 +87,36 @@ def run_fig12(
     shard_size: int | None = None,
 ) -> list[dict[str, object]]:
     """Fidelity records for every (configuration, eps_r) pair, plus SWAP counts."""
+    # Imported here: repro.scenarios.compile imports repro.experiments.common,
+    # so a module-level import would be circular.
+    from repro.scenarios.compile import compile_scenario
+    from repro.scenarios.run import scenario_shard
+
     seed_value = resolve_seed(seed)
+    specs = {
+        configuration: configuration_spec(configuration)
+        for configuration in configurations
+    }
     points = [
         (configuration, factor)
         for configuration in configurations
         for factor in reduction_factors
     ]
-    specs = [(configuration, factor, seed_value) for configuration, factor in points]
+    bundles = [
+        (specs[configuration], factor, seed_value) for configuration, factor in points
+    ]
     runner = SweepRunner(workers=workers, shard_size=shard_size)
-    merged = runner.map_shards(_fig12_shard, specs, shots=shots, seed=seed_value)
+    merged = runner.map_shards(scenario_shard, bundles, shots=shots, seed=seed_value)
     records: list[dict[str, object]] = []
     for (configuration, factor), result in zip(points, merged):
-        routed, _, _, _ = _fig12_bundle(configuration, seed_value)
-        device = DEVICES[configuration.device_name]
+        compiled = compile_scenario(specs[configuration], seed_value)
         records.append(
             {
                 "configuration": configuration.label,
                 "m": configuration.m,
                 "k": configuration.k,
-                "device": device.name,
-                "extra_swaps": routed.swap_count,
+                "device": compiled.device.name,
+                "extra_swaps": compiled.extra_swaps,
                 "error_reduction_factor": factor,
                 "shots": shots,
                 "fidelity": result.mean_fidelity,
@@ -146,26 +126,17 @@ def run_fig12(
     return records
 
 
-def fig12_report(
-    configurations: tuple[HardwareConfiguration, ...] = DEFAULT_CONFIGURATIONS,
-    reduction_factors: tuple[float, ...] = DEFAULT_REDUCTION_FACTORS,
-    *,
-    shots: int = DEFAULT_SHOTS,
-    seed: int | None = None,
-    records: list[dict[str, object]] | None = None,
-) -> str:
-    """Human-readable Figure 12 series."""
-    if records is None:
-        records = run_fig12(
-            configurations, reduction_factors, shots=shots, seed=seed
-        )
-    labels = [configuration.label for configuration in configurations]
+def fig12_report(records: list[dict[str, object]]) -> str:
+    """Human-readable Figure 12 series of ``records`` (from :func:`run_fig12`)."""
+    if not records:
+        return ""
+    labels = axis(records, "configuration")
     swaps = {
         record["configuration"]: record["extra_swaps"] for record in records
     }
     headers = ["eps_r"] + [f"{label} (SWAP={swaps[label]})" for label in labels]
     rows = []
-    for factor in reduction_factors:
+    for factor in axis(records, "error_reduction_factor"):
         row: list[object] = [factor]
         for label in labels:
             entry = next(
@@ -176,5 +147,5 @@ def fig12_report(
             )
             row.append(entry["fidelity"])
         rows.append(row)
-    title = f"Figure 12 reproduction (device noise, shots={shots})"
+    title = f"Figure 12 reproduction (device noise, shots={records[0]['shots']})"
     return title + "\n" + format_table(headers, rows)

@@ -68,15 +68,10 @@ def run_fig8(
     return runner.map_points(_fig8_point, [(m, seed) for m in widths])
 
 
-def fig8_report(
-    widths: tuple[int, ...] = DEFAULT_WIDTHS,
-    *,
-    seed: int | None = None,
-    records: list[dict[str, object]] | None = None,
-) -> str:
-    """Human-readable Figure 8 series (pass ``records`` to skip recomputing)."""
-    if records is None:
-        records = run_fig8(widths, seed=seed)
+def fig8_report(records: list[dict[str, object]]) -> str:
+    """Human-readable Figure 8 series of ``records`` (from :func:`run_fig8`)."""
+    if not records:
+        return ""
     columns = [
         "m",
         "grid",

@@ -18,6 +18,7 @@ change wall-clock time but never the records.
 from __future__ import annotations
 
 from repro.experiments.common import (
+    axis,
     format_table,
     gate_noise_shard,
     resolve_seed,
@@ -65,21 +66,17 @@ def run_fig9(
     return records
 
 
-def fig9_report(
-    widths: tuple[int, ...] = DEFAULT_WIDTHS,
-    *,
-    epsilon: float = DEFAULT_EPSILON,
-    shots: int = DEFAULT_SHOTS,
-    seed: int | None = None,
-    records: list[dict[str, object]] | None = None,
-) -> str:
-    """Human-readable Figure 9 series (one column per architecture/error pair)."""
-    if records is None:
-        records = run_fig9(widths, epsilon=epsilon, shots=shots, seed=seed)
+def fig9_report(records: list[dict[str, object]]) -> str:
+    """Human-readable Figure 9 series of ``records`` (from :func:`run_fig9`).
+
+    One column per architecture/error pair, one row per width.
+    """
+    if not records:
+        return ""
     series = sorted({(r["architecture"], r["error"]) for r in records})
     headers = ["m"] + [f"{arch}-{err}" for arch, err in series]
     rows = []
-    for m in widths:
+    for m in axis(records, "m"):
         row: list[object] = [m]
         for arch, err in series:
             entry = next(
@@ -89,7 +86,9 @@ def fig9_report(
             )
             row.append(entry["fidelity"])
         rows.append(row)
+    first = records[0]
     title = (
-        f"Figure 9 reproduction (fidelity vs QRAM width, eps={epsilon}, shots={shots})"
+        "Figure 9 reproduction (fidelity vs QRAM width, "
+        f"eps={first['epsilon']}, shots={first['shots']})"
     )
     return title + "\n" + format_table(headers, rows)

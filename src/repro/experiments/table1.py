@@ -59,17 +59,15 @@ def run_table1(
     return runner.map_points(_table1_point, [(m, k, seed)])[0]
 
 
-def table1_report(
-    m: int = 4,
-    k: int = 2,
-    *,
-    seed: int | None = None,
-    records: list[dict[str, object]] | None = None,
-) -> str:
-    """Human-readable Table 1 (one block per metric)."""
-    if records is None:
-        records = run_table1(m, k, seed=seed)
-    lines = [f"Table 1 reproduction (m={m}, k={k})"]
+def table1_report(records: list[dict[str, object]]) -> str:
+    """Human-readable Table 1 of ``records`` (from :func:`run_table1`).
+
+    One block per metric.
+    """
+    if not records:
+        return ""
+    first = records[0]
+    lines = [f"Table 1 reproduction (m={first['m']}, k={first['k']})"]
     for metric in TABLE1_METRICS:
         subset = [r for r in records if r["metric"] == metric]
         rows = [

@@ -70,15 +70,11 @@ def run_table2(
     return [record for block in blocks for record in block]
 
 
-def table2_report(
-    configurations: list[tuple[int, int]] | None = None,
-    *,
-    seed: int | None = None,
-    records: list[dict[str, object]] | None = None,
-) -> str:
-    """Human-readable Table 2 over the requested configurations."""
-    if records is None:
-        records = run_table2(configurations, seed=seed)
+def table2_report(records: list[dict[str, object]]) -> str:
+    """Human-readable Table 2 of ``records`` (from :func:`run_table2`).
+
+    One table per ``(m, k)`` configuration.
+    """
     configs = sorted({(r["m"], r["k"]) for r in records})
     lines = []
     for m, k in configs:

@@ -88,18 +88,9 @@ from repro.mapping.grid import Grid2D
 from repro.mapping.htree import HTreeEmbedding
 from repro.mapping.teleport import expand_teleport_links
 from repro.qram.base import QRAMArchitecture
-from repro.qram.bucket_brigade import BucketBrigadeQRAM
-from repro.qram.fanout import FanoutQRAM
-from repro.qram.virtual_qram import VirtualQRAM
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ARCHITECTURES, ScenarioSpec
 from repro.sim.noise import NoiseModel, PauliChannel, ScheduledNoiseModel
 from repro.sim.paths import PathState
-
-_ARCHITECTURE_CLASSES = {
-    "virtual": VirtualQRAM,
-    "bucket-brigade": BucketBrigadeQRAM,
-    "fanout": FanoutQRAM,
-}
 
 #: Calibration used when a scenario names no device: the representative
 #: error scale of Sec. 6.3 (the :class:`DeviceModel` defaults).
@@ -229,7 +220,7 @@ class CompiledScenario:
 
 def _build_architecture(spec: ScenarioSpec, seed: int) -> QRAMArchitecture:
     memory = random_memory(spec.memory_width, seed)
-    cls = _ARCHITECTURE_CLASSES[spec.architecture]
+    cls = ARCHITECTURES[spec.architecture]
     return cls(memory=memory, qram_width=spec.qram_width)
 
 
@@ -277,7 +268,7 @@ def compile_scenario(spec: ScenarioSpec, seed: int) -> CompiledScenario:
 
     The cache is what lets every ``(sweep point, shot shard)`` work unit
     landing on a pool worker reuse the routed circuit and precomputed
-    states, mirroring the Figure 12 bundle pattern.
+    states, for scenario runs and Figure 12 alike.
     """
     architecture = _build_architecture(spec, seed)
     logical = architecture.build_circuit()

@@ -38,8 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.store import ResultCache
 
 
-def _scenario_shard(spec_bundle: tuple, shard: ShotShard) -> np.ndarray:
-    """Per-shard fidelities of one ``(scenario, eps_r)`` sweep point."""
+def scenario_shard(spec_bundle: tuple, shard: ShotShard) -> np.ndarray:
+    """Per-shard fidelities of one ``(scenario, eps_r)`` sweep point.
+
+    ``spec_bundle`` is ``(spec, eps_r, seed)``.  :func:`run_scenario` and
+    Figure 12 (:func:`repro.experiments.fig12.run_fig12`) shard over it.
+    """
     spec, factor, seed = spec_bundle
     compiled = compile_scenario(spec, seed)
     result = FeynmanPathSimulator().query_fidelities(
@@ -164,7 +168,7 @@ def run_scenario(
     bundles = [(spec, factor, seed_value) for factor in spec.error_reduction_factors]
     runner = SweepRunner(workers=workers, shard_size=shard_size)
     merged = runner.map_shards(
-        _scenario_shard, bundles, shots=shot_count, seed=seed_value
+        scenario_shard, bundles, shots=shot_count, seed=seed_value
     )
     compiled = compile_scenario(spec, seed_value)
     records = [

@@ -16,8 +16,18 @@ from dataclasses import dataclass, replace
 
 from repro.hardware.devices import DEVICES
 from repro.hardware.router import DEFAULT_ROUTER, available_routers
+from repro.qram.base import QRAMArchitecture
+from repro.qram.bucket_brigade import BucketBrigadeQRAM
+from repro.qram.fanout import FanoutQRAM
+from repro.qram.virtual_qram import VirtualQRAM
 
-ARCHITECTURES: tuple[str, ...] = ("virtual", "bucket-brigade", "fanout")
+#: The QRAM construction each :attr:`ScenarioSpec.architecture` label builds.
+#: The labels are stamped into records and fingerprints, so they never change.
+ARCHITECTURES: dict[str, type[QRAMArchitecture]] = {
+    "virtual": VirtualQRAM,
+    "bucket-brigade": BucketBrigadeQRAM,
+    "fanout": FanoutQRAM,
+}
 MAPPINGS: tuple[str, ...] = ("none", "htree", "device", "dual-rail")
 ROUTINGS: tuple[str, ...] = (
     "swap",
@@ -115,7 +125,7 @@ class ScenarioSpec:
         if self.architecture not in ARCHITECTURES:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}; "
-                f"choose from {ARCHITECTURES}"
+                f"choose from {tuple(ARCHITECTURES)}"
             )
         if self.mapping not in MAPPINGS:
             raise ValueError(

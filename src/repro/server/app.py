@@ -483,6 +483,9 @@ class ScenarioServer:
     ``port=0`` binds an ephemeral port (tests); :attr:`url` reports the
     bound address.  ``start()`` launches the listener thread and the job
     worker; ``close()`` tears both down.  Also usable as a context manager.
+    ``workers`` (``None`` reads ``REPRO_SWEEP_WORKERS``) and ``shard_size``
+    are resolved once, here: a bad value raises ``ValueError`` before any
+    socket is bound, never inside a queued job.
     """
 
     def __init__(
@@ -574,12 +577,18 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="sweep worker processes per job (see repro.sweep)",
+        help="sweep worker processes per job (1 = serial, 0 = all cores; "
+        "default: the REPRO_SWEEP_WORKERS environment variable, else 1)",
     )
     args = parser.parse_args(argv)
-    server = ScenarioServer(
-        args.host, args.port, cache=args.cache_dir, workers=args.workers
-    )
+    try:
+        # The server checks --workers (or, unset, $REPRO_SWEEP_WORKERS) before
+        # binding, so a bad count is a usage error here.
+        server = ScenarioServer(
+            args.host, args.port, cache=args.cache_dir, workers=args.workers
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     print(
         f"serving API {API_VERSION} on {server.url}{API_PREFIX}/ "
         f"(cache: {server.service.cache.root})"

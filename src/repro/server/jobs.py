@@ -29,6 +29,7 @@ from repro.circuit.ir import BranchBudgetError
 from repro.scenarios.run import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.engine import ENGINE_NAME
+from repro.sweep import SweepRunner
 
 #: Job lifecycle states, in order.
 JOB_STATES = ("queued", "running", "done", "error")
@@ -148,8 +149,11 @@ class JobWorker:
     ) -> None:
         self.table = table
         self.cache = cache
-        self.workers = workers
-        self.shard_size = shard_size
+        # Resolved and checked once, here: a bad worker count or shard size
+        # raises at construction instead of failing every job it would run.
+        sweep = SweepRunner(workers=workers, shard_size=shard_size)
+        self.workers = sweep.workers
+        self.shard_size = sweep.shard_size
         self._queue: queue.Queue[Job | None] = queue.Queue()
         self._thread = threading.Thread(
             target=self._drain, name="repro-job-worker", daemon=True

@@ -50,16 +50,23 @@ def resolve_workers(workers: int | None) -> int:
     """Resolve a worker-count request to a concrete positive integer.
 
     ``None`` consults ``REPRO_SWEEP_WORKERS`` (default 1, i.e. serial);
-    ``0`` means one worker per CPU core.
+    ``0`` means one worker per CPU core.  A negative count, or an
+    environment value that is not a non-negative integer, raises
+    ``ValueError`` naming its source.
     """
+    source = "workers"
     if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        workers = int(env) if env else 1
-    if workers == 0:
-        workers = os.cpu_count() or 1
+        source = WORKERS_ENV_VAR
+        text = os.environ.get(WORKERS_ENV_VAR, "").strip() or "1"
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ValueError(
+                f"{WORKERS_ENV_VAR} must be a non-negative integer, got {text!r}"
+            ) from None
     if workers < 0:
-        raise ValueError(f"workers must be non-negative, got {workers}")
-    return workers
+        raise ValueError(f"{source} must be non-negative, got {workers}")
+    return workers or os.cpu_count() or 1
 
 
 def split_shots(shots: int, shard_size: int) -> list[tuple[int, int]]:

@@ -135,6 +135,16 @@ class TestCommandLine:
         assert "error: argument --" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_workers_env_is_a_usage_error(self, monkeypatch, value, capsys):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig8", "--quick"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "REPRO_SWEEP_WORKERS must be" in err and value in err
+        assert "Traceback" not in err
+
     def test_seed_flag_is_forwarded_and_reproducible(self, capsys):
         assert main(["fig9", "--quick", "--shots", "8", "--seed", "7"]) == 0
         first = capsys.readouterr().out

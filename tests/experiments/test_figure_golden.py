@@ -1,4 +1,4 @@
-"""Golden digests of small Figure 9--11 record sets.
+"""Golden digests of small Figure 9--12 record sets.
 
 The determinism gates compare worker counts and shard sizes within one
 commit; these pins compare the noise figures' bytes across commits.  Each
@@ -14,7 +14,13 @@ import json
 
 import pytest
 
-from repro.experiments import run_fig9, run_fig10, run_fig11
+from repro.experiments import (
+    DEFAULT_CONFIGURATIONS,
+    run_fig9,
+    run_fig10,
+    run_fig11,
+    run_fig12,
+)
 
 SEED = 7
 SHOTS = 32
@@ -38,6 +44,10 @@ SWEEPS = {
         lambda **kw: run_fig11((1, 2), (0, 1), (1.0,), **kw),
         "b9150870991f069de56bde9744328b163cbde3edf60941c6edb0e1c8614e33dd",
     ),
+    "fig12": (
+        lambda **kw: run_fig12(DEFAULT_CONFIGURATIONS, (1.0, 100.0), **kw),
+        "8c1299170be1455dd86dc897806a46b783aa05f03f07a0e3ca1f0821ab9fe5ef",
+    ),
 }
 
 
@@ -46,4 +56,10 @@ SWEEPS = {
 def test_figure_records_match_golden_digest(figure, shard_size):
     run, expected = SWEEPS[figure]
     records = run(shots=SHOTS, seed=SEED, workers=1, shard_size=shard_size)
+    assert _digest(records) == expected
+
+
+def test_fig12_digest_holds_on_two_workers():
+    run, expected = SWEEPS["fig12"]
+    records = run(shots=SHOTS, seed=SEED, workers=2, shard_size=8)
     assert _digest(records) == expected

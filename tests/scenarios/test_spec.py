@@ -23,6 +23,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="architecture"):
             ScenarioSpec(name="x", description="d", architecture="telepathic")
 
+    def test_one_label_table_validates_and_builds(self):
+        from repro.scenarios import compile as compile_module
+        from repro.scenarios.spec import ARCHITECTURES
+
+        assert not hasattr(compile_module, "_ARCHITECTURE_CLASSES")
+        assert tuple(ARCHITECTURES) == ("virtual", "bucket-brigade", "fanout")
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioSpec(name="x", description="d", architecture="telepathic")
+        assert "choose from ('virtual', 'bucket-brigade', 'fanout')" in str(
+            excinfo.value
+        )
+        for label, cls in ARCHITECTURES.items():
+            spec = ScenarioSpec(name="x", description="d", architecture=label)
+            built = compile_module._build_architecture(spec, 3)
+            assert type(built) is cls
+
     def test_unknown_mapping_rejected(self):
         with pytest.raises(ValueError, match="mapping"):
             ScenarioSpec(name="x", description="d", mapping="warp")

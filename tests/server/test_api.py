@@ -999,3 +999,49 @@ def test_server_main_module_importable():
     from repro.server.app import main
 
     assert callable(main)
+
+
+class TestWorkerCountAtTheBoundary:
+    """A bad worker count fails once, where it enters, never per job."""
+
+    def test_cli_negative_workers_is_a_usage_error(self, capsys):
+        from repro.server.app import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--port", "0", "--workers", "-1"])
+        assert excinfo.value.code == 2
+        assert "workers must be non-negative, got -1" in capsys.readouterr().err
+
+    def test_cli_bad_workers_env_is_a_usage_error(self, monkeypatch, capsys):
+        from repro.server.app import main
+
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--port", "0"])
+        assert excinfo.value.code == 2
+        assert "REPRO_SWEEP_WORKERS must be a non-negative integer, got 'abc'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"workers": -1}, "workers must be non-negative"),
+            ({"shard_size": 0}, "shard_size must be positive"),
+        ],
+    )
+    def test_server_rejects_bad_counts_at_construction(self, tmp_path, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioServer(port=0, cache=str(tmp_path), **kwargs)
+
+    def test_server_reads_the_env_worker_count_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "abc")
+        with pytest.raises(ValueError, match="REPRO_SWEEP_WORKERS"):
+            ScenarioServer(port=0, cache=str(tmp_path))
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "2")
+        server = ScenarioServer(port=0, cache=str(tmp_path))
+        try:
+            monkeypatch.setenv("REPRO_SWEEP_WORKERS", "abc")
+            assert server.service.worker.workers == 2
+        finally:
+            server.close()

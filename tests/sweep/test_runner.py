@@ -43,8 +43,21 @@ class TestResolveWorkers:
         assert resolve_workers(0) >= 1
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="workers must be non-negative, got -2"):
             resolve_workers(-2)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "must be a non-negative integer, got 'abc'"),
+            ("1.5", "must be a non-negative integer, got '1.5'"),
+            ("-1", "must be non-negative, got -1"),
+        ],
+    )
+    def test_bad_env_value_names_the_variable(self, monkeypatch, value, message):
+        monkeypatch.setenv(WORKERS_ENV_VAR, value)
+        with pytest.raises(ValueError, match=f"^{WORKERS_ENV_VAR} {message}"):
+            resolve_workers(None)
 
 
 class TestSweepRunner:
