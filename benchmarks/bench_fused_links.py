@@ -35,7 +35,7 @@ from repro.circuit.scheduling import idle_slack
 from repro.experiments.common import format_table
 from repro.scenarios import get_scenario, run_scenario
 from repro.scenarios.compile import compile_scenario
-from repro.sim.feynman import FeynmanPathSimulator
+from repro.sim import FeynmanPathSimulator
 from repro.sim.noise import NoiselessModel
 from repro.sim.seeding import ShotSeeds
 

@@ -181,8 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--shots", type=_int_at_least(1), default=None, help="Monte-Carlo shots override"
     )
     parser.add_argument("--quick", action="store_true", help="smaller sweeps for a fast run")
-    parser.add_argument("--m", type=int, default=4, help="QRAM width for table1")
-    parser.add_argument("--k", type=int, default=2, help="SQC width for table1")
+    parser.add_argument(
+        "--m", type=_int_at_least(1), default=4, help="QRAM width for table1"
+    )
+    parser.add_argument(
+        "--k", type=_int_at_least(0), default=2, help="SQC width for table1"
+    )
     parser.add_argument(
         "--seed",
         type=_int_at_least(0),

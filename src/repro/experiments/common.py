@@ -8,10 +8,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.qram.base import QRAMArchitecture
-from repro.qram.bucket_brigade import BucketBrigadeQRAM
 from repro.qram.memory import ClassicalMemory
-from repro.qram.select_swap import SelectSwapQRAM
-from repro.qram.virtual_qram import VirtualQRAM
+from repro.qram.query import make_architecture
 from repro.sim.noise import GateNoiseModel, PauliChannel
 from repro.sweep import ShotShard
 
@@ -23,14 +21,6 @@ DEFAULT_SEED = 2023
 ERROR_CHANNELS = {
     "Z": PauliChannel.phase_flip,
     "X": PauliChannel.bit_flip,
-}
-
-
-#: The architectures the gate-noise figures compare, by record label.
-ARCHITECTURE_BUILDERS = {
-    "ours": VirtualQRAM,
-    "bb": BucketBrigadeQRAM,
-    "ss": SelectSwapQRAM,
 }
 
 
@@ -62,15 +52,15 @@ def _architecture(
 ) -> QRAMArchitecture:
     """Process-local build cache: every shard of a design point, and every
     (error, eps) point sharing it, reuses one compiled circuit."""
-    memory = random_memory(address_width, seed)
-    return ARCHITECTURE_BUILDERS[name](memory=memory, qram_width=qram_width)
+    return make_architecture(name, random_memory(address_width, seed), qram_width)
 
 
 def gate_noise_shard(spec: tuple, shard: ShotShard) -> np.ndarray:
     """Per-shot fidelities of one shard of a gate-noise sweep point (Figs. 9--11).
 
     ``spec`` is ``(architecture, address_width, qram_width, error, epsilon,
-    seed)``: the architecture label of :data:`ARCHITECTURE_BUILDERS`, the
+    seed)``: the record label of the architecture (``"ours"``, ``"bb"`` or
+    ``"ss"``, resolved by :func:`~repro.qram.query.make_architecture`), the
     memory's address width, the QRAM width (smaller when the rest is paged
     through the SQC), the :data:`ERROR_CHANNELS` label, its rate and the
     memory seed.  The shot stream comes from ``shard``, keyed on the point's

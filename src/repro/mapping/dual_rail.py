@@ -43,7 +43,7 @@ to ``|0>``; optional *flag* rounds interleave a global parity probe (XOR of
 every rail, expected ``n mod 2``) inside the circuit body, catching mid-
 circuit erasures whose rail has already routed elsewhere by circuit end.
 :attr:`DualRailExpansion.postselect` lists every ``(cbit, expected)`` pair
--- the postselection mask :meth:`~repro.sim.feynman.FeynmanPathSimulator.
+-- the postselection mask :meth:`~repro.sim.engine.FeynmanPathSimulator.
 query_fidelities` partitions shots by.
 """
 
@@ -250,11 +250,11 @@ def encode_dual_rail(
     ``2 n`` CXs onto the shared flag ancilla but catches erasures that a
     later router ``CSWAP`` would have moved off the originally struck pair.
 
-    Returns a :class:`DualRailExpansion` whose circuit the noisy Feynman
-    engines execute directly: check outcomes come from each shot's seeded
+    Returns a :class:`DualRailExpansion` whose circuit the noisy Feynman-path
+    simulator executes directly: check outcomes come from each shot's seeded
     stream (deterministically, see the module docstring), and
     :attr:`~DualRailExpansion.postselect` feeds straight into
-    :meth:`~repro.sim.feynman.FeynmanPathSimulator.query_fidelities`.
+    :meth:`~repro.sim.engine.FeynmanPathSimulator.query_fidelities`.
     """
     if flag_rounds < 0:
         raise ValueError("flag_rounds must be non-negative")

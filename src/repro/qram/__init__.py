@@ -10,7 +10,7 @@ Public classes
 * :class:`~repro.qram.select_swap.SelectSwapQRAM` -- Baseline S (SQC+SS).
 * :class:`~repro.qram.fanout.FanoutQRAM` -- the Fanout background architecture.
 * :class:`~repro.qram.sqc.SequentialQueryCircuit` -- the gate-based QROM baseline.
-* :mod:`~repro.qram.query` -- name-based factory and experiment helpers.
+* :mod:`~repro.qram.query` -- name-based factory and multi-bit queries.
 """
 
 from repro.qram.base import CompiledQuery, QRAMArchitecture, ResourceReport
@@ -20,9 +20,7 @@ from repro.qram.memory import ClassicalMemory
 from repro.qram.query import (
     ARCHITECTURES,
     MultiBitQuery,
-    QueryExperimentResult,
     make_architecture,
-    run_query_experiment,
 )
 from repro.qram.select_swap import SelectSwapQRAM
 from repro.qram.sqc import SequentialQueryCircuit
@@ -38,7 +36,6 @@ __all__ = [
     "FanoutQRAM",
     "MultiBitQuery",
     "QRAMArchitecture",
-    "QueryExperimentResult",
     "ResourceReport",
     "RouterTree",
     "SelectSwapQRAM",
@@ -47,5 +44,4 @@ __all__ = [
     "VirtualQRAMOptions",
     "WideWordVirtualQRAM",
     "make_architecture",
-    "run_query_experiment",
 ]

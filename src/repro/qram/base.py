@@ -27,7 +27,8 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.decompose import CliffordTCost, circuit_cost
 from repro.circuit.ir import GateTape, compile_circuit
 from repro.qram.memory import ClassicalMemory
-from repro.sim.feynman import FeynmanPathSimulator, QueryResult
+from repro.sim.engine import get_engine
+from repro.sim.fidelity import QueryResult
 from repro.sim.noise import NoiseModel, NoiselessModel
 from repro.sim.paths import PathState
 from repro.sim.seeding import ShotSeeds
@@ -226,7 +227,7 @@ class QRAMArchitecture:
             # superposition and ideal output it carries would be wasted work
             # (e.g. MultiBitQuery readouts run many single-path inputs).
             circuit, state = self.build_circuit(), input_state
-        return FeynmanPathSimulator().run(circuit, state)
+        return get_engine().run(circuit, state)
 
     def verify(self, input_state: PathState | None = None) -> bool:
         """True when the noiseless simulation matches the ideal output exactly."""
@@ -242,11 +243,13 @@ class QRAMArchitecture:
         noise: NoiseModel | None = None,
         shots: int = 128,
         *,
-        input_state: PathState | None = None,
         reduced: bool = True,
         rng: np.random.Generator | ShotSeeds | int | None = None,
     ) -> QueryResult:
-        """Monte-Carlo noisy query returning per-shot fidelities.
+        """Monte-Carlo noisy query over the uniform address superposition.
+
+        Reuses the memoized :meth:`compiled_query` bundle, so repeated
+        sweep points skip circuit construction.
 
         Parameters
         ----------
@@ -254,8 +257,6 @@ class QRAMArchitecture:
             Noise model (``None`` for a noiseless check run).
         shots:
             Number of Monte-Carlo samples.
-        input_state:
-            Input superposition; uniform over all addresses by default.
         reduced:
             Compute the reduced fidelity over address + bus (True, the
             operational figure of merit) or the full-state overlap (False).
@@ -264,25 +265,14 @@ class QRAMArchitecture:
             of one (``rng=7`` runs exactly like ``rng=ShotSeeds(7)``); a
             ``Generator`` seeds a window and ``None`` uses fresh entropy.
         """
-        noise = NoiselessModel() if noise is None else noise
-        if input_state is None:
-            compiled = self.compiled_query()
-            circuit = compiled.circuit
-            state = compiled.input_state
-            ideal = compiled.ideal_output
-            keep = list(compiled.kept_qubits) if reduced else None
-        else:
-            circuit = self.build_circuit()
-            state = input_state
-            ideal = self.ideal_output(state)
-            keep = self.kept_qubits() if reduced else None
-        return FeynmanPathSimulator().query_fidelities(
-            circuit,
-            state,
-            noise,
+        compiled = self.compiled_query()
+        return get_engine().query_fidelities(
+            compiled.circuit,
+            compiled.input_state,
+            NoiselessModel() if noise is None else noise,
             shots,
-            keep_qubits=keep,
-            ideal_output=ideal,
+            keep_qubits=list(compiled.kept_qubits) if reduced else None,
+            ideal_output=compiled.ideal_output,
             rng=rng,
         )
 

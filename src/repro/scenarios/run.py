@@ -30,8 +30,7 @@ from repro.experiments.common import format_table, resolve_seed
 from repro.scenarios.compile import CompiledScenario, compile_scenario
 from repro.scenarios.record import ScenarioRecord
 from repro.scenarios.spec import ScenarioSpec, get_scenario
-from repro.sim.engine import ENGINE_NAME
-from repro.sim.feynman import FeynmanPathSimulator
+from repro.sim.engine import ENGINE_NAME, get_engine
 from repro.sweep import ShotShard, SweepRunner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,7 +45,7 @@ def scenario_shard(spec_bundle: tuple, shard: ShotShard) -> np.ndarray:
     """
     spec, factor, seed = spec_bundle
     compiled = compile_scenario(spec, seed)
-    result = FeynmanPathSimulator().query_fidelities(
+    result = get_engine().query_fidelities(
         compiled.circuit,
         compiled.input_state,
         compiled.noise_model(factor),

@@ -21,8 +21,10 @@ from repro.qram.bucket_brigade import BucketBrigadeQRAM
 from repro.qram.fanout import FanoutQRAM
 from repro.qram.virtual_qram import VirtualQRAM
 
-#: The QRAM construction each :attr:`ScenarioSpec.architecture` label builds.
-#: The labels are stamped into records and fingerprints, so they never change.
+#: The QRAM construction each :attr:`ScenarioSpec.architecture` label builds:
+#: the closed set of labels :class:`ScenarioSpec` validates and fingerprints
+#: stamp (records too), so it never changes.  It is deliberately separate from
+#: :data:`repro.qram.query.ARCHITECTURES`, the open name registry.
 ARCHITECTURES: dict[str, type[QRAMArchitecture]] = {
     "virtual": VirtualQRAM,
     "bucket-brigade": BucketBrigadeQRAM,

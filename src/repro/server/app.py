@@ -401,13 +401,15 @@ class _PooledHTTPServer(HTTPServer):
     request_queue_size = 64
 
     def __init__(self, server_address, handler_class) -> None:
-        super().__init__(server_address, handler_class)
+        # The pool state comes first: a failed bind calls server_close()
+        # before super().__init__ returns, and the bind error must surface.
         self._ready = threading.Condition()
         self._pending: collections.deque = collections.deque()
         self._threads: set[threading.Thread] = set()
         self._idle = 0
         self._serving: set[socket.socket] = set()
         self._closed = False
+        super().__init__(server_address, handler_class)
 
     def process_request(self, request, client_address) -> None:
         """Queue an accepted connection for a handler thread, or close it
@@ -553,6 +555,19 @@ class ScenarioServer:
         self.close()
 
 
+def _port(text: str) -> int:
+    """An argparse ``type=`` for a TCP port, ``0``-``65535`` (else exit 2)."""
+    import argparse
+
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0-65535, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point for ``python -m repro.server``."""
     import argparse
@@ -566,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument("--port", type=int, default=8035, help="bind port")
+    parser.add_argument("--port", type=_port, default=8035, help="bind port")
     parser.add_argument(
         "--cache-dir",
         default=None,

@@ -11,10 +11,10 @@ Contents
 --------
 * :class:`~repro.sim.paths.PathState` -- a superposition stored as a boolean
   matrix of paths plus complex amplitudes.
-* :class:`~repro.sim.feynman.FeynmanPathSimulator` -- noiseless and
-  Monte-Carlo-noisy path simulation, vectorised across both paths and shots.
-* :mod:`~repro.sim.engine` -- the compiled gate-tape engine behind the
-  simulator facade (``"feynman-tape"``, :data:`~repro.sim.engine.ENGINE_NAME`).
+* :class:`~repro.sim.engine.FeynmanPathSimulator` -- noiseless and
+  Monte-Carlo-noisy path simulation over the compiled gate tape, vectorised
+  across both paths and shots (``"feynman-tape"``,
+  :data:`~repro.sim.engine.ENGINE_NAME`).
 * :class:`~repro.sim.statevector.StatevectorSimulator` -- dense reference
   simulator (supports ``H``/``S``/``T``) used for cross-validation in tests.
 * :mod:`~repro.sim.noise` -- Pauli channels, gate-based and qubit-based
@@ -23,9 +23,14 @@ Contents
   fidelity estimators.
 """
 
-from repro.sim.engine import ENGINE_NAME, get_default_engine, get_engine
+from repro.sim.engine import (
+    ENGINE_NAME,
+    FeynmanPathSimulator,
+    UnsupportedGateError,
+    get_default_engine,
+    get_engine,
+)
 from repro.sim.fidelity import reduced_fidelity, state_fidelity
-from repro.sim.feynman import FeynmanPathSimulator, UnsupportedGateError
 from repro.sim.noise import (
     DepolarizingNoise,
     GateNoiseModel,

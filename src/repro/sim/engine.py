@@ -1,14 +1,30 @@
-"""The Feynman-path execution engine for query-circuit simulation.
+"""Vectorised Feynman-path simulator (Sec. 6.2 of the paper).
 
-One engine, :class:`TapeFeynmanEngine` (named :data:`ENGINE_NAME`,
-``"feynman-tape"``), answers both questions the reproduction asks of a
-circuit -- "what state does it produce?" and "what are the per-shot
-trajectories under Monte-Carlo Pauli noise?".  It executes the fused
+Every gate the QRAM architectures use is either a permutation of computational
+basis states (``X``, ``CX``, ``CCX``, ``MCX``, ``SWAP``, ``CSWAP``) or diagonal
+up to a bit flip (the Pauli errors ``X``/``Y``/``Z`` and the phase gates
+``Z``/``S``/``T``/``CZ``).  Under them a basis state never branches: it is a
+*path* ``(bitstring, amplitude)`` that each gate updates in place (the
+bounded ``H`` branching below is the one exception).
+
+The simulator holds all paths of the input superposition at once and applies
+each gate to every path together, so the cost of a query is
+``O(n_gates * n_paths)`` and the memory footprint is constant in circuit
+depth -- the property that lets the paper simulate noisy QRAMs far beyond the
+reach of dense statevector simulation.  For Monte-Carlo noise it vectorises
+over shots as well: the path set is replicated ``shots`` times and per-shot
+Pauli errors are applied as masked updates.
+
+One stateless class, :class:`FeynmanPathSimulator` (named
+:data:`ENGINE_NAME`, ``"feynman-tape"``), answers both questions the
+reproduction asks of a circuit -- "what state does it produce?" and "what
+are the per-shot trajectories under Monte-Carlo Pauli noise?" -- and
+reduces the latter to query fidelities.  It executes the fused
 :class:`~repro.circuit.ir.GateTape` group by group with integer-opcode
 dispatch, draws **all** error events for a shot batch up front from the
 tape's noise-site table (sparse, one packed int64 per non-identity Pauli
 code), and applies them per shot.
-Shots run stacked and **bit-sliced** (a noiseless :meth:`~TapeFeynmanEngine.run`
+Shots run stacked and **bit-sliced** (a noiseless :meth:`~FeynmanPathSimulator.run`
 is one shot of the same executor): one Python ``int`` per qubit holds that
 qubit's bit in every (shot, path) column, so a ``SWAP`` is a list swap and
 ``CSWAP``/``CX``/``CCX``/``MCX``/``X`` and ``X`` errors are a few integer
@@ -25,7 +41,7 @@ model and inserted after their gates, run through
 :class:`~repro.sim.statevector.StatevectorSimulator`, which is also the
 noiseless cross-check of every path-sum result.
 
-The engine is stateless; :func:`get_engine` returns the one shared instance.
+:func:`get_engine` returns the one shared instance.
 :data:`ENGINE_NAME` is what fingerprints, records and job views stamp as
 their ``engine`` field.
 
@@ -114,6 +130,7 @@ from repro.circuit.ir import (
     PHASE_T_POW_CONJ,
     compile_circuit,
 )
+from repro.sim.fidelity import QueryResult, shot_fidelities
 from repro.sim.noise import (
     NoiseModel,
     NoiselessModel,
@@ -245,9 +262,9 @@ def _collapse_flat_indices(
     return (offsets + survivors).reshape(-1)
 
 
-# ===================================================================== engine
-class TapeFeynmanEngine:
-    """Compiled Feynman-path execution over the fused gate tape."""
+# ================================================================== simulator
+class FeynmanPathSimulator:
+    """Simulates basis-permutation circuits path by path (see module docstring)."""
 
     def _tape(self, circuit: QuantumCircuit) -> GateTape:
         tape = compile_circuit(circuit)
@@ -283,31 +300,6 @@ class TapeFeynmanEngine:
         bits, amps, _ = _execute_stacked_shots(tape, state, 1, None, None, uniforms)
         return PathState(bits=np.asarray(bits), amplitudes=amps)
 
-    def run_noisy_shots(
-        self,
-        circuit: QuantumCircuit,
-        state: PathState,
-        noise: NoiseModel,
-        shots: int,
-        rng: ShotSeeds | int | np.random.Generator | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Monte-Carlo trajectories: ``shots`` stacked path blocks.
-
-        Returns ``(bits, amps)`` with ``bits`` of shape
-        ``(shots * n_paths, n_qubits)``; rows ``[s * n_paths, (s+1) * n_paths)``
-        belong to shot ``s``.
-
-        ``rng`` is a :class:`~repro.sim.seeding.ShotSeeds` window or anything
-        :func:`~repro.sim.seeding.as_shot_seeds` turns into one (an integer
-        seed, a ``Generator``, or ``None`` for fresh entropy).  Every shot
-        draws its errors from its own ``SeedSequence``-derived stream, so the
-        result is invariant under any sharding of the shot range.
-        """
-        bits, amps, _ = self.run_noisy_shots_recorded(
-            circuit, state, noise, shots, rng=rng
-        )
-        return np.asarray(bits), amps
-
     def run_noisy_shots_recorded(
         self,
         circuit: QuantumCircuit,
@@ -316,22 +308,26 @@ class TapeFeynmanEngine:
         shots: int,
         rng: ShotSeeds | int | np.random.Generator | None = None,
     ) -> tuple[PackedBits, np.ndarray, np.ndarray | None]:
-        """Like :meth:`run_noisy_shots`, plus the recorded classical register.
+        """Monte-Carlo trajectories: ``shots`` stacked path blocks.
 
         Returns ``(bits, amps, outcomes)``.  ``bits`` is the executor's
         :class:`~repro.sim.paths.PackedBits` -- one ``int`` per qubit, with
         ``shape == (shots * n_paths, n_qubits)`` -- which
         :func:`~repro.sim.fidelity.shot_fidelities` reads without unpacking
-        every qubit; ``np.asarray(bits)`` is :meth:`run_noisy_shots`' block,
-        bit for bit.  ``outcomes`` is the batch's classical register --
-        shape ``(num_clbits, shots)`` ``int8``, one row per slot -- or
-        ``None`` when the circuit records nothing.  The random
-        stream consumed is *identical* to :meth:`run_noisy_shots` (recording
-        observes the register the executor already maintains), so recorded
-        and unrecorded runs of the same seed agree bit for bit.
-        Postselection
-        (:meth:`~repro.sim.feynman.FeynmanPathSimulator.query_fidelities`)
-        partitions shots by these outcomes.
+        every qubit; ``np.asarray(bits)`` gives the bool block, whose rows
+        ``[s * n_paths, (s+1) * n_paths)`` belong to shot ``s``.
+        ``outcomes`` is the batch's classical register -- shape
+        ``(num_clbits, shots)`` ``int8``, one row per slot -- or ``None``
+        when the circuit records nothing; postselection
+        (:meth:`query_fidelities`) partitions shots by it.  Recording only
+        observes the register the executor already maintains, so it
+        consumes no randomness.
+
+        ``rng`` is a :class:`~repro.sim.seeding.ShotSeeds` window or anything
+        :func:`~repro.sim.seeding.as_shot_seeds` turns into one (an integer
+        seed, a ``Generator``, or ``None`` for fresh entropy).  Every shot
+        draws its errors from its own ``SeedSequence``-derived stream, so the
+        result is invariant under any sharding of the shot range.
         """
         if shots <= 0:
             raise ValueError("shots must be positive")
@@ -356,6 +352,81 @@ class TapeFeynmanEngine:
         return _execute_stacked_shots(
             tape, state, shots, sites, events, measure_uniforms
         )
+
+    def query_fidelities(
+        self,
+        circuit: QuantumCircuit,
+        input_state: PathState,
+        noise: NoiseModel,
+        shots: int,
+        *,
+        keep_qubits: list[int] | None = None,
+        ideal_output: PathState | None = None,
+        rng: ShotSeeds | int | np.random.Generator | None = None,
+        postselect: tuple[tuple[int, int], ...] | None = None,
+    ) -> QueryResult:
+        """Monte-Carlo estimate of the query fidelity under ``noise``.
+
+        The shots run through :meth:`run_noisy_shots_recorded`, and its
+        packed bits go to :func:`~repro.sim.fidelity.shot_fidelities` as
+        they are: no full bool block is built.
+
+        Parameters
+        ----------
+        circuit:
+            The (noise-free) query circuit.
+        input_state:
+            Input superposition, typically
+            ``PathState.register_superposition`` over the address register.
+        noise:
+            Noise model; gate-based models are applied on the fly.
+        shots:
+            Number of Monte-Carlo noise samples.
+        keep_qubits:
+            Qubits defining the *reduced* fidelity (normally address + bus,
+            i.e. the registers whose state the algorithm actually consumes).
+            ``None`` computes the full-state overlap fidelity.
+        ideal_output:
+            Pre-computed noiseless output (saves a simulation when sweeping
+            noise parameters over the same circuit).
+        rng:
+            Anything :func:`~repro.sim.seeding.as_shot_seeds` accepts.
+        postselect:
+            ``(cbit, expected_outcome)`` pairs to postselect on: a shot is
+            *kept* only when every listed classical slot recorded its
+            expected outcome.  Rejected shots come back as ``NaN`` in
+            :attr:`QueryResult.fidelities` and are excluded from every
+            aggregate, with :attr:`QueryResult.kept_fraction` accounting for
+            them.  ``None`` (or empty) keeps every shot.
+        """
+        if ideal_output is None:
+            ideal_output = self.run(circuit, input_state)
+        bits, amps, outcomes = self.run_noisy_shots_recorded(
+            circuit, input_state, noise, shots, rng=rng
+        )
+        kept: np.ndarray | None = None
+        if postselect:
+            if outcomes is None:
+                raise ValueError(
+                    "postselect names classical bits but the circuit records "
+                    "no measurement outcomes"
+                )
+            kept = np.ones(shots, dtype=bool)
+            for cbit, expected in postselect:
+                kept &= outcomes[cbit] == expected
+        # Branching circuits may leave more paths per shot than the input had
+        # (uncollapsed H branches), so derive the per-shot width from the
+        # returned block instead of the input state.
+        fidelities = shot_fidelities(
+            ideal_output,
+            bits,
+            amps,
+            shots=shots,
+            n_paths=bits.shape[0] // shots,
+            keep_qubits=keep_qubits,
+            kept=kept,
+        )
+        return QueryResult(fidelities=fidelities, shots=shots)
 
 
 def _execute_stacked_shots(
@@ -392,7 +463,7 @@ def _execute_stacked_shots(
     :func:`~repro.sim.fidelity.shot_fidelities` unpacks only the qubits it
     reads (``np.asarray`` gives the whole bool block); the recorded
     classical register (``None`` when the tape has no classical bits) rides
-    along for :meth:`TapeFeynmanEngine.run_noisy_shots_recorded`.
+    along for :meth:`FeynmanPathSimulator.run_noisy_shots_recorded`.
     """
     n_paths = state.num_paths
     width = shots * n_paths
@@ -683,11 +754,11 @@ def _apply_sliced_frame(
 
 
 # ===================================================================== lookup
-_ENGINE = TapeFeynmanEngine()
+_ENGINE = FeynmanPathSimulator()
 
 
-def get_engine(name: str | None = None) -> TapeFeynmanEngine:
-    """The shared engine; ``name`` may be ``None`` or :data:`ENGINE_NAME`."""
+def get_engine(name: str | None = None) -> FeynmanPathSimulator:
+    """The shared simulator; ``name`` may be ``None`` or :data:`ENGINE_NAME`."""
     if name is not None and name != ENGINE_NAME:
         raise KeyError(f"unknown engine {name!r}; the only engine is {ENGINE_NAME!r}")
     return _ENGINE

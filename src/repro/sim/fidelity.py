@@ -13,7 +13,8 @@ Two fidelities are used throughout the reproduction:
 
 Both metrics operate on path-sum representations, so they are exact for a
 given Pauli error pattern; the Monte-Carlo average over patterns is taken by
-:class:`~repro.sim.feynman.FeynmanPathSimulator.query_fidelities`.
+:meth:`~repro.sim.engine.FeynmanPathSimulator.query_fidelities`, which
+returns a :class:`QueryResult`.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def shot_fidelities(
     """Per-shot fidelities for a vectorised Monte-Carlo block.
 
     ``bits_block``/``amps_block`` are the outputs of
-    :meth:`~repro.sim.engine.TapeFeynmanEngine.run_noisy_shots_recorded`:
+    :meth:`~repro.sim.engine.FeynmanPathSimulator.run_noisy_shots_recorded`:
     ``shots`` stacked copies of the path set, each evolved under an
     independently sampled error pattern.  ``bits_block`` is the executor's
     :class:`~repro.sim.paths.PackedBits`, read as it is; a bool block of
@@ -215,7 +216,7 @@ def shot_fidelities(
     ``kept`` partitions the shots by their recorded check outcomes
     (postselection): a boolean mask of shape ``(shots,)`` whose rejected
     entries come back as ``NaN`` in the result -- the sentinel every
-    aggregation step (:class:`~repro.sim.feynman.QueryResult`, sweep-shard
+    aggregation step (:class:`QueryResult`, sweep-shard
     concatenation) understands, so the rejected shots stay countable instead
     of silently vanishing.  ``None`` keeps every shot (no postselection).
 
@@ -302,3 +303,57 @@ def _mask_rejected(fidelities: np.ndarray, kept: np.ndarray | None) -> np.ndarra
         return fidelities
     fidelities[~np.asarray(kept, dtype=bool)] = np.nan
     return fidelities
+
+
+@dataclass
+class QueryResult:
+    """Outcome of a Monte-Carlo noisy query simulation.
+
+    Postselected runs mark rejected shots with ``NaN`` in ``fidelities``
+    (see :func:`shot_fidelities`); every aggregate below
+    is taken over the *kept* shots only, with :attr:`kept_fraction` keeping
+    the discard visible.  Runs without postselection (no ``NaN``) reproduce
+    the historical all-shot aggregates bit for bit.
+    """
+
+    fidelities: np.ndarray
+    shots: int
+
+    @property
+    def kept_shots(self) -> int:
+        """Shots that survived postselection (all of them when none applied)."""
+        return self.shots - int(np.count_nonzero(np.isnan(self.fidelities)))
+
+    @property
+    def kept_fraction(self) -> float:
+        """Fraction of shots kept by postselection: ``1.0`` without any."""
+        return self.kept_shots / self.shots
+
+    @property
+    def mean_fidelity(self) -> float:
+        """Mean fidelity over the kept shots (``NaN`` when all were rejected)."""
+        kept = self.kept_shots
+        if kept == self.shots:
+            return float(np.mean(self.fidelities))
+        if kept == 0:
+            return float("nan")
+        return float(np.mean(self.fidelities[~np.isnan(self.fidelities)]))
+
+    @property
+    def std_error(self) -> float:
+        """Standard error of the mean over the kept shots.
+
+        The ``shots <= 1`` guard extends naturally to postselection: with at
+        most one kept shot there is no sample variance, so the standard
+        error is ``0.0`` -- well-defined even when :attr:`mean_fidelity` is
+        ``NaN`` because nothing was kept.
+        """
+        kept = self.kept_shots
+        if kept == self.shots:
+            if self.shots <= 1:
+                return 0.0
+            return float(np.std(self.fidelities, ddof=1) / np.sqrt(self.shots))
+        if kept <= 1:
+            return 0.0
+        values = self.fidelities[~np.isnan(self.fidelities)]
+        return float(np.std(values, ddof=1) / np.sqrt(kept))

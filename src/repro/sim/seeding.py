@@ -17,12 +17,12 @@ keyed on ``(seed, point_index, shot_index)``:
 streams are as statistically independent as NumPy's parallel-RNG machinery
 guarantees, and two distinct ``(point, shot)`` coordinates can never collide.
 
-This is the one random-stream contract of the noisy engine
-(:mod:`repro.sim.engine`): ``run_noisy_shots`` passes whatever it is given
-through :func:`as_shot_seeds` and draws from the resulting window.  Every
-shot's generator yields one uniform per noise site, in noise-site order, and
-each uniform becomes a Pauli code by comparison against its site's
-cumulative thresholds (:attr:`repro.sim.noise.PauliChannel.thresholds`).
+This is the one random-stream contract of the noisy simulator
+(:mod:`repro.sim.engine`): ``run_noisy_shots_recorded`` passes whatever it
+is given through :func:`as_shot_seeds` and draws from the resulting window.
+Every shot's generator yields one uniform per noise site, in noise-site
+order, and each uniform becomes a Pauli code by comparison against its
+site's cumulative thresholds (:attr:`repro.sim.noise.PauliChannel.thresholds`).
 :func:`draw_shot_randomness` draws a shot's uniforms in one generator call
 and turns a whole window's site uniforms into its error events in one
 threshold pass.  Errors are rare, so the events are returned sparse: one

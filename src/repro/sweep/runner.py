@@ -6,7 +6,7 @@ deterministic computation (Figure 8, Tables 1-2).  This module decomposes a
 sweep into ``(sweep_point, shot_shard)`` work units and executes them either
 serially or across a :class:`~concurrent.futures.ProcessPoolExecutor`,
 merging shard results back into the existing result dataclasses
-(:class:`~repro.sim.feynman.QueryResult`).
+(:class:`~repro.sim.fidelity.QueryResult`).
 
 Determinism is the design constraint.  Work units carry a
 :class:`~repro.sim.seeding.ShotSeeds` window, so every shot's random stream
@@ -33,7 +33,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.sim.feynman import QueryResult
+from repro.sim.fidelity import QueryResult
 from repro.sim.seeding import ShotSeeds
 
 #: Shots per shard when the caller does not choose.  Small enough that quick
@@ -204,7 +204,7 @@ class SweepRunner:
         (length ``shard.shots``), drawn under ``shard.seeds()``.  Every point
         gets ``shots`` total shots split by ``self.shard_size``; the merged
         per-point arrays are returned as
-        :class:`~repro.sim.feynman.QueryResult` instances, concatenated in
+        :class:`~repro.sim.fidelity.QueryResult` instances, concatenated in
         shot order so the result is invariant under workers and shard size.
 
         ``point_offset`` shifts the seed-keying point index of ``specs[0]``,

@@ -116,6 +116,8 @@ class TestCommandLine:
             ["fig9", "--quick", "--shard-size", "0"],
             ["fig9", "--quick", "--workers", "-1"],
             ["fig9", "--quick", "--shots", "many"],
+            ["table1", "--m", "0"],
+            ["table1", "--k", "-1"],
         ],
         ids=[
             "scenario-seed-negative",
@@ -125,6 +127,8 @@ class TestCommandLine:
             "shard-size-zero",
             "workers-negative",
             "shots-not-an-int",
+            "table1-m-zero",
+            "table1-k-negative",
         ],
     )
     def test_invalid_sweep_flags_are_usage_errors(self, argv, capsys):

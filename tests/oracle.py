@@ -92,9 +92,10 @@ def assert_tape_matches_oracle(
     tol: float = 1e-12,
 ) -> None:
     """Every shot of the tape engine's block equals its oracle shot to ``tol``."""
-    bits, amps = get_engine("feynman-tape").run_noisy_shots(
+    packed, amps, _ = get_engine("feynman-tape").run_noisy_shots_recorded(
         circuit, state, noise, shots, rng=seeds
     )
+    bits = np.asarray(packed)
     n_paths = bits.shape[0] // shots
     for shot in range(shots):
         rows = slice(shot * n_paths, (shot + 1) * n_paths)

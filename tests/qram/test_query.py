@@ -1,4 +1,4 @@
-"""Tests for the architecture factory and high-level query helpers."""
+"""Tests for the architecture factory and multi-bit queries."""
 
 import pytest
 
@@ -7,13 +7,12 @@ from repro.qram import (
     BucketBrigadeQRAM,
     ClassicalMemory,
     MultiBitQuery,
+    SelectSwapQRAM,
     SequentialQueryCircuit,
     VirtualQRAM,
     VirtualQRAMOptions,
     make_architecture,
-    run_query_experiment,
 )
-from repro.sim import GateNoiseModel, PauliChannel
 
 
 class TestFactory:
@@ -21,6 +20,8 @@ class TestFactory:
         assert isinstance(make_architecture("virtual", small_memory, 2), VirtualQRAM)
         assert isinstance(make_architecture("sqc_bb", small_memory, 2), BucketBrigadeQRAM)
         assert isinstance(make_architecture("bb", small_memory, 2), BucketBrigadeQRAM)
+        assert isinstance(make_architecture("ours", small_memory, 2), VirtualQRAM)
+        assert isinstance(make_architecture("ss", small_memory, 2), SelectSwapQRAM)
         assert isinstance(make_architecture("sqc", small_memory), SequentialQueryCircuit)
 
     def test_unknown_name_raises(self, small_memory):
@@ -36,30 +37,15 @@ class TestFactory:
         assert isinstance(make_architecture("Virtual", small_memory, 2), VirtualQRAM)
 
     def test_registry_contains_all_names(self):
-        assert {"virtual", "sqc_bb", "sqc_ss", "fanout", "sqc"} <= set(ARCHITECTURES)
+        assert {
+            "virtual", "sqc_bb", "sqc_ss", "fanout", "sqc", "ours", "bb", "ss"
+        } <= set(ARCHITECTURES)
 
     def test_kwargs_forwarded(self, small_memory):
         architecture = make_architecture(
             "virtual", small_memory, 2, options=VirtualQRAMOptions.raw()
         )
         assert not architecture.options.recycle_address_qubits
-
-
-class TestRunQueryExperiment:
-    def test_summary_fields(self, small_memory):
-        architecture = make_architecture("virtual", small_memory, 2)
-        noise = GateNoiseModel(PauliChannel.phase_flip(1e-3))
-        summary = run_query_experiment(architecture, noise, shots=32, seed=3)
-        data = summary.as_dict()
-        assert data["architecture"] == "virtual"
-        assert data["m"] == 2 and data["k"] == 1
-        assert 0.0 <= data["mean_fidelity"] <= 1.0
-        assert data["shots"] == 32
-
-    def test_noiseless_experiment(self, small_memory):
-        architecture = make_architecture("fanout", small_memory, 2)
-        summary = run_query_experiment(architecture, None, shots=4, seed=0)
-        assert summary.mean_fidelity == pytest.approx(1.0)
 
 
 class TestMultiBitQuery:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.scenarios import available_scenarios, get_scenario, run_scenario
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.run import scenario_report
-from repro.sim.feynman import FeynmanPathSimulator
+from repro.sim import FeynmanPathSimulator
 from repro.sim.noise import NoiselessModel
 from repro.sim.seeding import ShotSeeds
 

@@ -26,7 +26,7 @@ from repro.circuit.ir import MAX_BRANCHES, compile_circuit
 from repro.circuit.scheduling import idle_slack
 from repro.scenarios import available_scenarios, get_scenario, run_scenario
 from repro.scenarios.compile import compile_scenario
-from repro.sim.feynman import FeynmanPathSimulator
+from repro.sim import FeynmanPathSimulator
 from repro.sim.noise import NoiselessModel
 from repro.sim.seeding import ShotSeeds
 

@@ -6,6 +6,7 @@ and service-logic tests drive :class:`~repro.server.ScenarioService`
 directly, without a socket.
 """
 
+import errno
 import http.client
 import json
 import os
@@ -999,6 +1000,27 @@ def test_server_main_module_importable():
     from repro.server.app import main
 
     assert callable(main)
+
+
+class TestBindFailures:
+    """A server that cannot bind raises the bind error, not a half-built one."""
+
+    def test_port_in_use_raises_address_in_use(self, tmp_path):
+        with ScenarioServer(port=0, cache=str(tmp_path), workers=1) as live:
+            with pytest.raises(OSError) as excinfo:
+                ScenarioServer(
+                    port=live.httpd.server_address[1], cache=str(tmp_path), workers=1
+                )
+        assert excinfo.value.errno == errno.EADDRINUSE
+
+    @pytest.mark.parametrize("port", ["70000", "-1", "http"])
+    def test_cli_port_out_of_range_is_a_usage_error(self, port, capsys):
+        from repro.server.app import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--port", port])
+        assert excinfo.value.code == 2
+        assert "error: argument --port" in capsys.readouterr().err
 
 
 class TestWorkerCountAtTheBoundary:

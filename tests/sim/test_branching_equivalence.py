@@ -227,7 +227,7 @@ class TestShotSeedsBitIdentity:
         seeds = ShotSeeds(seed=seed)
         engine = get_engine("feynman-tape")
         output = engine.run(circuit, state, rng=seeds.generator(0))
-        bits, amps = engine.run_noisy_shots(
+        bits, amps, _ = engine.run_noisy_shots_recorded(
             circuit, state, NoiselessModel(), 1, rng=seeds
         )
         assert output.bits.dtype == bool
@@ -242,13 +242,13 @@ class TestShotSeedsBitIdentity:
         circuit, noise, seed, shots, split = instance
         state = _superposition_input(circuit)
         sim = FeynmanPathSimulator()
-        bits_all, amps_all = sim.run_noisy_shots(
+        bits_all, amps_all, _ = sim.run_noisy_shots_recorded(
             circuit, state, noise, shots, rng=ShotSeeds(seed=seed)
         )
-        bits_a, amps_a = sim.run_noisy_shots(
+        bits_a, amps_a, _ = sim.run_noisy_shots_recorded(
             circuit, state, noise, split, rng=ShotSeeds(seed=seed)
         )
-        bits_b, amps_b = sim.run_noisy_shots(
+        bits_b, amps_b, _ = sim.run_noisy_shots_recorded(
             circuit, state, noise, shots - split, rng=ShotSeeds(seed=seed, start=split)
         )
         assert np.array_equal(bits_all, np.vstack([bits_a, bits_b]))

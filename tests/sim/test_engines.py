@@ -34,8 +34,12 @@ from repro.sim import (
     get_default_engine,
     get_engine,
 )
-from repro.sim.engine import TapeFeynmanEngine
+from repro.experiments.common import gate_noise_shard
+from repro.scenarios import get_scenario
+from repro.scenarios.run import scenario_shard
+from repro.sim import engine as engine_module
 from repro.sim.seeding import ShotSeeds, as_shot_seeds
+from repro.sweep import SweepRunner
 from tests.conftest import random_reversible_circuits
 from tests.oracle import assert_tape_matches_oracle
 
@@ -69,7 +73,7 @@ def _dense(circuit: QuantumCircuit, state: PathState, **kwargs) -> PathState:
 class TestEngineLookup:
     def test_one_shared_engine(self):
         engine = get_engine()
-        assert isinstance(engine, TapeFeynmanEngine)
+        assert isinstance(engine, FeynmanPathSimulator)
         assert get_engine(None) is engine
         assert get_engine(ENGINE_NAME) is engine
 
@@ -214,10 +218,12 @@ class TestFusionStress:
         circuit.cx(0, 1)
         circuit.cx(2, 3)  # fuses with the first CX and touches qubit 2
         state = PathState.from_basis_assignments([({}, 1.0)], 4)
-        bits, _ = get_engine("feynman-tape").run_noisy_shots(
+        bits, _, _ = get_engine("feynman-tape").run_noisy_shots_recorded(
             circuit, state, CrosstalkNoise(), 2, rng=np.random.default_rng(0)
         )
-        assert np.array_equal(bits.astype(int), [[0, 0, 1, 1], [0, 0, 1, 1]])
+        assert np.array_equal(
+            np.asarray(bits).astype(int), [[0, 0, 1, 1], [0, 0, 1, 1]]
+        )
         assert_tape_matches_oracle(circuit, state, CrosstalkNoise(), 2, ShotSeeds(0))
 
     def test_offsite_noise_outside_fused_run_still_agrees(self):
@@ -271,7 +277,9 @@ class TestFusionStress:
             lambda tape, *args: executed.append(tape) or execute(tape, *args),
         )
         state = PathState.register_superposition(6, [0, 2])
-        get_engine("feynman-tape").run_noisy_shots(circuit, state, noise, 3, rng=1)
+        get_engine("feynman-tape").run_noisy_shots_recorded(
+            circuit, state, noise, 3, rng=1
+        )
         assert executed == [ir.compile_circuit(circuit)]
         assert executed[0] is ir.compile_circuit(circuit)
 
@@ -305,7 +313,9 @@ class TestFusionStress:
         )
         state = PathState.register_superposition(4, [0])
         for _ in range(2):
-            get_engine("feynman-tape").run_noisy_shots(circuit, state, noise, 3, rng=1)
+            get_engine("feynman-tape").run_noisy_shots_recorded(
+                circuit, state, noise, 3, rng=1
+            )
         assert lookups == [noise, noise]
         refused = noise_sites(ir.compile_circuit(circuit), noise).tape
         assert executed == [refused, refused] and executed[0] is refused
@@ -366,9 +376,10 @@ class TestEngineErrors:
         circuit.measure(0)
         circuit.cx(0, 1)
         state = PathState.register_superposition(2, [0])
-        bits, _ = get_engine().run_noisy_shots(
+        packed, _, _ = get_engine().run_noisy_shots_recorded(
             circuit, state, NoiselessModel(), 8, rng=5
         )
+        bits = np.asarray(packed)
         assert bits[::2, 0].astype(int).tolist() == [0, 1, 1, 1, 1, 0, 1, 0]
 
     def test_qubit_count_mismatch_rejected(self):
@@ -399,31 +410,64 @@ class TestEngineErrors:
         engine = get_engine("feynman-tape")
         assert engine.run(circuit, state).bits.shape == (0, 2)
         noise = GateNoiseModel(PauliChannel.depolarizing(0.5))
-        bits, amps = engine.run_noisy_shots(circuit, state, noise, 3, rng=1)
+        bits, amps, _ = engine.run_noisy_shots_recorded(
+            circuit, state, noise, 3, rng=1
+        )
         assert bits.shape == (0, 2) and amps.shape == (0,)
 
 
-class TestFacade:
-    def test_simulator_runs_the_shared_engine(self, memory):
-        architecture = make_architecture("virtual", memory, qram_width=2)
-        circuit = architecture.build_circuit()
-        state = architecture.input_state()
-        out = FeynmanPathSimulator().run(circuit, state)
-        expected = get_engine().run(circuit, state)
-        assert np.array_equal(out.bits, expected.bits)
-        assert np.array_equal(out.amplitudes, expected.amplitudes)
+def _count_recorded_runs(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap the two names the layer tracer patches; log ``(shots, rows)``.
 
-    def test_noisy_queries_call_the_engine_class_method(self, memory, monkeypatch):
-        # Instrumentation wraps TapeFeynmanEngine.run_noisy_shots_recorded on
-        # the class; every noisy query must reach it there.
-        calls = []
-        recorded = TapeFeynmanEngine.run_noisy_shots_recorded
+    The tracer wraps ``run_noisy_shots_recorded`` on the class that
+    ``get_engine(None)`` returns, reading ``result[0].shape[0]``, and
+    ``shot_fidelities`` in every module that binds it by name.
+    """
+    calls = []
+    recorded = FeynmanPathSimulator.run_noisy_shots_recorded
+    reduce = engine_module.shot_fidelities
 
-        def counting(self, *args, **kwargs):
-            calls.append(self)
-            return recorded(self, *args, **kwargs)
+    def counting(self, circuit, state, noise, shots, *args, **kwargs):
+        result = recorded(self, circuit, state, noise, shots, *args, **kwargs)
+        calls.append((shots, result[0].shape[0]))
+        return result
 
-        monkeypatch.setattr(TapeFeynmanEngine, "run_noisy_shots_recorded", counting)
+    def reducing(*args, **kwargs):
+        calls.append(("reduced", kwargs["shots"]))
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(FeynmanPathSimulator, "run_noisy_shots_recorded", counting)
+    monkeypatch.setattr(engine_module, "shot_fidelities", reducing)
+    return calls
+
+
+class TestInstrumentationContract:
+    """Every production noisy query reaches the hooks the layer tracer patches."""
+
+    def test_shared_instance_is_the_simulator_class(self):
+        assert type(get_engine(None)) is FeynmanPathSimulator
+
+    @pytest.mark.parametrize(
+        "worker, spec, paths",
+        [
+            (gate_noise_shard, ("ours", 3, 2, "Z", 1e-2, 7), 8),
+            (scenario_shard, (get_scenario("ideal-m3"), 10.0, 7), 8),
+        ],
+        ids=["gate_noise_shard", "scenario_shard"],
+    )
+    def test_one_recorded_run_per_shard(self, worker, spec, paths, monkeypatch):
+        calls = _count_recorded_runs(monkeypatch)
+        SweepRunner(workers=1, shard_size=3).map_shards(
+            worker, [spec], shots=8, seed=5
+        )
+        assert calls == [
+            (3, 3 * paths), ("reduced", 3),
+            (3, 3 * paths), ("reduced", 3),
+            (2, 2 * paths), ("reduced", 2),
+        ]
+
+    def test_one_recorded_run_per_query(self, memory, monkeypatch):
+        calls = _count_recorded_runs(monkeypatch)
         architecture = make_architecture("virtual", memory, qram_width=2)
         architecture.run_query(DepolarizingNoise(0.01), shots=4, rng=0)
-        assert calls == [get_engine()]
+        assert calls == [(4, 4 * memory.size), ("reduced", 4)]

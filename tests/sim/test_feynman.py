@@ -189,4 +189,6 @@ class TestNoisyShots:
         circuit = QuantumCircuit(1)
         state = _single_path(1)
         with pytest.raises(ValueError):
-            simulator.run_noisy_shots(circuit, state, NoiselessModel(), shots=0)
+            simulator.run_noisy_shots_recorded(
+                circuit, state, NoiselessModel(), shots=0
+            )

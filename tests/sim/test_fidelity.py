@@ -278,13 +278,14 @@ class TestQubitMajorLayout:
         assert _pack_rows(bits.T) == packed.rows
         architecture = VirtualQRAM(memory=random_memory(2, 7), qram_width=2)
         compiled = architecture.compiled_query()
-        unpacked, _ = get_engine("feynman-tape").run_noisy_shots(
+        rerun, _, _ = get_engine("feynman-tape").run_noisy_shots_recorded(
             compiled.circuit,
             compiled.input_state,
             GateNoiseModel(PauliChannel.depolarizing(0.05)),
             4,
             rng=ShotSeeds(seed=13),
         )
+        unpacked = np.asarray(rerun)
         assert np.array_equal(unpacked, bits)
         assert unpacked.flags.f_contiguous
 

@@ -105,7 +105,7 @@ class TestWithIdleNoise:
         )
         longer = _busy_idle_circuit(5)
         with pytest.raises(ValueError):
-            FeynmanPathSimulator().run_noisy_shots(
+            FeynmanPathSimulator().run_noisy_shots_recorded(
                 longer,
                 PathState.register_superposition(2, [1]),
                 model,

@@ -95,9 +95,10 @@ class TestZMeasurement:
         circuit.measure(0, basis="Z")
         state = PathState.register_superposition(1, [0], {0: 0.6, 1: 0.8})
         shots = 600
-        bits, amps = get_engine("feynman-tape").run_noisy_shots(
+        packed, amps, _ = get_engine("feynman-tape").run_noisy_shots_recorded(
             circuit, state, NoiselessModel(), shots, rng=ShotSeeds(seed=11)
         )
+        bits = np.asarray(packed)
         # Two paths per shot; the surviving one carries amplitude 1.
         per_shot = bits[:, 0].reshape(shots, state.num_paths)
         outcome = per_shot.any(axis=1)
@@ -170,7 +171,7 @@ class TestMeasureThenReuse:
         assert (first, second) == (0, 1)
         state = PathState.register_superposition(1, [0])
         shots = 32
-        bits, amps = get_engine("feynman-tape").run_noisy_shots(
+        _, amps, _ = get_engine("feynman-tape").run_noisy_shots_recorded(
             circuit, state, NoiselessModel(), shots, rng=ShotSeeds(seed=5)
         )
         # After the X measurement the qubit is |m>; the Z measurement must
@@ -324,10 +325,10 @@ class TestOracleAgreementWithMeasurements:
             seeds = ShotSeeds(seed=21, point_index=1)
         else:
             seeds = as_shot_seeds(np.random.default_rng(17))
-            bits, amps = get_engine("feynman-tape").run_noisy_shots(
+            bits, amps, _ = get_engine("feynman-tape").run_noisy_shots_recorded(
                 circuit, state, noise, shots, rng=np.random.default_rng(17)
             )
-            bits_w, amps_w = get_engine("feynman-tape").run_noisy_shots(
+            bits_w, amps_w, _ = get_engine("feynman-tape").run_noisy_shots_recorded(
                 circuit, state, noise, shots, rng=seeds
             )
             assert np.array_equal(bits, bits_w)
@@ -346,9 +347,13 @@ class TestOracleAgreementWithMeasurements:
         shots = 40
         seeds = ShotSeeds(seed=seed)
         engine = get_engine("feynman-tape")
-        bits, amps = engine.run_noisy_shots(circuit, state, noise, shots, rng=seeds)
-        bits_a, amps_a = engine.run_noisy_shots(circuit, state, noise, split, rng=seeds)
-        bits_b, amps_b = engine.run_noisy_shots(
+        bits, amps, _ = engine.run_noisy_shots_recorded(
+            circuit, state, noise, shots, rng=seeds
+        )
+        bits_a, amps_a, _ = engine.run_noisy_shots_recorded(
+            circuit, state, noise, split, rng=seeds
+        )
+        bits_b, amps_b, _ = engine.run_noisy_shots_recorded(
             circuit, state, noise, shots - split, rng=seeds.shifted(split)
         )
         assert np.array_equal(np.vstack([bits_a, bits_b]), bits)
@@ -359,13 +364,13 @@ class TestOracleAgreementWithMeasurements:
         circuit, state = self._teleport_workload()
         seeds = ShotSeeds(seed=3)
         engine = get_engine("feynman-tape")
-        bits, amps = engine.run_noisy_shots(
+        bits, _, _ = engine.run_noisy_shots_recorded(
             circuit, state, NoiselessModel(), 24, rng=seeds
         )
-        bits_a, _ = engine.run_noisy_shots(
+        bits_a, _, _ = engine.run_noisy_shots_recorded(
             circuit, state, NoiselessModel(), 10, rng=seeds
         )
-        bits_b, _ = engine.run_noisy_shots(
+        bits_b, _, _ = engine.run_noisy_shots_recorded(
             circuit, state, NoiselessModel(), 14, rng=seeds.shifted(10)
         )
         assert np.array_equal(np.vstack([bits_a, bits_b]), bits)
@@ -381,7 +386,7 @@ class TestOracleAgreementWithMeasurements:
         state = PathState.register_superposition(4, [0, 1])
         engine = get_engine("feynman-tape")
         ideal = engine.run(logical, state)
-        bits, amps = engine.run_noisy_shots(
+        bits, amps, _ = engine.run_noisy_shots_recorded(
             executed, state, NoiselessModel(), 16, rng=ShotSeeds(seed=9)
         )
         fidelities = shot_fidelities(

@@ -11,7 +11,7 @@ import pytest
 from repro.circuit import QuantumCircuit, compile_circuit
 from repro.circuit.ir import NoiseSiteTable
 from repro.sim import NoiselessModel, ShotSeeds
-from repro.sim.feynman import QueryResult
+from repro.sim.fidelity import QueryResult
 from repro.sim.noise import (
     PAULI_I,
     PAULI_X,

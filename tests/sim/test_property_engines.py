@@ -67,14 +67,14 @@ class TestSeededTrajectoriesAgainstTheOracle:
         state = _superposition_input(circuit)
         shots = 6
         sim = FeynmanPathSimulator()
-        bits_all, amps_all = sim.run_noisy_shots(
+        bits_all, amps_all, _ = sim.run_noisy_shots_recorded(
             circuit, state, noise, shots, rng=ShotSeeds(seed=seed)
         )
         split = 2
-        bits_a, amps_a = sim.run_noisy_shots(
+        bits_a, amps_a, _ = sim.run_noisy_shots_recorded(
             circuit, state, noise, split, rng=ShotSeeds(seed=seed)
         )
-        bits_b, amps_b = sim.run_noisy_shots(
+        bits_b, amps_b, _ = sim.run_noisy_shots_recorded(
             circuit, state, noise, shots - split, rng=ShotSeeds(seed=seed, start=split)
         )
         assert np.array_equal(bits_all, np.vstack([bits_a, bits_b]))

@@ -40,9 +40,10 @@ def _compiled():
 
 def _run(noise, shots: int, rng):
     compiled = _compiled()
-    return get_engine("feynman-tape").run_noisy_shots(
+    bits, amps, _ = get_engine("feynman-tape").run_noisy_shots_recorded(
         compiled.circuit, compiled.input_state, noise, shots, rng=rng
     )
+    return np.asarray(bits), amps
 
 
 def _assert_blocks_equal(left, right):

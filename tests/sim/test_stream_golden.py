@@ -122,7 +122,7 @@ class TestRandomStreamGolden:
     def test_golden_trajectory(self):
         """The Feynman engine reproduces the committed trajectory bit for bit."""
         state = PathState.register_superposition(3, [2])
-        bits, amps = FeynmanPathSimulator().run_noisy_shots(
+        bits, amps, _ = FeynmanPathSimulator().run_noisy_shots_recorded(
             _branching_circuit(), state, _noise(), SHOTS, rng=ShotSeeds(seed=SEED)
         )
         np.testing.assert_array_equal(

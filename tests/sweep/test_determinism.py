@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.common import random_memory
-from repro.qram import MultiBitQuery, VirtualQRAM, run_query_experiment
-from repro.qram.memory import ClassicalMemory
+from repro.qram import VirtualQRAM
 from repro.sim import (
     GateNoiseModel,
     NoiselessModel,
@@ -83,37 +82,3 @@ class TestTapeAgainstOracleUnderShotSeeds:
         assert_tape_matches_oracle(
             compiled.circuit, compiled.input_state, noise, 8, seeds
         )
-
-
-class TestHighLevelHelpersAreWorkerInvariant:
-    def test_run_query_experiment_matches_across_runners(self):
-        architecture = _architecture()
-        noise = GateNoiseModel(PauliChannel.phase_flip(0.01))
-        serial = run_query_experiment(
-            architecture,
-            noise,
-            SHOTS,
-            runner=SweepRunner(workers=1, shard_size=3),
-            seed=SEED,
-        )
-        parallel = run_query_experiment(
-            architecture,
-            noise,
-            SHOTS,
-            runner=SweepRunner(workers=2, shard_size=5),
-            seed=SEED,
-        )
-        assert serial == parallel
-
-    def test_multibit_planes_match_across_runners(self):
-        memory = ClassicalMemory.from_values([1, 0, 3, 2], data_width=2)
-        query = MultiBitQuery(memory=memory, qram_width=2)
-        noise = GateNoiseModel(PauliChannel.phase_flip(0.01))
-        serial = query.run_noisy_planes(
-            noise, SHOTS, runner=SweepRunner(workers=1, shard_size=2), seed=SEED
-        )
-        parallel = query.run_noisy_planes(
-            noise, SHOTS, runner=SweepRunner(workers=2, shard_size=7), seed=SEED
-        )
-        assert len(serial) == memory.data_width
-        assert serial == parallel
